@@ -1,20 +1,23 @@
 """Sequence analyses: autocorrelation spectra, 2-adic complexity, the
 spectral product identity, and Berlekamp-Massey linear complexity.
 
-All results are exact integers. The autocorrelation scan works on the packed
-sequence form (XOR with a rotation, then popcount), so full spectra stay cheap
-well past the period sizes the constructions produce.
+All results are exact integers. The brute-force spectrum comes from the bits
+alone through one big-integer product (Kronecker substitution), so a full
+spectrum costs one multiplication of two 16N-bit ints rather than N
+rotations; the closed form is assembled from slices of one length-p table.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
 from . import bigmod
-from .bigmod import MersenneResidue
-from .numtheory import cyclotomic_classes
-from .sequences import BinarySequence, ConstructionParams, left_shift
+from .bigmod import MersenneResidue, decimal_str
+from .numtheory import legendre_table
+from .sequences import BinarySequence, ConstructionParams
 
 __all__ = [
     "AutocorrSpectrum",
@@ -73,8 +76,9 @@ class TwoAdicReport:
     phi: int
 
     def to_record(self) -> dict[str, object]:
-        return {"period": self.period, "s2": str(self.s2), "gcd": str(self.gcd),
-                "f": str(self.f), "phi": self.phi}
+        return {"period": self.period, "s2": decimal_str(self.s2),
+                "gcd": decimal_str(self.gcd), "f": decimal_str(self.f),
+                "phi": self.phi}
 
 
 @dataclass(frozen=True)
@@ -86,15 +90,37 @@ class IdentityCheck:
     rhs: MersenneResidue
 
 
+def _spread(bits: bytes, width: int) -> int:
+    """The int whose width-byte field k holds bits[k]."""
+    fields = bytearray(width * len(bits))
+    fields[::width] = bits
+    return int.from_bytes(fields, "little")
+
+
 def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
-    """Periodic autocorrelation AC(tau) = sum_t (-1)^(s(t) + s(t + tau))."""
+    """Periodic autocorrelation AC(tau) = sum_t (-1)^(s(t) + s(t + tau)).
+
+    With weight W and coincidence counts C(tau) = #{t : s(t) = s(t + tau) = 1},
+    AC(tau) = N - 4W + 4C(tau). All C(tau) come from one product: with
+    A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient k of A * B is
+    sum_t s(t) s(t + N-1-k), and folding X^N = 1 leaves C((N-1-k) mod N) as
+    coefficient k. Evaluated at X = 2^16 (2^32 once N >= 2^16), each
+    coefficient, at most N, fits its own field and never carries.
+    """
     n = s.period
-    values = [n]
-    for tau in range(1, n):
-        # AC = N - 2 * (number of positions where s and its shift differ)
-        diff = (s.value ^ left_shift(s, tau).value).bit_count()
-        values.append(n - 2 * diff)
-    return AutocorrSpectrum(period=n, values=tuple(values))
+    width = 2 if n < 1 << 16 else 4
+    bits = bytes(s.bits())
+    product = _spread(bits, width) * _spread(bits[::-1], width)
+    shift = 8 * width * n
+    folded = (product >> shift) + (product & ((1 << shift) - 1))
+    counts = array(next(c for c in "HIL" if array(c).itemsize == width))
+    counts.frombytes(folded.to_bytes(width * n, "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    base = n - 4 * s.weight
+    # counts[N-1-tau] = C(tau), so tau = 0, 1, ... reads the fields backwards
+    return AutocorrSpectrum(period=n,
+                            values=tuple([base + 4 * c for c in reversed(counts)]))
 
 
 def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
@@ -113,26 +139,21 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     where e = +1 when w(0) != w(1) and e = -1 when w(0) = w(1): complementing
     adjacent columns flips every cross-column correlation, which is exactly
     the tau1-odd block. Out-of-phase values always lie in {0, 4, -4}.
+
+    The residues D0 u D2 are the nonzero squares mod p whatever g is, so the
+    odd-tau1 blocks read one Legendre table rotated by tau1 * d.
     """
-    p, g, d, b = params.p, params.g, params.d, params.b
-    classes = cyclotomic_classes(p, g)
-    residues = classes.quadratic_residues
+    p, d, b = params.p, params.d, params.b
     eps = 1 if params.w[0] != params.w[1] else -1
-    values = [4 * p]
-    for tau in range(1, 4 * p):
-        tau1, tau2 = tau % 4, tau // 4
-        if tau1 == 0:
-            values.append(-4)
-        elif tau1 == 2:
-            values.append(4 if (tau2 + 2 * d) % p == 0 else 0)
-        else:
-            r = (tau2 + tau1 * d) % p
-            if r == 0:
-                values.append(-4 * eps)
-            elif r in residues:
-                values.append(-4 * eps * b)
-            else:
-                values.append(4 * eps * b)
+    # odd[r] is the tau1-odd value at (tau2 + tau1*d) mod p = r
+    odd = [-4 * eps * b * chi for chi in legendre_table(p)]
+    odd[0] = -4 * eps
+    values = [0] * (4 * p)
+    values[0::4] = [4 * p] + [-4] * (p - 1)
+    values[4 * ((-2 * d) % p) + 2] = 4
+    for tau1 in (1, 3):
+        k = tau1 * d % p
+        values[tau1::4] = odd[k:] + odd[:k]
     return AutocorrSpectrum(period=4 * p, values=tuple(values))
 
 

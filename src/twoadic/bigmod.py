@@ -21,6 +21,7 @@ __all__ = [
     "gcd_with_modulus",
     "eval_S",
     "eval_T_inv",
+    "decimal_str",
 ]
 
 
@@ -93,19 +94,27 @@ def eval_S(s: BinarySequence) -> MersenneResidue:
 def eval_T_inv(s: BinarySequence) -> MersenneResidue:
     """T(2^-1) = sum (-1)^s(i) 2^(-i) mod 2^N - 1.
 
-    Uses 2^-1 = 2^(N-1), hence 2^(-i) = 2^((N - i) mod N).
+    Since (-1)^s(i) = 1 - 2 s(i) and sum 2^(-i) over all i is 2^N - 1 = 0,
+    T(2^-1) = -2 S(2^-1). With 2^-1 = 2^(N-1), 2^(-i) = 2^((N - i) mod N), so
+    S(2^-1) is the N-bit reversal of the packed value rotated left by one.
+    O(N): one reversal through the binary text.
     """
     n = s.period
     if n < 2:
         raise ValueError("T(2^-1) needs period >= 2")
     m = modulus(n)
-    plus = 0
-    minus = 0
-    v = s.value
-    for i in range(n):
-        e = (n - i) % n
-        if (v >> i) & 1:
-            minus += 1 << e
-        else:
-            plus += 1 << e
-    return MersenneResidue(n, (plus - minus) % m)
+    reversed_value = int(format(s.value, f"0{n}b")[::-1], 2)
+    s_inv = ((reversed_value << 1) | (reversed_value >> (n - 1))) & m
+    return MersenneResidue(n, -2 * s_inv % m)
+
+
+def decimal_str(n: int) -> str:
+    """Exact decimal text of any int.
+
+    str() refuses ints past CPython's digit limit for int-to-decimal
+    conversion (4300 digits by default), which S(2) and its cofactors cross
+    from period about 14300 on; decimal converts without that limit.
+    """
+    import decimal  # deferred: only output formatting needs it
+
+    return str(decimal.Decimal(n))

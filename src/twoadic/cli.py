@@ -5,7 +5,8 @@ Subcommands: construct | analyze | verify | survey. Output is deterministic
 string, and CSV always carries a header row.
 
 Exit codes: 0 success, 1 failed verification check, 2 ineligible p (or usage
-error), 3 non-primitive root, 4 unreadable or invalid sequence file.
+error), 3 non-primitive root, 4 unreadable or invalid sequence file, 5 output
+could not be written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 
 from . import analysis, verify
+from .bigmod import decimal_str
 from .numtheory import is_eligible_prime, is_primitive_root, smallest_primitive_root
 from .sequences import (
     ADMISSIBLE_W,
@@ -32,6 +34,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_PRIME = 2
 EXIT_BAD_ROOT = 3
 EXIT_BAD_SEQUENCE_FILE = 4
+EXIT_BAD_OUTPUT = 5
+
+
+class _OutputError(Exception):
+    """Writing the result failed; carries the OSError text."""
 
 
 def _parse_w(text: str) -> tuple[int, int, int, int]:
@@ -41,11 +48,14 @@ def _parse_w(text: str) -> tuple[int, int, int, int]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write output: {exc}") from exc
 
 
 def _fail(message: str, code: int) -> int:
@@ -64,6 +74,8 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 def _cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, int):
+        return decimal_str(value)
     return str(value)
 
 
@@ -147,8 +159,9 @@ def _cmd_analyze(args) -> int:
                   "phi", "linear_complexity", "ac_histogram"]
         meta = meta or {}
         row = [_cell(meta.get(k, "")) for k in ("p", "g", "w", "a", "b", "d")]
-        row += [str(seq.period), str(report.s2), str(report.gcd), str(report.f),
-                str(report.phi), str(lc), hist_text]
+        row += [_cell(v) for v in (seq.period, report.s2, report.gcd, report.f,
+                                   report.phi, lc)]
+        row.append(hist_text)
         _emit(_csv_text(header, [row]), args.out)
     else:
         lines = []
@@ -158,9 +171,9 @@ def _cmd_analyze(args) -> int:
         lines += [
             f"period: {seq.period}",
             f"ac histogram (out of phase): {hist_text}",
-            f"S(2): {report.s2}",
-            f"gcd(S(2), 2^N-1): {report.gcd}",
-            f"f: {report.f}",
+            f"S(2): {decimal_str(report.s2)}",
+            f"gcd(S(2), 2^N-1): {decimal_str(report.gcd)}",
+            f"f: {decimal_str(report.f)}",
             f"two-adic complexity: {report.phi}",
             f"linear complexity: {lc}",
         ]
@@ -244,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Interleaved binary sequences: construction, analysis, "
                     "verification, and the gcd survey.",
         epilog="exit codes: 0 ok, 1 failed check, 2 ineligible p/usage, "
-               "3 non-primitive g, 4 bad sequence file",
+               "3 non-primitive g, 4 bad sequence file, 5 cannot write output",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -271,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--g-policy", choices=("smallest", "all"), default="smallest")
     v.add_argument("--w", help="explicit admissible w")
     v.add_argument("--w-policy", choices=("default", "all"), default="default")
-    v.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
+    v.add_argument("--jobs", type=int, default=1,
+                   help="parallel grid workers, >= 1 (capped at cores and points)")
     v.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     v.add_argument("--out")
 
@@ -301,6 +315,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         return _fail(str(exc), EXIT_BAD_PRIME)
+    except _OutputError as exc:
+        return _fail(str(exc), EXIT_BAD_OUTPUT)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ __all__ = [
     "smallest_primitive_root",
     "all_primitive_roots",
     "legendre_symbol",
+    "legendre_table",
     "is_eligible_prime",
     "eligible_primes",
     "QuarticParams",
@@ -110,6 +111,21 @@ def legendre_symbol(i: int, p: int) -> int:
         return 0
     r = pow(i, (p - 1) // 2, p)
     return 1 if r == 1 else -1
+
+
+def legendre_table(p: int) -> list[int]:
+    """All Legendre symbols (i/p) for i = 0..p-1, as a list indexed by i.
+
+    The nonzero squares i^2 mod p for 1 <= i <= (p - 1)/2 are exactly the
+    quadratic residues, so one pass over them replaces p Euler-criterion
+    exponentiations.
+    """
+    _require_odd_prime(p)
+    table = [-1] * p
+    table[0] = 0
+    for i in range(1, (p + 1) // 2):
+        table[i * i % p] = 1
+    return table
 
 
 def is_eligible_prime(p: int) -> bool:

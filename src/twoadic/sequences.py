@@ -3,8 +3,9 @@
 A sequence of period N is stored as a packed int whose bit i is s(i), with the
 period tracked separately (leading zero bits would otherwise vanish). All
 operators work on logical indices, so the packed form is an implementation
-detail; it keeps the O(N^2) autocorrelation scans cheap via word-wide XOR and
-popcount.
+detail. Every operator here is O(N): shifts and complements are word-wide int
+operations, and conversions to and from bit strings, as well as interleaving,
+go through the binary text of the packed value.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numtheory import (
+    CyclotomicClasses,
     QuarticParams,
     cyclotomic_classes,
     quartic_decomposition,
@@ -40,6 +42,15 @@ ADMISSIBLE_W = ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1))
 # Supports of the four Ding-Helleseth-Lam sequences, as cyclotomic class indices.
 _DHL_SUPPORTS = {1: (0, 1), 2: (0, 3), 3: (1, 2), 4: (2, 3)}
 
+# Byte maps between binary text (b"0"/b"1") and raw bit values (0/1).
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _msb_text(value: int, width: int) -> str:
+    """Binary text of value, zero-padded to width, most significant bit first."""
+    return format(value, f"0{width}b")
+
 
 @dataclass(frozen=True)
 class BinarySequence:
@@ -57,28 +68,28 @@ class BinarySequence:
     @classmethod
     def from_bits(cls, bits) -> "BinarySequence":
         bits = list(bits)
-        value = 0
         for i, bit in enumerate(bits):
             if bit not in (0, 1):
                 raise ValueError(f"bit {i} is {bit!r}, expected 0 or 1")
-            value |= bit << i
-        return cls(period=len(bits), value=value)
+        # bits[0] is s(0), the least significant bit, so the text is reversed
+        text = bytes(bits)[::-1].translate(_BITS_TO_TEXT)
+        return cls(period=len(bits), value=int(text, 2) if text else 0)
 
     @classmethod
     def from_support(cls, period: int, support) -> "BinarySequence":
-        value = 0
+        text = bytearray(b"0" * period)
         for i in support:
             if not 0 <= i < period:
                 raise ValueError(f"support element {i} outside [0, {period})")
-            value |= 1 << i
-        return cls(period=period, value=value)
+            text[period - 1 - i] = 0x31  # b"1", at the text position of bit i
+        return cls(period=period, value=int(text, 2) if text else 0)
 
     def bit(self, i: int) -> int:
         """s(i) with cyclic indexing."""
         return (self.value >> (i % self.period)) & 1
 
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.period))
+        return tuple(str(self).encode().translate(_TEXT_TO_BITS))
 
     @property
     def weight(self) -> int:
@@ -88,7 +99,7 @@ class BinarySequence:
         return self.period
 
     def __str__(self) -> str:
-        return "".join(str((self.value >> i) & 1) for i in range(self.period))
+        return _msb_text(self.value, self.period)[::-1]
 
 
 def left_shift(s: BinarySequence, d: int) -> BinarySequence:
@@ -118,17 +129,13 @@ def interleave(s0: BinarySequence, s1: BinarySequence, s2: BinarySequence,
     v = s0.period
     if any(c.period != v for c in cols):
         raise ValueError("all four columns must share one period")
-    value = 0
+    # In most-significant-first text, bit 4t + j sits at 4(v - 1 - t) + 3 - j
+    # and bit t of column j at v - 1 - t, so column j fills every fourth
+    # character from 3 - j onwards.
+    text = bytearray(4 * v)
     for j, c in enumerate(cols):
-        cv = c.value
-        t = 0
-        while cv:
-            low = cv & 1
-            if low:
-                value |= 1 << (4 * t + j)
-            cv >>= 1
-            t += 1
-    return BinarySequence(4 * v, value)
+        text[3 - j::4] = _msb_text(c.value, v).encode()
+    return BinarySequence(4 * v, int(text, 2))
 
 
 def deinterleave(s: BinarySequence) -> tuple[BinarySequence, ...]:
@@ -136,13 +143,8 @@ def deinterleave(s: BinarySequence) -> tuple[BinarySequence, ...]:
     if s.period % 4 != 0:
         raise ValueError("period must be divisible by 4")
     v = s.period // 4
-    cols = []
-    for j in range(4):
-        value = 0
-        for t in range(v):
-            value |= ((s.value >> (4 * t + j)) & 1) << t
-        cols.append(BinarySequence(v, value))
-    return tuple(cols)
+    text = _msb_text(s.value, s.period)
+    return tuple(BinarySequence(v, int(text[3 - j::4], 2)) for j in range(4))
 
 
 def dhl_sequence(p: int, g: int, kind: int) -> BinarySequence:
@@ -153,8 +155,11 @@ def dhl_sequence(p: int, g: int, kind: int) -> BinarySequence:
     """
     if kind not in _DHL_SUPPORTS:
         raise ValueError(f"kind must be 1..4, got {kind}")
-    classes = cyclotomic_classes(p, g)
-    return BinarySequence.from_support(p, classes.union(*_DHL_SUPPORTS[kind]))
+    return _dhl_from_classes(cyclotomic_classes(p, g), kind)
+
+
+def _dhl_from_classes(classes: CyclotomicClasses, kind: int) -> BinarySequence:
+    return BinarySequence.from_support(classes.p, classes.union(*_DHL_SUPPORTS[kind]))
 
 
 @dataclass(frozen=True)
@@ -208,11 +213,9 @@ def su_sequence(params: ConstructionParams) -> BinarySequence:
     Columns are (s3 + w0, L^d s2 + w1, L^2d s1 + w2, L^3d s1 + w3); the last
     two columns both come from the kind-1 sequence.
     """
-    p, g, d = params.p, params.g, params.d
-    w = params.w
-    s1 = dhl_sequence(p, g, 1)
-    s2 = dhl_sequence(p, g, 2)
-    s3 = dhl_sequence(p, g, 3)
+    d, w = params.d, params.w
+    classes = cyclotomic_classes(params.p, params.g)
+    s1, s2, s3 = (_dhl_from_classes(classes, kind) for kind in (1, 2, 3))
     return interleave(
         add_constant(s3, w[0]),
         add_constant(left_shift(s2, d), w[1]),
@@ -240,7 +243,8 @@ def generalized_interleaved(p: int, g: int, kinds, shifts, w, *,
     if not allow_any_w and w not in ADMISSIBLE_W:
         raise ValueError("w must satisfy w(0) = w(2) and w(1) = w(3); "
                          "pass allow_any_w=True to override")
-    base = {k: dhl_sequence(p, g, k) for k in set(kinds)}
+    classes = cyclotomic_classes(p, g)
+    base = {k: _dhl_from_classes(classes, k) for k in set(kinds)}
     cols = [add_constant(left_shift(base[kinds[j]], shifts[j]), w[j]) for j in range(4)]
     return interleave(*cols)
 
@@ -269,7 +273,7 @@ def parse_sequence_literal(text: str) -> BinarySequence:
         raise ValueError("sequence payload must be a nonempty string of 0/1")
     if declared is not None and declared != len(payload):
         raise ValueError(f"declared N={declared} but payload has {len(payload)} bits")
-    return BinarySequence.from_bits(int(ch) for ch in payload)
+    return BinarySequence(len(payload), int(payload[::-1], 2))
 
 
 def sequence_literal(s: BinarySequence, *, include_period: bool = True) -> str:

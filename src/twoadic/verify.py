@@ -2,9 +2,9 @@
 
 Each check re-derives one claimed property from scratch and compares exactly,
 with the raw integers kept as witnesses: the closed-form autocorrelation
-against a brute-force scan, the S(2)T(2^-1) product against its closed form,
-the small-factor gcd facts, the coprimality facts behind the complexity bound,
-and the bound itself. A survey mode tabulates gcd(S(2), 2^(2p)+1) across the
+against the spectrum computed from the bits, the S(2)T(2^-1) product against
+its closed form, the small-factor gcd facts, the coprimality facts behind the
+complexity bound, and the bound itself. A survey mode tabulates gcd(S(2), 2^(2p)+1) across the
 eligible primes; that gcd is conjectured (not known) to always be 5, so the
 survey only reports.
 
@@ -14,16 +14,18 @@ No check uses a tolerance anywhere; everything is exact integer equality.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import analysis, bigmod
+from .bigmod import decimal_str
 from .numtheory import (
     all_primitive_roots,
     eligible_primes,
     is_prime,
     is_primitive_root,
-    legendre_symbol,
+    legendre_table,
     smallest_primitive_root,
 )
 from .sequences import (
@@ -101,9 +103,9 @@ class SurveyRow:
             "p": self.p,
             "g": self.g,
             "w": "".join(str(bit) for bit in self.w),
-            "gcd_full": str(self.gcd_full),
-            "gcd_minus": str(self.gcd_minus),
-            "gcd_plus": str(self.gcd_plus),
+            "gcd_full": decimal_str(self.gcd_full),
+            "gcd_minus": decimal_str(self.gcd_minus),
+            "gcd_plus": decimal_str(self.gcd_plus),
             "phi": self.phi,
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
@@ -114,7 +116,7 @@ class SurveyRow:
 def _jsonable(v: object) -> object:
     if isinstance(v, bool) or not isinstance(v, int):
         return v
-    return str(v)
+    return decimal_str(v)
 
 
 def _flip_b(params: ConstructionParams) -> ConstructionParams:
@@ -171,13 +173,17 @@ def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
                          + e 2^p (2^(2p)+1) b K - p ]
 
     The sign of the character-sum term is tied to b, which makes the check
-    sensitive to the quartic sign convention.
+    sensitive to the quartic sign convention. K is the packed residues minus
+    the packed non-residues, each read as hex digits (digit i is 2^(4i)).
     """
     p, b = params.p, params.b
     n = 4 * p
     m = bigmod.modulus(n)
     eps = 1 if params.w[0] != params.w[1] else -1
-    character_sum = sum(legendre_symbol(i, p) << (4 * i) for i in range(1, p))
+    chi = legendre_table(p)[::-1]  # hex text puts i = p - 1 first
+    residues = int("".join("1" if c == 1 else "0" for c in chi), 16)
+    non_residues = int("".join("1" if c == -1 else "0" for c in chi), 16)
+    character_sum = residues - non_residues
     two_2p = 1 << (2 * p)
     inner = (m // 15
              + eps * (two_2p + 1) * ((1 << p) - eps)
@@ -327,15 +333,20 @@ def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
 
 def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[CheckReport]:
     """All per-(p, g, w) checks, gate first so downstream checks see the
-    resolved sign of b."""
+    resolved sign of b.
+
+    The sequence is built once and every check reads it; b does not enter
+    the construction, so flipping it after the gate leaves the sequence valid.
+    """
     p, g, w = point
     try:
         params = construction_params(p, g, w)
+        s = su_sequence(params)
     except Exception as exc:  # noqa: BLE001 - the batch must not abort
         return [_error_report("construction", p, g, w, exc)]
 
     out = []
-    gate = check_autocorrelation_spectrum(params)
+    gate = check_autocorrelation_spectrum(params, sequence=s)
     out.append(gate)
     b_used = gate.witnesses.get("b_used")
     if isinstance(b_used, int) and b_used != params.b:
@@ -343,10 +354,15 @@ def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[C
     for fn in (check_product_congruence, check_small_factor_gcds,
                check_complexity_bounds):
         try:
-            out.append(fn(params))
+            out.append(fn(params, sequence=s))
         except Exception as exc:  # noqa: BLE001
             out.append(_error_report(fn.__name__, p, g, w, exc))
     return out
+
+
+def _worker_count(jobs: int, cpus: int | None, points: int) -> int:
+    """Processes worth starting: never more than requested, cores, or points."""
+    return max(1, min(jobs, cpus or 1, points))
 
 
 def run_all(limit: int, g_policy="smallest", w_policy="default",
@@ -356,12 +372,17 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     Results come back grouped by p (coprimality first, then the per-(g, w)
     checks) in (p, g, w) order regardless of how many workers evaluated
     them. The summary's ``failed`` count doubles as the exit status source.
+    jobs >= 1 is a ceiling: at most one worker per core and per grid point
+    is started.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     primes = eligible_primes(limit)
     points = _grid(limit, g_policy, w_policy)
 
-    if jobs > 1 and points:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, os.cpu_count(), len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(_evaluate_point, points))
     else:
         per_point = [_evaluate_point(pt) for pt in points]

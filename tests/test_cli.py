@@ -1,4 +1,6 @@
+import decimal
 import json
+import math
 
 import pytest
 
@@ -127,7 +129,62 @@ def test_analyze_csv(capsys):
     assert cells["gcd"] == "5" and cells["phi"] == "49"
 
 
+def test_analyze_past_decimal_digit_limit(capsys):
+    # S(2) of period 16916 has about 5100 decimal digits, more than str()
+    # converts by default; every output format must still print it exactly.
+    code, out, _ = run(capsys, "construct", "--p", "4229")
+    assert code == 0
+    payload = out.splitlines()[1].split(";")[1]
+    n = len(payload)
+    s2 = int(payload[::-1], 2) % ((1 << n) - 1)
+
+    code, out, err = run(capsys, "analyze", "--p", "4229", "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)["two_adic"]
+    assert len(report["s2"]) > 4300
+    assert int(decimal.Decimal(report["s2"])) == s2
+    gcd, f = (int(decimal.Decimal(report[k])) for k in ("gcd", "f"))
+    assert gcd * f == (1 << n) - 1 and gcd == math.gcd(s2, (1 << n) - 1)
+    assert report["phi"] == (f + 1).bit_length() - 1
+
+    for fmt in ("plain", "csv"):
+        code, out, _ = run(capsys, "analyze", "--p", "4229", "--format", fmt)
+        assert code == 0 and report["s2"] in out and report["f"] in out
+
+
+def test_verify_json_past_decimal_digit_limit(capsys):
+    code, out, err = run(capsys, "verify", "--limit", "5000", "--w-policy", "all",
+                         "--format", "json")
+    assert code == 1  # only the documented w = 0000/1111 failures
+    records = json.loads(out)
+    assert max(len(r["witnesses"].get("s2", "")) for r in records) > 4300
+    assert {r["w"] for r in records if not r["pass"]} == {"0000", "1111"}
+    assert "FAIL" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--p", "13"),
+    ("analyze", "--p", "13"),
+    ("verify", "--limit", "30"),
+    ("survey", "--limit", "30"),
+])
+def test_unwritable_out_exits_5(tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == cli.EXIT_BAD_OUTPUT == 5
+    assert out == ""
+    assert err.startswith("twoadic: cannot write output") and "Traceback" not in err
+    assert not target.exists()
+
+
 # ------------------------------------------------------------------ verify
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--limit", "60", "--jobs", jobs)
+    assert code == 2
+    assert out == "" and "jobs" in err
+
 
 def test_verify_small_grid_green(capsys):
     code, out, err = run(capsys, "verify", "--limit", "60")

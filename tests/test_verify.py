@@ -167,6 +167,32 @@ def test_run_all_parallel_matches_serial():
     assert serial[1] == parallel[1]
 
 
+def test_worker_count_caps_at_jobs_cores_and_points():
+    assert verify._worker_count(8, 2, 100) == 2
+    assert verify._worker_count(1, 64, 100) == 1
+    assert verify._worker_count(8, 16, 3) == 3
+    assert verify._worker_count(4, None, 10) == 1  # core count unknown
+    assert verify._worker_count(4, 4, 0) == 1
+
+
+def test_run_all_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            verify.run_all(60, jobs=jobs)
+
+
+def test_run_all_builds_each_sequence_once(monkeypatch):
+    calls = []
+
+    def counting(params):
+        calls.append((params.p, params.g, params.w))
+        return su_sequence(params)
+
+    monkeypatch.setattr(verify, "su_sequence", counting)
+    verify.run_all(60, w_policy="all")
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 16
+
+
 def test_run_all_surfaces_corrupted_fixture(monkeypatch):
     real = su_sequence
 
