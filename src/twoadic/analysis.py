@@ -184,12 +184,35 @@ def hu_identity_check(s: BinarySequence) -> IdentityCheck:
         raise ValueError("identity needs period >= 2")
     st = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
     lhs = bigmod.add_signed(bigmod.reduce(0, n), -2 * st.value)
-    spectrum = autocorrelation(s)
-    acc = n
-    for tau in range(1, n):
-        acc += spectrum.values[tau] << tau
-    rhs = bigmod.add_signed(bigmod.reduce(0, n), acc)
+    # the identity's constant term N takes the place of AC(0)
+    terms = (n,) + autocorrelation(s).values[1:]
+    rhs = bigmod.add_signed(bigmod.reduce(0, n), _binary_fold(terms, n))
     return IdentityCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)
+
+
+# _BIT_TEXT[k] maps a byte to b"1" if its bit k is set, else b"0".
+_BIT_TEXT = tuple(bytes(0x31 if v >> k & 1 else 0x30 for v in range(256)) for k in range(8))
+
+
+def _binary_fold(values: tuple[int, ...], offset: int) -> int:
+    """sum_t values[t] 2^t, for values[t] in [-offset, offset], in O(N) per bit plane.
+
+    Each u = values[t] + offset lies in [0, 2 * offset]; bit k of every u at
+    once is the binary text of one plane, read MSB first (t = N - 1 leads).
+    The sum is sum_k plane_k 2^k minus offset * (2^N - 1).
+    """
+    n = len(values)
+    lifted = array("q", [v + offset for v in values])
+    if sys.byteorder == "big":
+        lifted.byteswap()
+    raw = lifted.tobytes()[::-1]  # big-endian fields, t = N - 1 first
+    size = lifted.itemsize
+    total = -offset * ((1 << n) - 1)
+    for k in range((2 * offset).bit_length()):
+        # byte k // 8 of a little-endian field sits at size - 1 - k // 8 once reversed
+        plane = raw[size - 1 - k // 8::size].translate(_BIT_TEXT[k % 8])
+        total += int(plane, 2) << k
+    return total
 
 
 def berlekamp_massey(bits) -> int:

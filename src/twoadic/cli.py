@@ -5,8 +5,8 @@ Subcommands: construct | analyze | verify | survey. Output is deterministic
 string, and CSV always carries a header row.
 
 Exit codes: 0 success, 1 failed verification check, 2 ineligible p (or usage
-error), 3 non-primitive root, 4 unreadable or invalid sequence file, 5 output
-could not be written.
+error), 3 non-primitive root, 4 unreadable, invalid or oversized sequence
+file, 5 output could not be written.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .sequences import (
     generalized_interleaved,
     parse_sequence_literal,
     sequence_literal,
-    su_sequence,
 )
 
 EXIT_OK = 0
@@ -35,6 +34,11 @@ EXIT_BAD_PRIME = 2
 EXIT_BAD_ROOT = 3
 EXIT_BAD_SEQUENCE_FILE = 4
 EXIT_BAD_OUTPUT = 5
+
+# Largest sequence file analyze reads: 4 MiB holds periods up to about four
+# million bits, ten times the p ~ 10^5 range (N ~ 4 * 10^5). Larger files are
+# refused after reading one byte past this bound.
+MAX_SEQUENCE_FILE_BYTES = 1 << 22
 
 
 class _OutputError(Exception):
@@ -96,14 +100,10 @@ def _resolve_instance(args) -> tuple[int, object] | tuple[None, object]:
         return _fail(f"w={args.w} is not admissible (need w0=w2, w1=w3); "
                      "use --allow-any-w to force", EXIT_BAD_PRIME), None
 
-    d = (3 * p + 1) // 4
-    if w in ADMISSIBLE_W:
-        params = construction_params(p, g, w)
-        seq = su_sequence(params)
-    else:
-        params = construction_params(p, g)  # quartic data for the header only
-        seq = generalized_interleaved(p, g, (3, 2, 1, 1), (0, d, 2 * d, 3 * d), w,
-                                      allow_any_w=True)
+    params = construction_params(p, g)  # quartic data and d for the header
+    d = params.d
+    seq = generalized_interleaved(p, g, (3, 2, 1, 1), (0, d, 2 * d, 3 * d), w,
+                                  allow_any_w=args.allow_any_w)
     return None, (params, g, w, seq)
 
 
@@ -124,8 +124,12 @@ def _cmd_analyze(args) -> int:
         return _fail("give either --p or --sequence-file, not both", EXIT_BAD_PRIME)
     if args.sequence_file is not None:
         try:
-            with open(args.sequence_file, "r", encoding="utf-8") as fh:
-                seq = parse_sequence_literal(fh.read())
+            with open(args.sequence_file, "rb") as fh:
+                raw = fh.read(MAX_SEQUENCE_FILE_BYTES + 1)
+            if len(raw) > MAX_SEQUENCE_FILE_BYTES:
+                return _fail(f"sequence file is larger than "
+                             f"{MAX_SEQUENCE_FILE_BYTES} bytes", EXIT_BAD_SEQUENCE_FILE)
+            seq = parse_sequence_literal(raw.decode("utf-8"))
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read sequence file: {exc}", EXIT_BAD_SEQUENCE_FILE)
         meta = None

@@ -3,12 +3,20 @@
 Primality, primitive roots, Legendre symbols, the decomposition p = a^2 + 4b^2
 with b = +-1, and the order-4 cyclotomic classes of Z_p*. All arithmetic is
 exact on plain ints; nothing here is probabilistic.
+
+The cyclotomic classes and the sign of b depend on the primitive root g only
+through e = ind(g) mod 4, where ind is the discrete log to the smallest
+primitive root g0: every primitive root has e = 1 or e = 3, and
+D_j(g) = D_{e*j mod 4}(g0). One O(p) pass per prime therefore serves every g;
+the result of that pass is kept for the most recent prime only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 __all__ = [
     "is_prime",
@@ -22,6 +30,7 @@ __all__ = [
     "QuarticParams",
     "CyclotomicClasses",
     "quartic_decomposition",
+    "cyclotomic_masks",
     "cyclotomic_classes",
 ]
 
@@ -82,10 +91,13 @@ def _prime_factors(n: int) -> list[int]:
 def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the full multiplicative group mod the odd prime p."""
     _require_odd_prime(p)
+    return _generates(g, p)
+
+
+def _generates(g: int, p: int) -> bool:
+    """is_primitive_root for a p already known to be an odd prime."""
     g %= p
-    if g == 0:
-        return False
-    return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
+    return g != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -203,19 +215,88 @@ class CyclotomicClasses:
         return self.classes[0] | self.classes[2]
 
 
-def cyclotomic_classes(p: int, g: int) -> CyclotomicClasses:
-    """Build D_0..D_3 for a prime p = 1 mod 4 and a primitive root g."""
+# _CLASS_TEXT[j] maps a class label byte to b"1" for label j, b"0" otherwise.
+_CLASS_TEXT = tuple(bytes(0x31 if v == j else 0x30 for v in range(256)) for j in range(4))
+
+
+@dataclass(frozen=True)
+class _Cyclotomy:
+    """Order-4 cyclotomy of one prime p = 1 mod 4, relative to its smallest
+    primitive root g0.
+
+    zeta = g0^((p-1)/4); a + 2*b0*i is the Jacobi sum J(chi0, chi0) of the
+    quartic character with chi0(g0) = i, normalised to a = 1 mod 4; bit x of
+    masks[j] is set iff x lies in D_j(g0).
+    """
+
+    p: int
+    zeta: int
+    a: int
+    b0: int
+    masks: tuple[int, int, int, int]
+
+    def index_mod4(self, g: int) -> int:
+        """e = ind_g0(g) mod 4 for a primitive root g: 1 or 3, as ind_g0(g) is odd.
+
+        g^((p-1)/4) = zeta^e, and zeta^3 = zeta^-1 != zeta.
+        """
+        return 1 if pow(g, (self.p - 1) // 4, self.p) == self.zeta else 3
+
+
+@functools.lru_cache(maxsize=1)
+def _cyclotomy(p: int) -> _Cyclotomy:
+    """One pass over Z_p*; callers have checked that p is a prime = 1 mod 4.
+
+    The grids are p-major, so one cached prime serves all of its (g, w).
+    """
+    g0 = smallest_primitive_root(p)
+    labels = bytearray(b"\x04") * p  # ind_g0(x) mod 4; label 4 marks x = 0
+    x = 1
+    for e in range(p - 1):
+        labels[x] = e & 3
+        x = x * g0 % p
+
+    # chi0(t) chi0(1-t) = i^(ind(t) + ind(1-t)), so only the labels matter.
+    counts = [0, 0, 0, 0]
+    for t in range(2, p):
+        counts[(labels[t] + labels[p + 1 - t]) & 3] += 1
+    re = counts[0] - counts[2]
+    im = counts[1] - counts[3]
+    assert re * re + im * im == p, "Jacobi sum must have norm p"
+    if re % 4 != 1:
+        re, im = -re, -im
+    assert im % 2 == 0, "the normalised Jacobi sum has an even imaginary part"
+
+    text = bytes(labels[::-1])  # most significant first: x = p - 1 leads
+    masks = tuple(int(text.translate(_CLASS_TEXT[j]), 2) for j in range(4))
+    return _Cyclotomy(p=p, zeta=pow(g0, (p - 1) // 4, p), a=re, b0=im // 2, masks=masks)
+
+
+def cyclotomic_masks(p: int, g: int) -> tuple[int, int, int, int]:
+    """D_0..D_3 for a prime p = 1 mod 4 and a primitive root g, as p-bit ints.
+
+    Bit x of entry j is set iff x is in D_j. D_j(g) = D_{e*j mod 4}(g0), so
+    e = 3 swaps D_1 and D_3 of the smallest primitive root.
+    """
     _require_odd_prime(p)
     if p % 4 != 1:
         raise ValueError(f"order-4 cyclotomy needs p = 1 mod 4, got {p}")
-    if not is_primitive_root(g, p):
+    if not _generates(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
-    buckets: tuple[list[int], ...] = ([], [], [], [])
-    x = 1
-    for e in range(p - 1):
-        buckets[e & 3].append(x)
-        x = x * g % p
-    return CyclotomicClasses(p=p, g=g, classes=tuple(frozenset(c) for c in buckets))
+    cyc = _cyclotomy(p)
+    e = cyc.index_mod4(g)
+    return cyc.masks[0], cyc.masks[e], cyc.masks[2], cyc.masks[3 * e % 4]
+
+
+def cyclotomic_classes(p: int, g: int) -> CyclotomicClasses:
+    """Build D_0..D_3 for a prime p = 1 mod 4 and a primitive root g."""
+    masks = cyclotomic_masks(p, g)
+    return CyclotomicClasses(p=p, g=g, classes=tuple(_members(m, p) for m in masks))
+
+
+def _members(mask: int, p: int) -> frozenset[int]:
+    """The x in [0, p) whose bit is set in mask."""
+    return frozenset(compress(range(p), map("1".__eq__, format(mask, f"0{p}b")[::-1])))
 
 
 def quartic_decomposition(p: int, g: int) -> QuarticParams:
@@ -226,27 +307,17 @@ def quartic_decomposition(p: int, g: int) -> QuarticParams:
     whose even imaginary part is 2b after normalising the real part to
     1 mod 4. That b is the one appearing in the closed-form autocorrelation
     of the interleaved construction.
+
+    With e = ind_g0(g) mod 4, chi(g0^m) = i^(e*m) (e is its own inverse
+    mod 4), so chi = chi0^e for the character chi0 of the smallest primitive
+    root g0. For e = 3 that is the complex conjugate of chi0, whose Jacobi
+    sum is the conjugate of J(chi0, chi0): a stays and b changes sign.
     """
     if not is_eligible_prime(p):
         raise ValueError(f"{p} is not prime of the form a^2 + 4 with a odd")
-    if not is_primitive_root(g, p):
+    if not _generates(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
-
-    index = [0] * p
-    x = 1
-    for e in range(p - 1):
-        index[x] = e
-        x = x * g % p
-
-    # chi(t) chi(1-t) = i^(ind(t) + ind(1-t)), so only the exponent mod 4 matters.
-    counts = [0, 0, 0, 0]
-    for t in range(2, p):
-        counts[(index[t] + index[(1 - t) % p]) & 3] += 1
-    re = counts[0] - counts[2]
-    im = counts[1] - counts[3]
-    assert re * re + im * im == p, "Jacobi sum must have norm p"
-
-    if re % 4 != 1:
-        re, im = -re, -im
-    assert im % 2 == 0 and abs(im) == 2, "eligible p forces imaginary part +-2"
-    return QuarticParams(p=p, k=(p - 1) // 4, a=re, b=im // 2, g=g)
+    cyc = _cyclotomy(p)
+    b = cyc.b0 if cyc.index_mod4(g) == 1 else -cyc.b0
+    assert abs(b) == 1, "eligible p forces imaginary part +-2"
+    return QuarticParams(p=p, k=(p - 1) // 4, a=cyc.a, b=b, g=g)

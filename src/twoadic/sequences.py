@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numtheory import (
-    CyclotomicClasses,
     QuarticParams,
-    cyclotomic_classes,
+    cyclotomic_masks,
     quartic_decomposition,
     smallest_primitive_root,
 )
@@ -155,11 +154,12 @@ def dhl_sequence(p: int, g: int, kind: int) -> BinarySequence:
     """
     if kind not in _DHL_SUPPORTS:
         raise ValueError(f"kind must be 1..4, got {kind}")
-    return _dhl_from_classes(cyclotomic_classes(p, g), kind)
+    return _dhl_from_masks(p, cyclotomic_masks(p, g), kind)
 
 
-def _dhl_from_classes(classes: CyclotomicClasses, kind: int) -> BinarySequence:
-    return BinarySequence.from_support(classes.p, classes.union(*_DHL_SUPPORTS[kind]))
+def _dhl_from_masks(p: int, masks: tuple[int, int, int, int], kind: int) -> BinarySequence:
+    i, j = _DHL_SUPPORTS[kind]
+    return BinarySequence(p, masks[i] | masks[j])
 
 
 @dataclass(frozen=True)
@@ -213,15 +213,9 @@ def su_sequence(params: ConstructionParams) -> BinarySequence:
     Columns are (s3 + w0, L^d s2 + w1, L^2d s1 + w2, L^3d s1 + w3); the last
     two columns both come from the kind-1 sequence.
     """
-    d, w = params.d, params.w
-    classes = cyclotomic_classes(params.p, params.g)
-    s1, s2, s3 = (_dhl_from_classes(classes, kind) for kind in (1, 2, 3))
-    return interleave(
-        add_constant(s3, w[0]),
-        add_constant(left_shift(s2, d), w[1]),
-        add_constant(left_shift(s1, 2 * d), w[2]),
-        add_constant(left_shift(s1, 3 * d), w[3]),
-    )
+    d = params.d
+    return generalized_interleaved(params.p, params.g, (3, 2, 1, 1),
+                                   (0, d, 2 * d, 3 * d), params.w)
 
 
 def generalized_interleaved(p: int, g: int, kinds, shifts, w, *,
@@ -243,8 +237,8 @@ def generalized_interleaved(p: int, g: int, kinds, shifts, w, *,
     if not allow_any_w and w not in ADMISSIBLE_W:
         raise ValueError("w must satisfy w(0) = w(2) and w(1) = w(3); "
                          "pass allow_any_w=True to override")
-    classes = cyclotomic_classes(p, g)
-    base = {k: _dhl_from_classes(classes, k) for k in set(kinds)}
+    masks = cyclotomic_masks(p, g)
+    base = {k: _dhl_from_masks(p, masks, k) for k in set(kinds)}
     cols = [add_constant(left_shift(base[kinds[j]], shifts[j]), w[j]) for j in range(4)]
     return interleave(*cols)
 

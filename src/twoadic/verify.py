@@ -311,9 +311,8 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> li
     """
     rows = []
     for p, g, w in _grid(limit, g_policy, w_policy):
-        s = su_sequence(construction_params(p, g, w))
-        s2 = bigmod.eval_S(s).value
-        report = analysis.two_adic_complexity(s)
+        report = analysis.two_adic_complexity(su_sequence(construction_params(p, g, w)))
+        s2 = report.s2
         rows.append(SurveyRow(
             p=p, g=g, w=w,
             gcd_full=report.gcd,

@@ -1,11 +1,13 @@
 import decimal
 import json
 import math
+import os
+from itertools import product
 
 import pytest
 
 from twoadic import cli, verify
-from twoadic.sequences import BinarySequence, su_sequence
+from twoadic.sequences import ADMISSIBLE_W, BinarySequence, construction_params, su_sequence
 
 SU13 = "0101000011100101100111001001011101110111100000101010"
 
@@ -52,6 +54,26 @@ def test_construct_w_validation(capsys):
     code, out, _ = run(capsys, "construct", "--p", "13", "--w", "0110",
                        "--allow-any-w")
     assert code == 0 and "w=0110" in out
+
+
+def test_construct_every_w_is_the_offset_pattern(capsys):
+    # Column j of the construction is complemented exactly when w(j) = 1, so
+    # every w, admissible or forced, is the w = 0000 sequence XOR a repeated
+    # nibble; g = 8 has e = 3 relative to the smallest root 2 of 29.
+    p, g = 29, 8
+    base = su_sequence(construction_params(p, g, (0, 0, 0, 0))).value
+    for w in product((0, 1), repeat=4):
+        text = "".join(map(str, w))
+        nibble = sum(bit << j for j, bit in enumerate(w))
+        expected = str(BinarySequence(4 * p, base ^ nibble * ((16 ** p - 1) // 15)))
+        for extra in ([], ["--allow-any-w"]):
+            code, out, _ = run(capsys, "construct", "--p", str(p), "--g", str(g),
+                               "--w", text, *extra)
+            if w not in ADMISSIBLE_W and not extra:
+                assert code == 2
+                continue
+            assert code == 0
+            assert out == f"# p=29 g=8 a=5 b=-1 d=22 w={text}\nN=116;{expected}\n"
 
 
 def test_construct_to_file_round_trips(tmp_path, capsys):
@@ -107,6 +129,20 @@ def test_analyze_file_errors(tmp_path, capsys):
     bad.write_text("N=9;0101\n")
     code, _, _ = run(capsys, "analyze", "--sequence-file", str(bad))
     assert code == 4
+
+
+def test_analyze_refuses_oversized_file(tmp_path, capsys):
+    limit = cli.MAX_SEQUENCE_FILE_BYTES
+    assert limit >= 10 * 4 * 10**5  # well past periods N = 4p at p ~ 10^5
+    big = tmp_path / "big.txt"
+    big.write_bytes(b"")
+    os.truncate(big, limit + 1)  # sparse: one byte over, nothing written
+    code, out, err = run(capsys, "analyze", "--sequence-file", str(big))
+    assert code == 4 and out == ""
+    assert err == f"twoadic: sequence file is larger than {limit} bytes\n"
+    os.truncate(big, limit)  # at the bound the file is read and parsed
+    code, _, err = run(capsys, "analyze", "--sequence-file", str(big))
+    assert code == 4 and "cannot read sequence file" in err
 
 
 def test_analyze_needs_an_input(capsys):

@@ -3,8 +3,11 @@
 The reference functions below are the earlier per-bit and per-shift
 implementations, kept verbatim in spirit: an XOR/popcount scan over every
 rotation, a per-bit T(2^-1) sum, the Legendre-symbol character sum, the
-per-tau closed-form spectrum, and bit loops for interleaving and the text
-conversions. Every comparison is exact equality.
+per-tau closed-form spectrum, bit loops for interleaving and the text
+conversions, the per-shift accumulation of the product identity, and the
+per-root discrete-log and bucket loops behind the cyclotomic classes, the
+quartic decomposition and the DHL columns. Every comparison is exact
+equality.
 """
 
 import random
@@ -14,13 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoadic import analysis, bigmod, verify
+from twoadic import analysis, bigmod, numtheory, verify
 from twoadic.numtheory import (
+    CyclotomicClasses,
+    QuarticParams,
     all_primitive_roots,
     cyclotomic_classes,
     eligible_primes,
+    is_eligible_prime,
+    is_prime,
+    is_primitive_root,
     legendre_symbol,
     legendre_table,
+    quartic_decomposition,
 )
 from twoadic.sequences import (
     ADMISSIBLE_W,
@@ -72,9 +81,70 @@ def ref_product_closed_form(params):
     return 2 * inner % m
 
 
+def ref_cyclotomic_classes(p, g):
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"expected an odd prime, got {p}")
+    if p % 4 != 1:
+        raise ValueError(f"order-4 cyclotomy needs p = 1 mod 4, got {p}")
+    if not is_primitive_root(g, p):
+        raise ValueError(f"{g} is not a primitive root of {p}")
+    buckets = ([], [], [], [])
+    x = 1
+    for e in range(p - 1):
+        buckets[e & 3].append(x)
+        x = x * g % p
+    return CyclotomicClasses(p=p, g=g, classes=tuple(frozenset(c) for c in buckets))
+
+
+def ref_quartic_decomposition(p, g):
+    if not is_eligible_prime(p):
+        raise ValueError(f"{p} is not prime of the form a^2 + 4 with a odd")
+    if not is_primitive_root(g, p):
+        raise ValueError(f"{g} is not a primitive root of {p}")
+    index = [0] * p
+    x = 1
+    for e in range(p - 1):
+        index[x] = e
+        x = x * g % p
+    counts = [0, 0, 0, 0]
+    for t in range(2, p):
+        counts[(index[t] + index[(1 - t) % p]) & 3] += 1
+    re = counts[0] - counts[2]
+    im = counts[1] - counts[3]
+    assert re * re + im * im == p
+    if re % 4 != 1:
+        re, im = -re, -im
+    assert im % 2 == 0 and abs(im) == 2
+    return QuarticParams(p=p, k=(p - 1) // 4, a=re, b=im // 2, g=g)
+
+
+DHL_SUPPORTS = {1: (0, 1), 2: (0, 3), 3: (1, 2), 4: (2, 3)}
+
+
+def ref_dhl_sequence(p, g, kind):
+    if kind not in DHL_SUPPORTS:
+        raise ValueError(f"kind must be 1..4, got {kind}")
+    classes = ref_cyclotomic_classes(p, g)
+    return BinarySequence.from_support(p, classes.union(*DHL_SUPPORTS[kind]))
+
+
+def ref_hu_identity_check(s):
+    n = s.period
+    if n < 2:
+        raise ValueError("identity needs period >= 2")
+    st = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
+    lhs = bigmod.add_signed(bigmod.reduce(0, n), -2 * st.value)
+    spectrum = analysis.autocorrelation(s)
+    acc = n
+    for tau in range(1, n):
+        acc += spectrum.values[tau] << tau
+    rhs = bigmod.add_signed(bigmod.reduce(0, n), acc)
+    return analysis.IdentityCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)
+
+
 def ref_closed_form_spectrum(params):
     p, g, d, b = params.p, params.g, params.d, params.b
-    residues = cyclotomic_classes(p, g).quadratic_residues
+    residues = ref_cyclotomic_classes(p, g).quadratic_residues
     eps = 1 if params.w[0] != params.w[1] else -1
     values = [4 * p]
     for tau in range(1, 4 * p):
@@ -116,7 +186,7 @@ def ref_bits(s):
 
 def ref_su_sequence(params):
     p, g, d, w = params.p, params.g, params.d, params.w
-    s1, s2, s3 = (dhl_sequence(p, g, k) for k in (1, 2, 3))
+    s1, s2, s3 = (ref_dhl_sequence(p, g, k) for k in (1, 2, 3))
     return ref_interleave((add_constant(s3, w[0]),
                            add_constant(left_shift(s2, d), w[1]),
                            add_constant(left_shift(s1, 2 * d), w[2]),
@@ -161,6 +231,7 @@ def check_sequence_kernels(s):
     assert BinarySequence.from_support(s.period, support) == s
     if s.period >= 2:
         assert bigmod.eval_T_inv(s).value == ref_eval_T_inv(s)
+        assert analysis.hu_identity_check(s) == ref_hu_identity_check(s)
     if s.period % 4 == 0:
         assert deinterleave(s) == ref_deinterleave(s)
 
@@ -255,6 +326,96 @@ def test_construction_ladder(params):
     assert analysis.autocorrelation(s).values == ref_autocorrelation(s)
     assert bigmod.eval_T_inv(s).value == ref_eval_T_inv(s)
     assert deinterleave(s) == ref_deinterleave(s)
+    assert analysis.hu_identity_check(s) == ref_hu_identity_check(s)
     for q in (params, verify._flip_b(params)):
         assert analysis.closed_form_spectrum(q).values == ref_closed_form_spectrum(q)
         assert verify.product_closed_form(q).value == ref_product_closed_form(q)
+
+
+# ------------------------------------------------------------ product identity
+
+def test_identity_fold_reads_the_spectrum(monkeypatch):
+    # A spectrum off by 4 at one shift must break the identity: the fold
+    # sums the values it is given rather than re-deriving them from S(2).
+    s = BinarySequence(13, 0b1011001110001)
+    assert analysis.hu_identity_check(s).holds
+    true_spectrum = analysis.autocorrelation(s)
+    for tau in (1, 6, 12):
+        values = list(true_spectrum.values)
+        values[tau] += 4
+        wrong = analysis.AutocorrSpectrum(period=13, values=tuple(values))
+        monkeypatch.setattr(analysis, "autocorrelation", lambda seq, wrong=wrong: wrong)
+        check = analysis.hu_identity_check(s)
+        assert not check.holds
+        assert check == ref_hu_identity_check(s)
+
+
+def test_identity_rejects_period_one():
+    for value in (0, 1):
+        with pytest.raises(ValueError, match="period >= 2"):
+            analysis.hu_identity_check(BinarySequence(1, value))
+
+
+# ----------------------------------------------------- cyclotomy of one prime
+
+PRIMES_1_MOD_4_BELOW_400 = [p for p in range(5, 400, 4) if is_prime(p)]
+ELIGIBLE_TO_1100 = eligible_primes(1100)
+
+
+@pytest.mark.parametrize("p", PRIMES_1_MOD_4_BELOW_400)
+def test_classes_and_dhl_every_root(p):
+    for g in sorted(all_primitive_roots(p)):
+        classes = ref_cyclotomic_classes(p, g)
+        assert cyclotomic_classes(p, g) == classes
+        for kind in DHL_SUPPORTS:
+            expected = BinarySequence.from_support(p, classes.union(*DHL_SUPPORTS[kind]))
+            assert dhl_sequence(p, g, kind) == expected
+
+
+@pytest.mark.parametrize("p", ELIGIBLE_TO_1100)
+def test_quartic_decomposition_every_root(p):
+    for g in sorted(all_primitive_roots(p)):
+        assert quartic_decomposition(p, g) == ref_quartic_decomposition(p, g)
+
+
+def test_interleaved_primes_share_no_state():
+    # One prime's record is cached at a time; switching p and back must
+    # rebuild it, never reuse another prime's masks or Jacobi sum.
+    calls = [(13, 2), (29, 3), (13, 6), (17, 3), (29, 2), (13, 7), (5, 3), (29, 8)]
+    for _ in range(2):
+        for p, g in calls:
+            assert cyclotomic_classes(p, g) == ref_cyclotomic_classes(p, g)
+            assert dhl_sequence(p, g, 4) == ref_dhl_sequence(p, g, 4)
+            if is_eligible_prime(p):
+                assert quartic_decomposition(p, g) == ref_quartic_decomposition(p, g)
+                params = construction_params(p, g, (1, 0, 1, 0))
+                assert su_sequence(params) == ref_su_sequence(params)
+            assert numtheory._cyclotomy.cache_info().currsize <= 1
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+# (p, g): non-primitive g, g = 0 mod p, g >= p (primitive or not mod p),
+# negative g, p = 3 mod 4, p = 1 mod 4 but not a^2 + 4, and p not an odd prime.
+REJECTION_CASES = [(13, 3), (13, 5), (13, 0), (13, 13), (13, 26), (13, 15), (13, 16),
+                   (13, -11), (29, 31), (7, 3), (19, 2), (11, 2), (17, 3), (37, 2),
+                   (41, 6), (9, 2), (15, 2), (25, 2), (4, 3), (2, 1), (1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("p,g", REJECTION_CASES)
+def test_validation_unchanged(p, g):
+    assert outcome(cyclotomic_classes, p, g) == outcome(ref_cyclotomic_classes, p, g)
+    assert outcome(quartic_decomposition, p, g) == outcome(ref_quartic_decomposition, p, g)
+    for kind in (0, 1, 4, 5):
+        assert outcome(dhl_sequence, p, g, kind) == outcome(ref_dhl_sequence, p, g, kind)
+
+
+def test_survey_builds_one_record_per_prime():
+    numtheory._cyclotomy.cache_clear()
+    verify.survey_conjecture(1100, "all", "all")
+    assert numtheory._cyclotomy.cache_info().misses == len(ELIGIBLE_TO_1100) == 9

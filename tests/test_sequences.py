@@ -231,11 +231,22 @@ def test_literal_errors():
         sq.parse_sequence_literal("M=5;01100")
 
 
-@settings(max_examples=40, deadline=None)
-@given(bit_lists)
-def test_literal_round_trip_property(bits):
+# Lines the parser skips: blank, whitespace-only and '#' comments, which may
+# themselves look like payloads.
+skipped_lines = st.lists(st.sampled_from(["", "   ", "\t", "#", "# p=13 g=2 a=-3 b=1",
+                                          "#N=3;010", "  # 1111"]), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_lists, st.booleans(), skipped_lines, skipped_lines,
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", " ", "\t"]))
+def test_literal_round_trip_property(bits, include_period, before, after, newline, pad):
     s = sq.BinarySequence.from_bits(bits)
-    assert sq.parse_sequence_literal(sq.sequence_literal(s)) == s
+    literal = sq.sequence_literal(s, include_period=include_period)
+    assert literal.startswith("N=") == include_period
+    assert sq.parse_sequence_literal(literal) == s
+    text = newline.join(before + [pad + literal + pad] + after) + newline
+    assert sq.parse_sequence_literal(text) == s
 
 
 def test_random_shift_never_changes_weight():
