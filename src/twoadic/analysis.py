@@ -1,10 +1,13 @@
 """Sequence analyses: autocorrelation spectra, 2-adic complexity, the
-spectral product identity, and Berlekamp-Massey linear complexity.
+spectral product identity, and linear complexity.
 
 All results are exact integers. The brute-force spectrum comes from the bits
 alone through one big-integer product (Kronecker substitution), so a full
 spectrum costs one multiplication of two 16N-bit ints rather than N
 rotations; the closed form is assembled from slices of one length-p table.
+Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2), one Euclid on
+packed ints over one period; Berlekamp-Massey stays for callers that hold a
+bit list rather than a periodic sequence.
 """
 
 from __future__ import annotations
@@ -243,9 +246,21 @@ def berlekamp_massey(bits) -> int:
 
 
 def linear_complexity(s: BinarySequence) -> int:
-    """Linear complexity of the periodic extension, from two periods.
+    """Linear complexity of the periodic extension, N - deg gcd(x^N + 1, S(x)).
 
-    2N terms suffice to pin any linear complexity <= N.
+    S(x) = sum s(i) x^i over GF(2) is the packed value itself, and the
+    minimal polynomial of the sequence is (x^N + 1) / gcd(x^N + 1, S(x))
+    (Ding, Xiao and Shan 1991), so one period suffices. The all-zero
+    sequence leaves gcd = x^N + 1 and gets 0.
     """
-    two_periods = s.bits() * 2
-    return berlekamp_massey(two_periods)
+    return s.period - (_gf2_gcd((1 << s.period) | 1, s.value).bit_length() - 1)
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    """gcd over GF(2) of packed polynomials (bit i = coefficient of x^i)."""
+    while b:
+        db = b.bit_length()
+        while (da := a.bit_length()) >= db:
+            a ^= b << (da - db)
+        a, b = b, a
+    return a

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -257,7 +258,7 @@ def check_complexity_bounds(params: ConstructionParams,
     report = analysis.two_adic_complexity(s)
     lower, upper = 2 * p, 4 * p - 2
     bounds_ok = lower <= report.phi <= upper
-    gcd_minus = math.gcd(report.s2, (1 << (2 * p)) - 1)
+    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
     coprime_ok = gcd_minus == 1
     div5_ok = report.gcd % 5 == 0
     return CheckReport(
@@ -307,17 +308,18 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> li
 
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
-    identical tables.
+    identical tables. One big gcd per row: 2^(2p)-1 divides 2^(4p)-1, so
+    gcd_minus is read from gcd_full, and gcd_plus is the cofactor.
     """
     rows = []
     for p, g, w in _grid(limit, g_policy, w_policy):
         report = analysis.two_adic_complexity(su_sequence(construction_params(p, g, w)))
-        s2 = report.s2
+        gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
         rows.append(SurveyRow(
             p=p, g=g, w=w,
             gcd_full=report.gcd,
-            gcd_minus=math.gcd(s2, (1 << (2 * p)) - 1),
-            gcd_plus=math.gcd(s2, (1 << (2 * p)) + 1),
+            gcd_minus=gcd_minus,
+            gcd_plus=report.gcd // gcd_minus,
             phi=report.phi,
             lower_bound=2 * p,
             upper_bound=4 * p - 2,
@@ -370,7 +372,9 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
 
     Results come back grouped by p (coprimality first, then the per-(g, w)
     checks) in (p, g, w) order regardless of how many workers evaluated
-    them. The summary's ``failed`` count doubles as the exit status source.
+    them. The summary's ``failed`` count doubles as the exit status source;
+    ``failures_by_kind`` counts the failures per ``"<check> w=<wwww>"`` (the
+    check name alone for checks without a w), in sorted key order.
     jobs >= 1 is a ceiling: at most one worker per core and per grid point
     is started.
     """
@@ -395,15 +399,17 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
         ordered.append(check_coprimality_facts(p))
         ordered.extend(by_prime[p])
 
-    failures = [r for r in ordered if not r.passed]
+    failures = [{"check": r.check, "p": r.p,
+                 "g": "" if r.g is None else r.g,
+                 "w": "" if r.w is None else "".join(str(bit) for bit in r.w)}
+                for r in ordered if not r.passed]
+    kinds = Counter(f"{f['check']} w={f['w']}" if f["w"] else f["check"] for f in failures)
     summary = {
         "limit": limit,
         "total": len(ordered),
         "passed": len(ordered) - len(failures),
         "failed": len(failures),
-        "failures": [{"check": r.check, "p": r.p,
-                      "g": "" if r.g is None else r.g,
-                      "w": "" if r.w is None else "".join(str(bit) for bit in r.w)}
-                     for r in failures],
+        "failures": failures,
+        "failures_by_kind": dict(sorted(kinds.items())),
     }
     return ordered, summary

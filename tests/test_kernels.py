@@ -6,8 +6,9 @@ rotation, a per-bit T(2^-1) sum, the Legendre-symbol character sum, the
 per-tau closed-form spectrum, bit loops for interleaving and the text
 conversions, the per-shift accumulation of the product identity, and the
 per-root discrete-log and bucket loops behind the cyclotomic classes, the
-quartic decomposition and the DHL columns. Every comparison is exact
-equality.
+quartic decomposition and the DHL columns. The linear complexity from one
+GF(2) gcd is checked against the public Berlekamp-Massey over two periods.
+Every comparison is exact equality.
 """
 
 import random
@@ -419,3 +420,50 @@ def test_survey_builds_one_record_per_prime():
     numtheory._cyclotomy.cache_clear()
     verify.survey_conjecture(1100, "all", "all")
     assert numtheory._cyclotomy.cache_info().misses == len(ELIGIBLE_TO_1100) == 9
+
+
+# ------------------------------------------------------- linear complexity
+
+def ref_linear_complexity(s):
+    return analysis.berlekamp_massey(s.bits() * 2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_linear_complexity_every_small_sequence(n):
+    for s in every_sequence(n):
+        assert analysis.linear_complexity(s) == ref_linear_complexity(s)
+
+
+@pytest.mark.parametrize("n", list(range(1, 71)) + [255, 256, 257, 1 << 12])
+def test_linear_complexity_constant_sequences(n):
+    zero, ones = constant_sequences(n)
+    assert analysis.linear_complexity(zero) == ref_linear_complexity(zero) == 0
+    assert analysis.linear_complexity(ones) == ref_linear_complexity(ones) == 1
+
+
+@pytest.mark.parametrize("n", [1 << k for k in range(13)]
+                         + [4 * p for p in (3, 5, 13, 29, 53, 173, 1093)])
+def test_linear_complexity_random_sequences(n):
+    rng = random.Random(n)
+    for _ in range(8):
+        s = BinarySequence(n, rng.getrandbits(n))
+        assert analysis.linear_complexity(s) == ref_linear_complexity(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_linear_complexity_bit_lists(bits):
+    s = BinarySequence.from_bits(bits)
+    assert analysis.linear_complexity(s) == ref_linear_complexity(s)
+
+
+@pytest.mark.parametrize("params", LADDER,
+                         ids=[f"p{q.p}-g{q.g}-w{''.join(map(str, q.w))}" for q in LADDER])
+def test_linear_complexity_construction_ladder(params):
+    s = su_sequence(params)
+    assert analysis.linear_complexity(s) == ref_linear_complexity(s)
+
+
+def test_linear_complexity_pinned_at_9413():
+    s = su_sequence(construction_params(9413, 3, (0, 1, 0, 1)))
+    assert analysis.linear_complexity(s) == 37650

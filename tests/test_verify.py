@@ -212,6 +212,24 @@ def test_run_all_surfaces_corrupted_fixture(monkeypatch):
     assert any(r.p == 53 and r.passed for r in reports)
 
 
+def test_run_all_failures_by_kind():
+    _, summary = verify.run_all(300, w_policy="all")
+    kinds = summary["failures_by_kind"]
+    assert list(kinds) == ["complexity-bounds w=0000", "complexity-bounds w=1111",
+                           "small-factor-gcds w=0000", "small-factor-gcds w=1111"]
+    assert sum(kinds.values()) == summary["failed"] == len(summary["failures"])
+    _, green = verify.run_all(60)
+    assert green["failures_by_kind"] == {}
+
+
+def test_failures_by_kind_keys_checks_without_w_by_name(monkeypatch):
+    real = verify.check_coprimality_facts
+    monkeypatch.setattr(verify, "check_coprimality_facts",
+                        lambda p: dataclasses.replace(real(p), passed=False))
+    _, summary = verify.run_all(60)
+    assert summary["failures_by_kind"] == {"coprimality-facts": 4}
+
+
 def test_run_all_explicit_policies():
     # 2 generates Z_p* for all of 5, 13, 29
     reports, _ = verify.run_all(30, g_policy=2, w_policy=(1, 0, 1, 0))
@@ -250,6 +268,28 @@ def test_survey_row_invariants():
         assert row.gcd_full == row.gcd_minus * row.gcd_plus
         assert 0 <= row.phi <= 4 * row.p
         assert math.gcd((1 << (2 * row.p)) - 1, (1 << (2 * row.p)) + 1) == 1
+
+
+def test_survey_gcd_split_matches_direct_gcds():
+    # gcd_minus and gcd_plus are derived from gcd_full; recompute both from S(2)
+    for row in verify.survey_conjecture(1100, "all", "all"):
+        s2 = bigmod.eval_S(su_sequence(construction_params(row.p, row.g, row.w))).value
+        assert row.gcd_minus == math.gcd(s2, (1 << (2 * row.p)) - 1)
+        assert row.gcd_plus == math.gcd(s2, (1 << (2 * row.p)) + 1)
+
+
+def test_complexity_bounds_on_constant_sequences():
+    # S(2) = 0 mod 2^(4p) - 1 for both: gcd_full is the whole modulus
+    for p, g in ((5, 2), (13, 2), (29, 2)):
+        n = 4 * p
+        for s in (BinarySequence(n, 0), BinarySequence(n, (1 << n) - 1)):
+            report = verify.check_complexity_bounds(construction_params(p, g), sequence=s)
+            s2 = bigmod.eval_S(s).value
+            assert report.witnesses["gcd_full"] == math.gcd(s2, (1 << n) - 1) == (1 << n) - 1
+            assert report.witnesses["gcd_minus"] == math.gcd(s2, (1 << (2 * p)) - 1)
+            assert report.witnesses["coprime_ok"] is False
+            assert report.witnesses["phi"] == 1
+            assert not report.passed
 
 
 def test_survey_grid_size_all_policies():
