@@ -1,12 +1,19 @@
 """Command-line front end.
 
-Subcommands: construct | analyze | verify | survey. Output is deterministic
-(no timestamps; fixed ordering), every emitted big integer is a decimal
-string, and CSV always carries a header row.
+Subcommands: construct | analyze | verify | survey. Each flag is declared
+once, in its subcommand or in one of three shared groups: the instance flags
+--g, --w and --allow-any-w (construct, analyze), the grid flags --limit, --g,
+--g-policy, --w and --w-policy (verify, survey), and the output flags --format
+and --out (analyze, verify, survey; construct takes --out alone).
+
+Output is deterministic (no timestamps; fixed ordering), every emitted big
+integer is a decimal string, and CSV always carries a header row.
 
 Exit codes: 0 success, 1 failed verification check, 2 ineligible p (or usage
 error), 3 non-primitive root, 4 unreadable, invalid or oversized sequence
-file, 5 output could not be written.
+file, 5 output could not be written. A command ends early by raising one
+exception with a one-line message and its code; only main turns it (or a
+ValueError from the library, code 2) into the stderr line and the exit code.
 """
 
 from __future__ import annotations
@@ -22,11 +29,13 @@ from .bigmod import decimal_str
 from .numtheory import is_eligible_prime, is_primitive_root, smallest_primitive_root
 from .sequences import (
     ADMISSIBLE_W,
+    BinarySequence,
     construction_params,
     generalized_interleaved,
     parse_sequence_literal,
     sequence_literal,
 )
+from .verify import identity_field
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,8 +50,12 @@ EXIT_BAD_OUTPUT = 5
 MAX_SEQUENCE_FILE_BYTES = 1 << 22
 
 
-class _OutputError(Exception):
-    """Writing the result failed; carries the OSError text."""
+class _Exit(Exception):
+    """Ends a command: a one-line message for stderr and the exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
 def _parse_w(text: str) -> tuple[int, int, int, int]:
@@ -59,12 +72,7 @@ def _emit(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise _OutputError(f"cannot write output: {exc}") from exc
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"twoadic: {message}", file=sys.stderr)
-    return code
+        raise _Exit(f"cannot write output: {exc}", EXIT_BAD_OUTPUT) from exc
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -83,66 +91,65 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _resolve_instance(args) -> tuple[int, object] | tuple[None, object]:
-    """Shared --p/--g/--w handling; returns (exit_code, None) or (None, (params, seq))."""
+def _resolve_instance(args) -> tuple[dict[str, object], BinarySequence]:
+    """The --p/--g/--w instance as its header fields and its sequence.
+
+    The fields are p, g, w, a, b and d, in that order.
+    """
     p = args.p
     if not is_eligible_prime(p):
-        return _fail(f"p={p} is not an eligible prime (need p = a^2 + 4, a odd)",
-                     EXIT_BAD_PRIME), None
+        raise _Exit(f"p={p} is not an eligible prime (need p = a^2 + 4, a odd)",
+                    EXIT_BAD_PRIME)
     g = args.g if args.g is not None else smallest_primitive_root(p)
     if not is_primitive_root(g, p):
-        return _fail(f"g={g} is not a primitive root of {p}", EXIT_BAD_ROOT), None
-    try:
-        w = _parse_w(args.w)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_PRIME), None
+        raise _Exit(f"g={g} is not a primitive root of {p}", EXIT_BAD_ROOT)
+    w = _parse_w(args.w)
     if w not in ADMISSIBLE_W and not args.allow_any_w:
-        return _fail(f"w={args.w} is not admissible (need w0=w2, w1=w3); "
-                     "use --allow-any-w to force", EXIT_BAD_PRIME), None
+        raise _Exit(f"w={args.w} is not admissible (need w0=w2, w1=w3); "
+                    "use --allow-any-w to force", EXIT_BAD_PRIME)
 
     params = construction_params(p, g)  # quartic data and d for the header
     d = params.d
     seq = generalized_interleaved(p, g, (3, 2, 1, 1), (0, d, 2 * d, 3 * d), w,
                                   allow_any_w=args.allow_any_w)
-    return None, (params, g, w, seq)
+    meta = {"p": p, "g": g, "w": identity_field(w),
+            "a": params.quartic.a, "b": params.quartic.b, "d": d}
+    return meta, seq
 
 
-def _cmd_construct(args) -> int:
-    code, resolved = _resolve_instance(args)
-    if code is not None:
-        return code
-    params, g, w, seq = resolved
-    q = params.quartic
-    header = (f"# p={q.p} g={g} a={q.a} b={q.b} d={params.d} "
-              f"w={''.join(str(bit) for bit in w)}")
+def _read_sequence_file(path: str) -> BinarySequence:
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_SEQUENCE_FILE_BYTES + 1)
+        if len(raw) > MAX_SEQUENCE_FILE_BYTES:
+            raise _Exit(f"sequence file is larger than {MAX_SEQUENCE_FILE_BYTES} bytes",
+                        EXIT_BAD_SEQUENCE_FILE)
+        return parse_sequence_literal(raw.decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise _Exit(f"cannot read sequence file: {exc}", EXIT_BAD_SEQUENCE_FILE) from exc
+
+
+def _grid_policies(args) -> dict[str, object]:
+    """--g and --w, where given, override --g-policy and --w-policy."""
+    return {"g_policy": args.g if args.g is not None else args.g_policy,
+            "w_policy": _parse_w(args.w) if args.w is not None else args.w_policy}
+
+
+def _cmd_construct(args) -> None:
+    meta, seq = _resolve_instance(args)
+    header = "# " + " ".join(f"{k}={meta[k]}" for k in ("p", "g", "a", "b", "d", "w"))
     _emit(header + "\n" + sequence_literal(seq) + "\n", args.out)
-    return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     if args.sequence_file is not None and args.p is not None:
-        return _fail("give either --p or --sequence-file, not both", EXIT_BAD_PRIME)
+        raise _Exit("give either --p or --sequence-file, not both", EXIT_BAD_PRIME)
     if args.sequence_file is not None:
-        try:
-            with open(args.sequence_file, "rb") as fh:
-                raw = fh.read(MAX_SEQUENCE_FILE_BYTES + 1)
-            if len(raw) > MAX_SEQUENCE_FILE_BYTES:
-                return _fail(f"sequence file is larger than "
-                             f"{MAX_SEQUENCE_FILE_BYTES} bytes", EXIT_BAD_SEQUENCE_FILE)
-            seq = parse_sequence_literal(raw.decode("utf-8"))
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read sequence file: {exc}", EXIT_BAD_SEQUENCE_FILE)
-        meta = None
+        meta, seq = None, _read_sequence_file(args.sequence_file)
+    elif args.p is None:
+        raise _Exit("analyze needs --p or --sequence-file", EXIT_BAD_PRIME)
     else:
-        if args.p is None:
-            return _fail("analyze needs --p or --sequence-file", EXIT_BAD_PRIME)
-        code, resolved = _resolve_instance(args)
-        if code is not None:
-            return code
-        params, g, w, seq = resolved
-        q = params.quartic
-        meta = {"p": q.p, "g": g, "w": "".join(str(bit) for bit in w),
-                "a": q.a, "b": q.b, "d": params.d}
+        meta, seq = _resolve_instance(args)
 
     histogram = analysis.autocorrelation(seq).histogram()
     report = analysis.two_adic_complexity(seq)
@@ -170,8 +177,7 @@ def _cmd_analyze(args) -> int:
     else:
         lines = []
         if meta is not None:
-            lines.append(f"p={meta['p']} g={meta['g']} w={meta['w']} "
-                         f"a={meta['a']} b={meta['b']} d={meta['d']}")
+            lines.append(" ".join(f"{k}={v}" for k, v in meta.items()))
         lines += [
             f"period: {seq.period}",
             f"ac histogram (out of phase): {hist_text}",
@@ -182,60 +188,40 @@ def _cmd_analyze(args) -> int:
             f"linear complexity: {lc}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
 
 
-def _reports_payload(reports, summary, fmt: str) -> str:
+def _reports_text(reports, records, summary, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([r.to_record() for r in reports], indent=2) + "\n"
+        return json.dumps(records, indent=2) + "\n"
     if fmt == "csv":
-        witness_keys = sorted({k for r in reports for k in r.witnesses})
-        header = ["p", "g", "w", "b", "check", "pass"] + witness_keys
-        rows = []
-        for r in reports:
-            rec = r.to_record()
-            row = [_cell(rec["p"]), _cell(rec["g"]), _cell(rec["w"]),
-                   _cell(rec["b"]), rec["check"], _cell(rec["pass"])]
-            row += [_cell(r.witnesses.get(k, "")) for k in witness_keys]
-            rows.append(row)
-        return _csv_text(header, rows)
-    lines = []
-    for r in reports:
-        rec = r.to_record()
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.check} p={rec['p']} g={rec['g']} "
-                     f"w={rec['w']} b={rec['b']}")
+        identity = ["p", "g", "w", "b", "check", "pass"]
+        witness_keys = sorted({k for rec in records for k in rec["witnesses"]})
+        rows = [[_cell(rec[k]) for k in identity]
+                + [_cell(rec["witnesses"].get(k, "")) for k in witness_keys]
+                for rec in records]
+        return _csv_text(identity + witness_keys, rows)
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check} p={r.p} g={identity_field(r.g)} "
+             f"w={identity_field(r.w)} b={identity_field(r.b)}" for r in reports]
     lines.append(f"passed {summary['passed']} of {summary['total']} checks")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
-    g_policy = args.g if args.g is not None else args.g_policy
-    w_policy = _parse_w(args.w) if args.w is not None else args.w_policy
-    try:
-        reports, summary = verify.run_all(args.limit, g_policy=g_policy,
-                                          w_policy=w_policy, jobs=args.jobs)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_PRIME)
-    _emit(_reports_payload(reports, summary, args.format), args.out)
+def _cmd_verify(args) -> None:
+    reports, summary = verify.run_all(args.limit, **_grid_policies(args), jobs=args.jobs)
+    # Each report's witnesses are rendered once, into its record. Plain text
+    # shows no witness, so it renders at most the first failure, for the FAIL line.
+    records = None if args.format == "plain" else [r.to_record() for r in reports]
+    _emit(_reports_text(reports, records, summary, args.format), args.out)
     if summary["failed"]:
-        first = next(r for r in reports if not r.passed)
-        rec = first.to_record()
-        detail = " ".join(f"{k}={_cell(v)}" for k, v in first.witnesses.items())
-        print(f"twoadic: FAIL {first.check} p={rec['p']} g={rec['g']} "
-              f"w={rec['w']} {detail}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        i = next(i for i, r in enumerate(reports) if not r.passed)
+        rec = reports[i].to_record() if records is None else records[i]
+        detail = " ".join(f"{k}={_cell(v)}" for k, v in rec["witnesses"].items())
+        raise _Exit(f"FAIL {rec['check']} p={rec['p']} g={rec['g']} w={rec['w']} {detail}",
+                    EXIT_CHECK_FAILED)
 
 
-def _cmd_survey(args) -> int:
-    g_policy = args.g if args.g is not None else args.g_policy
-    w_policy = _parse_w(args.w) if args.w is not None else args.w_policy
-    try:
-        rows = verify.survey_conjecture(args.limit, g_policy=g_policy,
-                                        w_policy=w_policy)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_PRIME)
+def _cmd_survey(args) -> None:
+    rows = verify.survey_conjecture(args.limit, **_grid_policies(args))
     records = [r.to_record() for r in rows]
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.out)
@@ -252,10 +238,27 @@ def _cmd_survey(args) -> int:
                  for rec in records]
         lines.append(f"{len(records)} rows")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--g", type=int, help="primitive root (default: smallest)")
+    instance.add_argument("--w", default="0101", help="offset bits w0w1w2w3")
+    instance.add_argument("--allow-any-w", action="store_true",
+                          help="accept w with w0 != w2 or w1 != w3")
+
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--limit", type=int, required=True)
+    grid.add_argument("--g", type=int, help="explicit primitive root for every p")
+    grid.add_argument("--g-policy", choices=("smallest", "all"), default="smallest")
+    grid.add_argument("--w", help="explicit admissible w")
+    grid.add_argument("--w-policy", choices=("default", "all"), default="default")
+
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write to file instead of stdout")
+    output = argparse.ArgumentParser(add_help=False, parents=[out])
+    output.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+
     ap = argparse.ArgumentParser(
         prog="twoadic",
         description="Interleaved binary sequences: construction, analysis, "
@@ -265,43 +268,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="emit one sequence with its parameters")
+    c = sub.add_parser("construct", parents=[instance, out],
+                       help="emit one sequence with its parameters")
     c.add_argument("--p", type=int, required=True, help="eligible prime (a^2 + 4)")
-    c.add_argument("--g", type=int, help="primitive root (default: smallest)")
-    c.add_argument("--w", default="0101", help="offset bits w0w1w2w3")
-    c.add_argument("--allow-any-w", action="store_true",
-                   help="accept w with w0 != w2 or w1 != w3")
-    c.add_argument("--out", help="write to file instead of stdout")
 
-    a = sub.add_parser("analyze", help="autocorrelation, 2-adic and linear complexity")
+    a = sub.add_parser("analyze", parents=[instance, output],
+                       help="autocorrelation, 2-adic and linear complexity")
     a.add_argument("--p", type=int)
-    a.add_argument("--g", type=int)
-    a.add_argument("--w", default="0101")
-    a.add_argument("--allow-any-w", action="store_true")
     a.add_argument("--sequence-file", help="fixture literal instead of --p")
-    a.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    a.add_argument("--out")
 
-    v = sub.add_parser("verify", help="run every check over the prime grid")
-    v.add_argument("--limit", type=int, required=True)
-    v.add_argument("--g", type=int, help="explicit primitive root for every p")
-    v.add_argument("--g-policy", choices=("smallest", "all"), default="smallest")
-    v.add_argument("--w", help="explicit admissible w")
-    v.add_argument("--w-policy", choices=("default", "all"), default="default")
+    v = sub.add_parser("verify", parents=[grid, output],
+                       help="run every check over the prime grid")
     v.add_argument("--jobs", type=int, default=1,
                    help="parallel grid workers, >= 1 (capped at cores and points)")
-    v.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    v.add_argument("--out")
 
-    s = sub.add_parser("survey", help="tabulate gcd(S(2), 2^(2p)+1) per grid point")
-    s.add_argument("--limit", type=int, required=True)
-    s.add_argument("--g", type=int)
-    s.add_argument("--g-policy", choices=("smallest", "all"), default="smallest")
-    s.add_argument("--w")
-    s.add_argument("--w-policy", choices=("default", "all"), default="default")
-    s.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    s.add_argument("--out")
-
+    sub.add_parser("survey", parents=[grid, output],
+                   help="tabulate gcd(S(2), 2^(2p)+1) per grid point")
     return ap
 
 
@@ -316,11 +298,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_PRIME)
-    except _OutputError as exc:
-        return _fail(str(exc), EXIT_BAD_OUTPUT)
+        _COMMANDS[args.command](args)
+    except (_Exit, ValueError) as exc:  # ValueError: a w, grid or --jobs refused
+        print(f"twoadic: {exc}", file=sys.stderr)
+        return exc.code if isinstance(exc, _Exit) else EXIT_BAD_PRIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -203,12 +203,6 @@ class CyclotomicClasses:
     g: int
     classes: tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]
 
-    def union(self, *indices: int) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for j in indices:
-            out |= self.classes[j]
-        return out
-
     @property
     def quadratic_residues(self) -> frozenset[int]:
         # QRs are the even-index classes: squares land on even exponents of g.

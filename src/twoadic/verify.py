@@ -72,9 +72,9 @@ class CheckReport:
         return {
             "check": self.check,
             "p": self.p,
-            "g": "" if self.g is None else self.g,
-            "w": "" if self.w is None else "".join(str(bit) for bit in self.w),
-            "b": "" if self.b is None else self.b,
+            "g": identity_field(self.g),
+            "w": identity_field(self.w),
+            "b": identity_field(self.b),
             "pass": self.passed,
             "witnesses": {k: _jsonable(v) for k, v in self.witnesses.items()},
         }
@@ -103,7 +103,7 @@ class SurveyRow:
         return {
             "p": self.p,
             "g": self.g,
-            "w": "".join(str(bit) for bit in self.w),
+            "w": identity_field(self.w),
             "gcd_full": decimal_str(self.gcd_full),
             "gcd_minus": decimal_str(self.gcd_minus),
             "gcd_plus": decimal_str(self.gcd_plus),
@@ -112,6 +112,13 @@ class SurveyRow:
             "upper_bound": self.upper_bound,
             "gcd_plus_is_5": self.gcd_plus == 5,
         }
+
+
+def identity_field(value: int | tuple[int, ...] | None) -> object:
+    """g, w or b as records and headers show it: w as four bits, "" if missing."""
+    if isinstance(value, tuple):
+        return "".join(str(bit) for bit in value)
+    return "" if value is None else value
 
 
 def _jsonable(v: object) -> object:
@@ -247,28 +254,39 @@ def check_coprimality_facts(p: int) -> CheckReport:
     )
 
 
+def _survey_row(p: int, g: int, w: tuple[int, int, int, int],
+                s: BinarySequence) -> SurveyRow:
+    """The 2-adic complexity of s with its gcd split and the bounds [2p, 4p-2].
+
+    One big gcd: 2^(2p)-1 divides 2^(4p)-1, so gcd_minus is read from
+    gcd_full, and gcd_plus is the cofactor.
+    """
+    report = analysis.two_adic_complexity(s)
+    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
+    return SurveyRow(p=p, g=g, w=w, gcd_full=report.gcd, gcd_minus=gcd_minus,
+                     gcd_plus=report.gcd // gcd_minus, phi=report.phi,
+                     lower_bound=2 * p, upper_bound=4 * p - 2)
+
+
 def check_complexity_bounds(params: ConstructionParams,
                             sequence: BinarySequence | None = None) -> CheckReport:
     """2p <= phi <= 4p - 2, gcd(S(2), 2^(2p)-1) = 1, and 5 | gcd(S(2), 2^(4p)-1).
 
     The three components are recorded separately so a failure localizes.
     """
-    p = params.p
     s = su_sequence(params) if sequence is None else sequence
-    report = analysis.two_adic_complexity(s)
-    lower, upper = 2 * p, 4 * p - 2
-    bounds_ok = lower <= report.phi <= upper
-    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
-    coprime_ok = gcd_minus == 1
-    div5_ok = report.gcd % 5 == 0
+    row = _survey_row(params.p, params.g, params.w, s)
+    bounds_ok = row.lower_bound <= row.phi <= row.upper_bound
+    coprime_ok = row.gcd_minus == 1
+    div5_ok = row.gcd_full % 5 == 0
     return CheckReport(
         check="complexity-bounds",
-        p=p, g=params.g, w=params.w, b=params.b,
+        p=params.p, g=params.g, w=params.w, b=params.b,
         passed=bounds_ok and coprime_ok and div5_ok,
-        witnesses={"phi": report.phi, "lower_bound": lower, "upper_bound": upper,
-                   "bounds_ok": bounds_ok, "gcd_full": report.gcd,
-                   "gcd_minus": gcd_minus, "coprime_ok": coprime_ok,
-                   "div5_ok": div5_ok},
+        witnesses={"phi": row.phi, "lower_bound": row.lower_bound,
+                   "upper_bound": row.upper_bound, "bounds_ok": bounds_ok,
+                   "gcd_full": row.gcd_full, "gcd_minus": row.gcd_minus,
+                   "coprime_ok": coprime_ok, "div5_ok": div5_ok},
     )
 
 
@@ -308,23 +326,10 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> li
 
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
-    identical tables. One big gcd per row: 2^(2p)-1 divides 2^(4p)-1, so
-    gcd_minus is read from gcd_full, and gcd_plus is the cofactor.
+    identical tables.
     """
-    rows = []
-    for p, g, w in _grid(limit, g_policy, w_policy):
-        report = analysis.two_adic_complexity(su_sequence(construction_params(p, g, w)))
-        gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
-        rows.append(SurveyRow(
-            p=p, g=g, w=w,
-            gcd_full=report.gcd,
-            gcd_minus=gcd_minus,
-            gcd_plus=report.gcd // gcd_minus,
-            phi=report.phi,
-            lower_bound=2 * p,
-            upper_bound=4 * p - 2,
-        ))
-    return rows
+    return [_survey_row(p, g, w, su_sequence(construction_params(p, g, w)))
+            for p, g, w in _grid(limit, g_policy, w_policy)]
 
 
 def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
@@ -400,8 +405,7 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
         ordered.extend(by_prime[p])
 
     failures = [{"check": r.check, "p": r.p,
-                 "g": "" if r.g is None else r.g,
-                 "w": "" if r.w is None else "".join(str(bit) for bit in r.w)}
+                 "g": identity_field(r.g), "w": identity_field(r.w)}
                 for r in ordered if not r.passed]
     kinds = Counter(f"{f['check']} w={f['w']}" if f["w"] else f["check"] for f in failures)
     summary = {

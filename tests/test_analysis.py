@@ -47,6 +47,11 @@ def lc_oracle(s: BinarySequence) -> int:
     return s.period - (gf2_gcd(xn1, s.value).bit_length() - 1)
 
 
+def bm_oracle(s: BinarySequence) -> int:
+    """Berlekamp-Massey over two periods, which fix the periodic extension."""
+    return analysis.berlekamp_massey(s.bits() * 2)
+
+
 def random_sequence(rng, lo=2, hi=64):
     n = rng.randint(lo, hi)
     return BinarySequence.from_bits(rng.randint(0, 1) for _ in range(n))
@@ -214,10 +219,10 @@ def test_identity_property(bits):
 def test_linear_complexity_examples():
     assert analysis.linear_complexity(BinarySequence.from_bits([1] * 6)) == 1
     four = BinarySequence.from_bits([1, 0, 0, 0])
-    assert lc_oracle(four) == 4  # oracle first
+    assert lc_oracle(four) == bm_oracle(four) == 4  # oracles first
     assert analysis.linear_complexity(four) == 4
     mseq = BinarySequence.from_bits([0, 0, 1, 0, 1, 1, 1])
-    assert lc_oracle(mseq) == 3
+    assert lc_oracle(mseq) == bm_oracle(mseq) == 3
     assert analysis.linear_complexity(mseq) == 3
     assert analysis.linear_complexity(BinarySequence(5, 0)) == 0
 
@@ -231,7 +236,7 @@ def test_linear_complexity_matches_gcd_oracle_random():
     rng = random.Random(6)
     for _ in range(100):
         s = random_sequence(rng)
-        assert analysis.linear_complexity(s) == lc_oracle(s)
+        assert analysis.linear_complexity(s) == lc_oracle(s) == bm_oracle(s)
 
 
 def test_linear_complexity_matches_oracle_on_construction():
@@ -239,7 +244,7 @@ def test_linear_complexity_matches_oracle_on_construction():
         for g in sorted(all_primitive_roots(p)):
             for w in ADMISSIBLE_W:
                 s = su_sequence(construction_params(p, g, w))
-                assert analysis.linear_complexity(s) == lc_oracle(s)
+                assert analysis.linear_complexity(s) == lc_oracle(s) == bm_oracle(s)
 
 
 def test_spectrum_validation():

@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import os
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -321,3 +322,39 @@ def test_survey_deterministic(tmp_path, capsys):
     run(capsys, "survey", "--limit", "60", "--format", "csv", "--out", str(a))
     run(capsys, "survey", "--limit", "60", "--format", "csv", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------------------- witness rendering
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Every int handed to decimal_str by the verify and cli modules."""
+    seen = []
+
+    def counting(n):
+        seen.append(n)
+        return str(decimal.Decimal(n))
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "decimal_str", counting)
+    return seen
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_renders_each_witness_once(renders, capsys, fmt):
+    code, out, err = run(capsys, "verify", "--limit", "300", "--w-policy", "all",
+                         "--format", fmt)
+    assert code == 1 and "FAIL" in err  # the stderr line reads the same records
+    reports, _ = verify.run_all(300, w_policy="all")
+    expected = [v for r in reports for v in r.witnesses.values()
+                if isinstance(v, int) and not isinstance(v, bool)]
+    assert any(v >= 1 << 64 for v in expected)
+    if fmt == "csv":  # the identity cells p, g and b are rendered too
+        expected += [v for r in reports for v in (r.p, r.g, r.b) if v is not None]
+    assert Counter(renders) == Counter(expected)
+
+
+def test_green_plain_verify_renders_no_witness(renders, capsys):
+    code, out, err = run(capsys, "verify", "--limit", "300")
+    assert code == 0 and err == "" and "passed" in out
+    assert renders == []

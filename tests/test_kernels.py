@@ -122,11 +122,14 @@ def ref_quartic_decomposition(p, g):
 DHL_SUPPORTS = {1: (0, 1), 2: (0, 3), 3: (1, 2), 4: (2, 3)}
 
 
+def ref_dhl_support(classes, kind):
+    return frozenset().union(*(classes.classes[j] for j in DHL_SUPPORTS[kind]))
+
+
 def ref_dhl_sequence(p, g, kind):
     if kind not in DHL_SUPPORTS:
         raise ValueError(f"kind must be 1..4, got {kind}")
-    classes = ref_cyclotomic_classes(p, g)
-    return BinarySequence.from_support(p, classes.union(*DHL_SUPPORTS[kind]))
+    return BinarySequence.from_support(p, ref_dhl_support(ref_cyclotomic_classes(p, g), kind))
 
 
 def ref_hu_identity_check(s):
@@ -369,7 +372,7 @@ def test_classes_and_dhl_every_root(p):
         classes = ref_cyclotomic_classes(p, g)
         assert cyclotomic_classes(p, g) == classes
         for kind in DHL_SUPPORTS:
-            expected = BinarySequence.from_support(p, classes.union(*DHL_SUPPORTS[kind]))
+            expected = BinarySequence.from_support(p, ref_dhl_support(classes, kind))
             assert dhl_sequence(p, g, kind) == expected
 
 
