@@ -26,7 +26,12 @@ import sys
 
 from . import analysis, verify
 from .bigmod import decimal_str
-from .numtheory import is_eligible_prime, is_primitive_root, smallest_primitive_root
+from .numtheory import (
+    eligible_primes,
+    is_eligible_prime,
+    is_primitive_root,
+    smallest_primitive_root,
+)
 from .sequences import (
     ADMISSIBLE_W,
     BinarySequence,
@@ -101,8 +106,7 @@ def _resolve_instance(args) -> tuple[dict[str, object], BinarySequence]:
         raise _Exit(f"p={p} is not an eligible prime (need p = a^2 + 4, a odd)",
                     EXIT_BAD_PRIME)
     g = args.g if args.g is not None else smallest_primitive_root(p)
-    if not is_primitive_root(g, p):
-        raise _Exit(f"g={g} is not a primitive root of {p}", EXIT_BAD_ROOT)
+    _require_root(g, p)
     w = _parse_w(args.w)
     if w not in ADMISSIBLE_W and not args.allow_any_w:
         raise _Exit(f"w={args.w} is not admissible (need w0=w2, w1=w3); "
@@ -129,8 +133,19 @@ def _read_sequence_file(path: str) -> BinarySequence:
         raise _Exit(f"cannot read sequence file: {exc}", EXIT_BAD_SEQUENCE_FILE) from exc
 
 
+def _require_root(g: int, p: int) -> None:
+    if not is_primitive_root(g, p):
+        raise _Exit(f"g={g} is not a primitive root of {p}", EXIT_BAD_ROOT)
+
+
 def _grid_policies(args) -> dict[str, object]:
-    """--g and --w, where given, override --g-policy and --w-policy."""
+    """--g and --w, where given, override --g-policy and --w-policy.
+
+    An explicit --g must be a primitive root of every prime in the grid.
+    """
+    if args.g is not None:
+        for p in eligible_primes(args.limit):
+            _require_root(args.g, p)
     return {"g_policy": args.g if args.g is not None else args.g_policy,
             "w_policy": _parse_w(args.w) if args.w is not None else args.w_policy}
 
@@ -280,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[grid, output],
                        help="run every check over the prime grid")
     v.add_argument("--jobs", type=int, default=1,
-                   help="parallel grid workers, >= 1 (capped at cores and points)")
+                   help="parallel grid workers, >= 1 (capped at cores and constructions)")
 
     sub.add_parser("survey", parents=[grid, output],
                    help="tabulate gcd(S(2), 2^(2p)+1) per grid point")

@@ -266,6 +266,14 @@ def _cyclotomy(p: int) -> _Cyclotomy:
     return _Cyclotomy(p=p, zeta=pow(g0, (p - 1) // 4, p), a=re, b0=im // 2, masks=masks)
 
 
+def index_mod4(p: int, g: int) -> int:
+    """e = ind_g0(g) mod 4, 1 or 3, for a prime p = 1 mod 4 and a primitive
+    root g that the caller has validated; the construction at (p, g) depends
+    on g only through e.
+    """
+    return _cyclotomy(p).index_mod4(g)
+
+
 def cyclotomic_masks(p: int, g: int) -> tuple[int, int, int, int]:
     """D_0..D_3 for a prime p = 1 mod 4 and a primitive root g, as p-bit ints.
 

@@ -4,9 +4,15 @@ Each check re-derives one claimed property from scratch and compares exactly,
 with the raw integers kept as witnesses: the closed-form autocorrelation
 against the spectrum computed from the bits, the S(2)T(2^-1) product against
 its closed form, the small-factor gcd facts, the coprimality facts behind the
-complexity bound, and the bound itself. A survey mode tabulates gcd(S(2), 2^(2p)+1) across the
-eligible primes; that gcd is conjectured (not known) to always be 5, so the
-survey only reports.
+complexity bound, and the bound itself. A survey mode tabulates
+gcd(S(2), 2^(2p)+1) across the eligible primes; that gcd is conjectured (not
+known) to always be 5, so the survey only reports.
+
+The construction depends on the primitive root g only through
+e = ind_g0(g) mod 4, which is 1 or 3. The grids therefore build one record per
+(p, e, w): the parameters, the sequence, S(2) folded once and its gcd split.
+Every check reads that record, and its rows and reports are copied out to each
+g that shares it. Only the current prime's records are kept.
 
 No check uses a tolerance anywhere; everything is exact integer equality.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +30,7 @@ from .bigmod import decimal_str
 from .numtheory import (
     all_primitive_roots,
     eligible_primes,
+    index_mod4,
     is_prime,
     is_primitive_root,
     legendre_table,
@@ -131,6 +138,30 @@ def _flip_b(params: ConstructionParams) -> ConstructionParams:
     return replace(params, quartic=replace(params.quartic, b=-params.quartic.b))
 
 
+# One distinct construction (p, e, w) and everything the checks read. params
+# carry the first g that needed it: every primitive root with the same
+# e = ind_g0(g) mod 4 gives the same sequence, S(2) and gcd split. s2 is
+# S(2) mod 2^(4p) - 1, folded once; row is its gcd split.
+_Construction = namedtuple("_Construction", "params sequence s2 row")
+
+
+def _construction(params: ConstructionParams,
+                  sequence: BinarySequence | None = None) -> _Construction:
+    """The record of params, for their own sequence unless one is given.
+
+    One big gcd: 2^(2p)-1 divides 2^(4p)-1, so gcd_minus is read from
+    gcd_full, and gcd_plus is the cofactor.
+    """
+    p = params.p
+    s = su_sequence(params) if sequence is None else sequence
+    report = analysis.two_adic_complexity(s)
+    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
+    row = SurveyRow(p=p, g=params.g, w=params.w, gcd_full=report.gcd,
+                    gcd_minus=gcd_minus, gcd_plus=report.gcd // gcd_minus,
+                    phi=report.phi, lower_bound=2 * p, upper_bound=4 * p - 2)
+    return _Construction(params=params, sequence=s, s2=report.s2, row=row)
+
+
 def check_autocorrelation_spectrum(params: ConstructionParams,
                                    sequence: BinarySequence | None = None) -> CheckReport:
     """Brute-force autocorrelation versus the closed form, at every shift.
@@ -140,8 +171,12 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     what downstream congruence checks should use. Independently re-asserts
     that the out-of-phase values lie in {0, 4, -4}.
     """
-    s = su_sequence(params) if sequence is None else sequence
-    brute = analysis.autocorrelation(s)
+    return _spectrum_check(_construction(params, sequence))
+
+
+def _spectrum_check(rec: _Construction) -> CheckReport:
+    params = rec.params
+    brute = analysis.autocorrelation(rec.sequence)
     witnesses: dict[str, object] = {"b_jacobi": params.b}
 
     b_used: int | None = None
@@ -203,8 +238,12 @@ def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
 def check_product_congruence(params: ConstructionParams,
                              sequence: BinarySequence | None = None) -> CheckReport:
     """Evaluate S(2) T(2^-1) from the bits and compare with the closed form."""
-    s = su_sequence(params) if sequence is None else sequence
-    lhs = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
+    return _product_check(_construction(params, sequence))
+
+
+def _product_check(rec: _Construction) -> CheckReport:
+    params, s = rec.params, rec.sequence
+    lhs = bigmod.mul(bigmod.MersenneResidue(s.period, rec.s2), bigmod.eval_T_inv(s))
     rhs = product_closed_form(params)
     return CheckReport(
         check="st-product-congruence",
@@ -222,9 +261,12 @@ def check_small_factor_gcds(params: ConstructionParams,
     mod small primes), so outcomes are recorded per w rather than assumed to
     transfer between offset vectors.
     """
+    return _small_factor_check(_construction(params, sequence))
+
+
+def _small_factor_check(rec: _Construction) -> CheckReport:
+    params, s2 = rec.params, rec.s2
     p = params.p
-    s = su_sequence(params) if sequence is None else sequence
-    s2 = bigmod.eval_S(s).value
     gcd3 = math.gcd(s2, 3)
     gcd5 = math.gcd(s2, 5)
     div3 = ((1 << (2 * p)) - 1) % 3 == 0
@@ -254,28 +296,17 @@ def check_coprimality_facts(p: int) -> CheckReport:
     )
 
 
-def _survey_row(p: int, g: int, w: tuple[int, int, int, int],
-                s: BinarySequence) -> SurveyRow:
-    """The 2-adic complexity of s with its gcd split and the bounds [2p, 4p-2].
-
-    One big gcd: 2^(2p)-1 divides 2^(4p)-1, so gcd_minus is read from
-    gcd_full, and gcd_plus is the cofactor.
-    """
-    report = analysis.two_adic_complexity(s)
-    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
-    return SurveyRow(p=p, g=g, w=w, gcd_full=report.gcd, gcd_minus=gcd_minus,
-                     gcd_plus=report.gcd // gcd_minus, phi=report.phi,
-                     lower_bound=2 * p, upper_bound=4 * p - 2)
-
-
 def check_complexity_bounds(params: ConstructionParams,
                             sequence: BinarySequence | None = None) -> CheckReport:
     """2p <= phi <= 4p - 2, gcd(S(2), 2^(2p)-1) = 1, and 5 | gcd(S(2), 2^(4p)-1).
 
     The three components are recorded separately so a failure localizes.
     """
-    s = su_sequence(params) if sequence is None else sequence
-    row = _survey_row(params.p, params.g, params.w, s)
+    return _bounds_check(_construction(params, sequence))
+
+
+def _bounds_check(rec: _Construction) -> CheckReport:
+    params, row = rec.params, rec.row
     bounds_ok = row.lower_bound <= row.phi <= row.upper_bound
     coprime_ok = row.gcd_minus == 1
     div5_ok = row.gcd_full % 5 == 0
@@ -293,7 +324,7 @@ def check_complexity_bounds(params: ConstructionParams,
 def _roots_for(p: int, g_policy) -> list[int]:
     if isinstance(g_policy, int):
         if not is_primitive_root(g_policy, p):
-            raise ValueError(f"{g_policy} is not a primitive root of {p}")
+            raise ValueError(f"g={g_policy} is not a primitive root of {p}")
         return [g_policy]
     if g_policy == "smallest":
         return [smallest_primitive_root(p)]
@@ -305,7 +336,8 @@ def _roots_for(p: int, g_policy) -> list[int]:
 def _w_vectors(w_policy) -> list[tuple[int, int, int, int]]:
     if isinstance(w_policy, tuple):
         if w_policy not in ADMISSIBLE_W:
-            raise ValueError("explicit w must be admissible")
+            raise ValueError(f"w={identity_field(w_policy)} is not admissible "
+                             "(need w0=w2, w1=w3)")
         return [w_policy]
     if w_policy == "default":
         return [(0, 1, 0, 1)]
@@ -314,11 +346,25 @@ def _w_vectors(w_policy) -> list[tuple[int, int, int, int]]:
     raise ValueError(f"unknown w policy {w_policy!r}")
 
 
-def _grid(limit: int, g_policy, w_policy) -> list[tuple[int, int, tuple[int, int, int, int]]]:
-    return [(p, g, w)
-            for p in eligible_primes(limit)
-            for g in _roots_for(p, g_policy)
-            for w in _w_vectors(w_policy)]
+def _grid(limit: int, g_policy, w_policy):
+    """The grid one prime at a time, p-major like numtheory's per-prime cache.
+
+    Yields p with its points (g, w, key) in (g, w) order. key = (e, w), with
+    e = ind_g0(g) mod 4, names the construction: points with one key share
+    the sequence and every check result except g.
+    """
+    ws = _w_vectors(w_policy)
+    for p in eligible_primes(limit):
+        yield p, [(g, w, (index_mod4(p, g), w))
+                  for g in _roots_for(p, g_policy) for w in ws]
+
+
+def _firsts(p: int, points) -> dict:
+    """The first grid point (p, g, w) of each key among one prime's points."""
+    firsts: dict = {}
+    for g, w, key in points:
+        firsts.setdefault(key, (p, g, w))
+    return firsts
 
 
 def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> list[SurveyRow]:
@@ -326,10 +372,15 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> li
 
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
-    identical tables.
+    identical tables. Each construction (p, e, w) is built once, and its row
+    is copied out to every g that shares it.
     """
-    return [_survey_row(p, g, w, su_sequence(construction_params(p, g, w)))
-            for p, g, w in _grid(limit, g_policy, w_policy)]
+    rows = []
+    for p, points in _grid(limit, g_policy, w_policy):
+        built = {key: _construction(construction_params(*point)).row
+                 for key, point in _firsts(p, points).items()}
+        rows += [replace(built[key], g=g) for g, _, key in points]
+    return rows
 
 
 def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
@@ -337,38 +388,47 @@ def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
                        witnesses={"error": f"{type(exc).__name__}: {exc}"})
 
 
+# The checks after the sign gate, with the name an error report carries.
+_GATED_CHECKS = (("check_product_congruence", _product_check),
+                 ("check_small_factor_gcds", _small_factor_check),
+                 ("check_complexity_bounds", _bounds_check))
+
+
 def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[CheckReport]:
     """All per-(p, g, w) checks, gate first so downstream checks see the
     resolved sign of b.
 
-    The sequence is built once and every check reads it; b does not enter
-    the construction, so flipping it after the gate leaves the sequence valid.
+    Every check reads one record; b does not enter the construction, so
+    flipping it after the gate leaves the sequence and S(2) valid.
     """
     p, g, w = point
     try:
-        params = construction_params(p, g, w)
-        s = su_sequence(params)
+        rec = _construction(construction_params(p, g, w))
     except Exception as exc:  # noqa: BLE001 - the batch must not abort
         return [_error_report("construction", p, g, w, exc)]
 
-    out = []
-    gate = check_autocorrelation_spectrum(params, sequence=s)
-    out.append(gate)
+    gate = _spectrum_check(rec)
+    out = [gate]
     b_used = gate.witnesses.get("b_used")
-    if isinstance(b_used, int) and b_used != params.b:
-        params = _flip_b(params)
-    for fn in (check_product_congruence, check_small_factor_gcds,
-               check_complexity_bounds):
+    if isinstance(b_used, int) and b_used != rec.params.b:
+        rec = rec._replace(params=_flip_b(rec.params))
+    for name, check in _GATED_CHECKS:
         try:
-            out.append(fn(params, sequence=s))
+            out.append(check(rec))
         except Exception as exc:  # noqa: BLE001
-            out.append(_error_report(fn.__name__, p, g, w, exc))
+            out.append(_error_report(name, p, g, w, exc))
     return out
 
 
-def _worker_count(jobs: int, cpus: int | None, points: int) -> int:
-    """Processes worth starting: never more than requested, cores, or points."""
-    return max(1, min(jobs, cpus or 1, points))
+def _copies(points, built: dict) -> list[CheckReport]:
+    """Each point's reports: those of its key, with its own g and witnesses dict."""
+    return [replace(r, g=g, witnesses=dict(r.witnesses))
+            for g, _, key in points for r in built[key]]
+
+
+def _worker_count(jobs: int, cpus: int | None, tasks: int) -> int:
+    """Processes worth starting: never more than requested, cores, or tasks."""
+    return max(1, min(jobs, cpus or 1, tasks))
 
 
 def run_all(limit: int, g_policy="smallest", w_policy="default",
@@ -380,29 +440,27 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     them. The summary's ``failed`` count doubles as the exit status source;
     ``failures_by_kind`` counts the failures per ``"<check> w=<wwww>"`` (the
     check name alone for checks without a w), in sorted key order.
-    jobs >= 1 is a ceiling: at most one worker per core and per grid point
-    is started.
+    Each construction (p, e, w) is checked once, at its first g, and its
+    reports are copied out to every g that shares it. jobs >= 1 is a
+    ceiling: at most one worker per core and per construction is started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    primes = eligible_primes(limit)
-    points = _grid(limit, g_policy, w_policy)
-
-    workers = _worker_count(jobs, os.cpu_count(), len(points))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_evaluate_point, points))
-    else:
-        per_point = [_evaluate_point(pt) for pt in points]
-
-    by_prime: dict[int, list[CheckReport]] = {p: [] for p in primes}
-    for point, reports in zip(points, per_point):
-        by_prime[point[0]].extend(reports)
+    grid = _grid(limit, g_policy, w_policy)
+    evaluate = _evaluate_point
+    if jobs > 1:
+        grid = list(grid)
+        firsts = [point for p, points in grid for point in _firsts(p, points).values()]
+        workers = _worker_count(jobs, os.cpu_count(), len(firsts))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                evaluate = dict(zip(firsts, pool.map(_evaluate_point, firsts))).__getitem__
 
     ordered: list[CheckReport] = []
-    for p in primes:
+    for p, points in grid:
         ordered.append(check_coprimality_facts(p))
-        ordered.extend(by_prime[p])
+        ordered += _copies(points, {key: evaluate(point)
+                                    for key, point in _firsts(p, points).items()})
 
     failures = [{"check": r.check, "p": r.p,
                  "g": identity_field(r.g), "w": identity_field(r.w)}

@@ -276,8 +276,20 @@ def test_verify_exit_one_on_corrupted_fixture(monkeypatch, capsys):
 
 
 def test_verify_rejects_bad_explicit_root(capsys):
-    code, _, err = run(capsys, "verify", "--limit", "30", "--g", "4")
-    assert code == 2 and "primitive" in err
+    # the code and wording construct uses: 4 is a square mod 5
+    for command in ("verify", "survey"):
+        code, out, err = run(capsys, command, "--limit", "30", "--g", "4")
+        assert (code, out, err) == (3, "", "twoadic: g=4 is not a primitive root of 5\n")
+    # 3 generates Z_5* but has order 3 mod 13: the first prime refusing g is named
+    code, _, err = run(capsys, "verify", "--limit", "30", "--g", "3")
+    assert (code, err) == (3, "twoadic: g=3 is not a primitive root of 13\n")
+
+
+def test_grid_rejects_inadmissible_explicit_w(capsys):
+    for command in ("verify", "survey"):
+        code, out, err = run(capsys, command, "--limit", "30", "--w", "0110")
+        assert (code, out) == (2, "")
+        assert err == "twoadic: w=0110 is not admissible (need w0=w2, w1=w3)\n"
 
 
 def test_verify_all_roots_policy(capsys):

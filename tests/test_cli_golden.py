@@ -58,9 +58,9 @@ GOLDEN = {
     "err-missing-sequence-file": (4, EMPTY, "349aca8bc4c73f3dc900fcb4a8e058d0302977e36f48b0d8129b59ddf7f958c7"),
     "err-non-primitive-g": (3, EMPTY, "f915b19f20e8d6831449699fb62c85bf823ba6f08d39fa01ae92cd369dd6f228"),
     "err-out-missing-dir": (5, EMPTY, "f67c3e5281ef9a8e7e5e6b413015d28f3090bd2bb2cf640df545598f126b47e1"),
-    "err-survey-inadmissible-w": (2, EMPTY, "769a081836f4b30ad4c69bf20d4fe95819db06f9ad81bfd94b029e2986d385ea"),
+    "err-survey-inadmissible-w": (2, EMPTY, "f89b0b2a8bf4a4c8f958c42820601ffd004e61d7faf1366576d45d226ea95d5c"),
     "err-verify-jobs-0": (2, EMPTY, "124191256433005447db3a30d4c9ebd8f491dae01b76c3896054b8df8af11487"),
-    "err-verify-non-primitive-g": (2, EMPTY, "5976408d1c4d75a3b2b111cb8de5234ab44b8df1ac1e96bf6119731db913d4dc"),
+    "err-verify-non-primitive-g": (3, EMPTY, "97e7bf989ccf45a03e25828579b2af4c3a27a0e1d384731162fc2887e4b796e9"),
     "survey-csv": (0, "64aa5ffe360930a9863fb72fc8d0943951c63aae2227207aa5b5c1d4d08db3c6", EMPTY),
     "survey-json": (0, "061891f445ba3118303596cb568375164b3b7ba0f4f941900081c4f422919426", EMPTY),
     "survey-plain": (0, "e7be810a88dceb14e18e184019911157910a86e48d2b4f22a96677cb471f3bd7", EMPTY),

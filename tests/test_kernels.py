@@ -8,9 +8,13 @@ conversions, the per-shift accumulation of the product identity, and the
 per-root discrete-log and bucket loops behind the cyclotomic classes, the
 quartic decomposition and the DHL columns. The linear complexity from one
 GF(2) gcd is checked against the public Berlekamp-Massey over two periods.
+The grids, which build one record per construction (p, e, w), are checked
+against the per-row and per-point loops that built one per (p, g, w).
 Every comparison is exact equality.
 """
 
+import dataclasses
+import math
 import random
 from itertools import product
 
@@ -470,3 +474,124 @@ def test_linear_complexity_construction_ladder(params):
 def test_linear_complexity_pinned_at_9413():
     s = su_sequence(construction_params(9413, 3, (0, 1, 0, 1)))
     assert analysis.linear_complexity(s) == 37650
+
+
+# ------------------------------------------- one record per construction
+#
+# The per-point loops the grids ran before each construction (p, e, w) was
+# built once for every g sharing it: one sequence, S(2), spectrum and gcd
+# per (p, g, w), checked by the check bodies of that time.
+
+def ref_survey_row(p, g, w, s):
+    report = analysis.two_adic_complexity(s)
+    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
+    return verify.SurveyRow(p=p, g=g, w=w, gcd_full=report.gcd, gcd_minus=gcd_minus,
+                            gcd_plus=report.gcd // gcd_minus, phi=report.phi,
+                            lower_bound=2 * p, upper_bound=4 * p - 2)
+
+
+def ref_spectrum_check(params, s):
+    brute = analysis.autocorrelation(s)
+    flipped = dataclasses.replace(
+        params, quartic=dataclasses.replace(params.quartic, b=-params.quartic.b))
+    witnesses = {"b_jacobi": params.b}
+    b_used = None
+    if brute == analysis.closed_form_spectrum(params):
+        b_used = params.b
+        witnesses["sign_flipped"] = False
+    elif brute == analysis.closed_form_spectrum(flipped):
+        b_used = -params.b
+        witnesses["sign_flipped"] = True
+    else:
+        claimed = analysis.closed_form_spectrum(params)
+        tau = next(t for t in range(brute.period) if brute.values[t] != claimed.values[t])
+        witnesses.update(first_mismatch_tau=tau, brute_value=brute.values[tau],
+                         claimed_value=claimed.values[tau])
+    magnitude_ok = brute.out_of_phase() <= {0, 4, -4}
+    witnesses["b_used"] = b_used
+    witnesses["magnitude_ok"] = magnitude_ok
+    return verify.CheckReport(check="autocorrelation-spectrum", p=params.p, g=params.g,
+                              w=params.w, b=params.b if b_used is None else b_used,
+                              passed=b_used is not None and magnitude_ok,
+                              witnesses=witnesses), flipped
+
+
+def ref_gated_checks(params, s):
+    p = params.p
+    ident = {"p": p, "g": params.g, "w": params.w, "b": params.b}
+    lhs = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
+    rhs = verify.product_closed_form(params)
+    s2 = bigmod.eval_S(s).value
+    gcd3, gcd5 = math.gcd(s2, 3), math.gcd(s2, 5)
+    div3 = ((1 << (2 * p)) - 1) % 3 == 0
+    div5 = ((1 << (2 * p)) + 1) % 5 == 0
+    row = ref_survey_row(p, params.g, params.w, s)
+    bounds_ok = row.lower_bound <= row.phi <= row.upper_bound
+    coprime_ok = row.gcd_minus == 1
+    div5_ok = row.gcd_full % 5 == 0
+    return [
+        verify.CheckReport(check="st-product-congruence", passed=lhs == rhs,
+                           witnesses={"lhs": lhs.value, "rhs": rhs.value}, **ident),
+        verify.CheckReport(check="small-factor-gcds",
+                           passed=gcd3 == 1 and gcd5 == 5 and div3 and div5,
+                           witnesses={"s2": s2, "gcd_3": gcd3, "gcd_5": gcd5,
+                                      "divides_2p_minus": div3, "divides_2p_plus": div5},
+                           **ident),
+        verify.CheckReport(check="complexity-bounds",
+                           passed=bounds_ok and coprime_ok and div5_ok,
+                           witnesses={"phi": row.phi, "lower_bound": row.lower_bound,
+                                      "upper_bound": row.upper_bound, "bounds_ok": bounds_ok,
+                                      "gcd_full": row.gcd_full, "gcd_minus": row.gcd_minus,
+                                      "coprime_ok": coprime_ok, "div5_ok": div5_ok},
+                           **ident),
+    ]
+
+
+def ref_evaluate_point(point):
+    params = construction_params(*point)
+    s = su_sequence(params)
+    gate, flipped = ref_spectrum_check(params, s)
+    if gate.witnesses["b_used"] not in (None, params.b):
+        params = flipped
+    return [gate] + ref_gated_checks(params, s)
+
+
+def ref_survey(limit):
+    return [ref_survey_row(p, g, w, su_sequence(construction_params(p, g, w)))
+            for p in eligible_primes(limit)
+            for g in sorted(all_primitive_roots(p)) for w in ADMISSIBLE_W]
+
+
+def ref_run_all(limit):
+    reports = []
+    for p in eligible_primes(limit):
+        reports.append(verify.check_coprimality_facts(p))
+        for g in sorted(all_primitive_roots(p)):
+            for w in ADMISSIBLE_W:
+                reports += ref_evaluate_point((p, g, w))
+    return reports
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and a == b  # dataclass equality: field by field
+
+
+@pytest.mark.parametrize("limit", [300, 1100])
+def test_survey_all_g_matches_per_row_loop(limit):
+    assert_same_records(verify.survey_conjecture(limit, "all", "all"), ref_survey(limit))
+
+
+@pytest.mark.parametrize("limit", [300, 1100])
+def test_run_all_all_g_matches_per_point_loop(limit):
+    reports, summary = verify.run_all(limit, "all", "all")
+    want = ref_run_all(limit)
+    assert_same_records(reports, want)
+    assert summary["failed"] == sum(not r.passed for r in want)
+    assert summary["total"] == len(want)
+
+
+def test_parallel_run_all_all_g_matches_per_point_loop():
+    reports, _ = verify.run_all(300, "all", "all", jobs=2)
+    assert_same_records(reports, ref_run_all(300))

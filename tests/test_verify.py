@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import weakref
+from collections import Counter
 
 import pytest
 
 from twoadic import analysis, bigmod, verify
+from twoadic.numtheory import eligible_primes
 from twoadic.sequences import (
     ADMISSIBLE_W,
     BinarySequence,
@@ -191,6 +194,94 @@ def test_run_all_builds_each_sequence_once(monkeypatch):
     monkeypatch.setattr(verify, "su_sequence", counting)
     verify.run_all(60, w_policy="all")
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 16
+
+
+class InProcessPool:
+    """Stands in for the process pool: records what it maps, runs it here."""
+
+    mapped: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        InProcessPool.mapped += items
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("grid,pooled", [
+    (lambda: verify.survey_conjecture(300, "all", "all"), False),
+    (lambda: verify.run_all(300, "all", "all"), False),
+    (lambda: verify.run_all(300, "all", "all", jobs=2), True),
+])
+def test_all_g_grid_builds_two_sequences_per_p_and_w(monkeypatch, grid, pooled):
+    # every g shares its sequence with the roots of its e = ind(g) mod 4, 1 or 3
+    calls = Counter()
+
+    def counting(params):
+        calls[params.p, params.w] += 1
+        return su_sequence(params)
+
+    monkeypatch.setattr(verify, "su_sequence", counting)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(InProcessPool, "mapped", [])
+    grid()
+    assert calls == {(p, w): 2 for p in eligible_primes(300) for w in ADMISSIBLE_W}
+    # the pool, where one starts, maps one point per construction
+    assert Counter((p, w) for p, _, w in InProcessPool.mapped) == (calls if pooled else {})
+
+
+def test_copied_reports_do_not_share_witnesses():
+    # 2 and 6 = 2^5 have e = 1 mod 13, so their reports are copies of one
+    reports, _ = verify.run_all(13, "all", "all")
+    first, second = (next(r for r in reports if r.check == "small-factor-gcds"
+                          and (r.p, r.g, r.w) == (13, g, (0, 1, 0, 1))) for g in (2, 6))
+    assert first.witnesses == second.witnesses and first.g != second.g
+    s2 = second.witnesses["s2"]
+    first.witnesses["s2"] = -1
+    first.witnesses["extra"] = True
+    assert second.witnesses["s2"] == s2 and "extra" not in second.witnesses
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: verify.survey_conjecture(300, "all", "all"),
+    lambda: verify.run_all(300, "all", "all"),
+])
+def test_grid_holds_one_primes_records_at_a_time(monkeypatch, grid):
+    real = verify._construction
+    built = []  # (p, weak reference to the record's sequence, its largest part)
+
+    def tracking(params, sequence=None):
+        for p, ref in built:
+            assert p == params.p or ref() is None, f"a record of p={p} outlived its prime"
+        rec = real(params, sequence)
+        built.append((params.p, weakref.ref(rec.sequence)))
+        return rec
+
+    monkeypatch.setattr(verify, "_construction", tracking)
+    grid()
+    assert {p for p, _ in built} == set(eligible_primes(300))
+    assert len(built) == 2 * 4 * len(eligible_primes(300))
+
+
+def test_run_all_checks_downstream_with_the_gated_sign(monkeypatch):
+    real = verify.construction_params
+    monkeypatch.setattr(verify, "construction_params",
+                        lambda p, g, w: negate_b(real(p, g, w)))
+    reports, _ = verify.run_all(60, "all", "all")
+    gates = [r for r in reports if r.check == "autocorrelation-spectrum"]
+    assert gates and all(r.passed and r.witnesses["sign_flipped"] for r in gates)
+    products = [r for r in reports if r.check == "st-product-congruence"]
+    assert len(products) == len(gates) and all(r.passed for r in products)
+    assert all(r.b == real(r.p, r.g, r.w).b for r in products)
 
 
 def test_run_all_surfaces_corrupted_fixture(monkeypatch):
