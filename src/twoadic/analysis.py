@@ -5,9 +5,11 @@ All results are exact integers. The brute-force spectrum comes from the bits
 alone through one big-integer product (Kronecker substitution), so a full
 spectrum costs one multiplication of two 16N-bit ints rather than N
 rotations; the closed form is assembled from slices of one length-p table.
-Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2), one Euclid on
-packed ints over one period; Berlekamp-Massey stays for callers that hold a
-bit list rather than a periodic sequence.
+Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
+With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
+2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, and
+the last gcd runs on degree 2^v deg gcd(x^m + 1, S). Berlekamp-Massey stays
+for callers that hold a bit list rather than a periodic sequence.
 """
 
 from __future__ import annotations
@@ -252,12 +254,58 @@ def linear_complexity(s: BinarySequence) -> int:
     minimal polynomial of the sequence is (x^N + 1) / gcd(x^N + 1, S(x))
     (Ding, Xiao and Shan 1991), so one period suffices. The all-zero
     sequence leaves gcd = x^N + 1 and gets 0.
+
+    Write N = 2^v m with m odd, so x^N + 1 = (x^m + 1)^(2^v) over GF(2)
+    (Games and Chan 1983; Chen 2005). With G1 = gcd(x^m + 1, S), the gcd
+    equals gcd(h, S) for h = G1^(2^v), and the quadratic work runs on
+    degree m:
+
+      1. v halvings fold S mod x^m + 1, and a Euclid of degree m gives G1;
+         for odd N (v = 0) that is the answer;
+      2. over GF(2), h(x) = G1(x^(2^v)) (Frobenius); S decimates into
+         sum_r x^r U_r(x^(2^v)) with deg U_r < m, so S mod h is
+         sum_r x^r (U_r mod G1)(x^(2^v)), each U_r reduced in degree m;
+      3. N - deg gcd(h, S mod h), a Euclid of degree 2^v deg G1.
+
+    The fold, the decimation and the stretch are O(N) slices of binary
+    text. Only G1 = x^m + 1 leaves the last Euclid at full degree N, after
+    O(N) extra work.
     """
-    return s.period - (_gf2_gcd((1 << s.period) | 1, s.value).bit_length() - 1)
+    n = s.period
+    q = n & -n  # 2^v
+    m = n // q
+    folded, width = s.value, n
+    while width > m:
+        width >>= 1
+        folded = (folded >> width) ^ (folded & ((1 << width) - 1))
+    g1 = _gf2_gcd((1 << m) | 1, folded)
+    if q == 1 or g1 == 1:  # g1 = 1 leaves h = 1: S is prime to x^N + 1
+        return n - (g1.bit_length() - 1)
+    d = g1.bit_length() - 1
+    # Binary text reads MSB first: bit r + k q of S sits at index n - 1 - r - k q,
+    # so text[q - 1 - r::q] is U_r, and so is rem[q - 1 - r::q] for its remainder.
+    text = format(s.value, f"0{n}b")
+    rem = [""] * (q * d)
+    for r in range(q):
+        rem[q - 1 - r::q] = format(_gf2_mod(int(text[q - 1 - r::q], 2), g1), f"0{d}b")
+    h = int(("0" * (q - 1)).join(format(g1, "b")), 2)
+    return n - (_gf2_gcd(h, int("".join(rem), 2)).bit_length() - 1)
+
+
+def _gf2_mod(a: int, b: int) -> int:
+    """a mod b over GF(2), for packed polynomials with b != 0."""
+    db = b.bit_length()
+    while (da := a.bit_length()) >= db:
+        a ^= b << (da - db)
+    return a
 
 
 def _gf2_gcd(a: int, b: int) -> int:
-    """gcd over GF(2) of packed polynomials (bit i = coefficient of x^i)."""
+    """gcd over GF(2) of packed polynomials (bit i = coefficient of x^i).
+
+    The remainder loop of _gf2_mod is inlined: calling it once per round
+    made a full-size Euclid up to a fifth slower.
+    """
     while b:
         db = b.bit_length()
         while (da := a.bit_length()) >= db:

@@ -88,12 +88,24 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _cell(value: object) -> str:
+def _cell(value: object, render=decimal_str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return decimal_str(value)
+        return render(value)
     return str(value)
+
+
+class _Texts(dict):
+    """Decimal text of each int, rendered once: one per command's output.
+
+    Grid points that share a construction share its witness ints, so an
+    all-g grid would otherwise render each of them once per primitive root.
+    """
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = decimal_str(n)
+        return text
 
 
 def _resolve_instance(args) -> tuple[dict[str, object], BinarySequence]:
@@ -205,14 +217,14 @@ def _cmd_analyze(args) -> None:
         _emit("\n".join(lines) + "\n", args.out)
 
 
-def _reports_text(reports, records, summary, fmt: str) -> str:
+def _reports_text(reports, records, summary, fmt: str, render) -> str:
     if fmt == "json":
         return json.dumps(records, indent=2) + "\n"
     if fmt == "csv":
         identity = ["p", "g", "w", "b", "check", "pass"]
         witness_keys = sorted({k for rec in records for k in rec["witnesses"]})
-        rows = [[_cell(rec[k]) for k in identity]
-                + [_cell(rec["witnesses"].get(k, "")) for k in witness_keys]
+        rows = [[_cell(rec[k], render) for k in identity]
+                + [_cell(rec["witnesses"].get(k, ""), render) for k in witness_keys]
                 for rec in records]
         return _csv_text(identity + witness_keys, rows)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check} p={r.p} g={identity_field(r.g)} "
@@ -223,28 +235,32 @@ def _reports_text(reports, records, summary, fmt: str) -> str:
 
 def _cmd_verify(args) -> None:
     reports, summary = verify.run_all(args.limit, **_grid_policies(args), jobs=args.jobs)
-    # Each report's witnesses are rendered once, into its record. Plain text
-    # shows no witness, so it renders at most the first failure, for the FAIL line.
-    records = None if args.format == "plain" else [r.to_record() for r in reports]
-    _emit(_reports_text(reports, records, summary, args.format), args.out)
+    # Each distinct witness int is rendered once, into every record that holds
+    # it. Plain text shows no witness, so it renders at most the first
+    # failure, for the FAIL line.
+    render = _Texts().__getitem__
+    records = (None if args.format == "plain"
+               else [r.to_record(render) for r in reports])
+    _emit(_reports_text(reports, records, summary, args.format, render), args.out)
     if summary["failed"]:
         i = next(i for i, r in enumerate(reports) if not r.passed)
-        rec = reports[i].to_record() if records is None else records[i]
-        detail = " ".join(f"{k}={_cell(v)}" for k, v in rec["witnesses"].items())
+        rec = reports[i].to_record(render) if records is None else records[i]
+        detail = " ".join(f"{k}={_cell(v, render)}" for k, v in rec["witnesses"].items())
         raise _Exit(f"FAIL {rec['check']} p={rec['p']} g={rec['g']} w={rec['w']} {detail}",
                     EXIT_CHECK_FAILED)
 
 
 def _cmd_survey(args) -> None:
     rows = verify.survey_conjecture(args.limit, **_grid_policies(args))
-    records = [r.to_record() for r in rows]
+    render = _Texts().__getitem__
+    records = [r.to_record(render) for r in rows]
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     elif args.format == "csv":
         header = ["p", "g", "w", "gcd_full", "gcd_minus", "gcd_plus", "phi",
                   "lower_bound", "upper_bound", "gcd_plus_is_5"]
-        _emit(_csv_text(header, [[_cell(rec[k]) for k in header] for rec in records]),
-              args.out)
+        _emit(_csv_text(header, [[_cell(rec[k], render) for k in header]
+                                 for rec in records]), args.out)
     else:
         lines = [f"p={rec['p']} g={rec['g']} w={rec['w']} "
                  f"gcd_full={rec['gcd_full']} gcd_minus={rec['gcd_minus']} "

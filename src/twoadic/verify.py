@@ -74,8 +74,8 @@ class CheckReport:
     b: int | None = None
     witnesses: dict[str, object] = field(default_factory=dict)
 
-    def to_record(self) -> dict[str, object]:
-        """Flat record; big integers become decimal strings."""
+    def to_record(self, render=decimal_str) -> dict[str, object]:
+        """Flat record; big integers become decimal strings through render."""
         return {
             "check": self.check,
             "p": self.p,
@@ -83,7 +83,7 @@ class CheckReport:
             "w": identity_field(self.w),
             "b": identity_field(self.b),
             "pass": self.passed,
-            "witnesses": {k: _jsonable(v) for k, v in self.witnesses.items()},
+            "witnesses": {k: _jsonable(v, render) for k, v in self.witnesses.items()},
         }
 
 
@@ -106,14 +106,15 @@ class SurveyRow:
     lower_bound: int
     upper_bound: int
 
-    def to_record(self) -> dict[str, object]:
+    def to_record(self, render=decimal_str) -> dict[str, object]:
+        """Flat record; the gcds become decimal strings through render."""
         return {
             "p": self.p,
             "g": self.g,
             "w": identity_field(self.w),
-            "gcd_full": decimal_str(self.gcd_full),
-            "gcd_minus": decimal_str(self.gcd_minus),
-            "gcd_plus": decimal_str(self.gcd_plus),
+            "gcd_full": render(self.gcd_full),
+            "gcd_minus": render(self.gcd_minus),
+            "gcd_plus": render(self.gcd_plus),
             "phi": self.phi,
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
@@ -128,10 +129,10 @@ def identity_field(value: int | tuple[int, ...] | None) -> object:
     return "" if value is None else value
 
 
-def _jsonable(v: object) -> object:
+def _jsonable(v: object, render) -> object:
     if isinstance(v, bool) or not isinstance(v, int):
         return v
-    return decimal_str(v)
+    return render(v)
 
 
 def _flip_b(params: ConstructionParams) -> ConstructionParams:

@@ -354,16 +354,32 @@ def renders(monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_verify_renders_each_witness_once(renders, capsys, fmt):
-    code, out, err = run(capsys, "verify", "--limit", "300", "--w-policy", "all",
-                         "--format", fmt)
-    assert code == 1 and "FAIL" in err  # the stderr line reads the same records
-    reports, _ = verify.run_all(300, w_policy="all")
-    expected = [v for r in reports for v in r.witnesses.values()
-                if isinstance(v, int) and not isinstance(v, bool)]
-    assert any(v >= 1 << 64 for v in expected)
-    if fmt == "csv":  # the identity cells p, g and b are rendered too
-        expected += [v for r in reports for v in (r.p, r.g, r.b) if v is not None]
-    assert Counter(renders) == Counter(expected)
+    for g_policy in ("smallest", "all"):
+        renders.clear()
+        code, out, err = run(capsys, "verify", "--limit", "300", "--g-policy", g_policy,
+                             "--w-policy", "all", "--format", fmt)
+        assert code == 1 and "FAIL" in err  # the stderr line reads the same records
+        reports, _ = verify.run_all(300, g_policy=g_policy, w_policy="all")
+        expected = [v for r in reports for v in r.witnesses.values()
+                    if isinstance(v, int) and not isinstance(v, bool)]
+        big = [v for v in expected if v >= 1 << 64]
+        assert big
+        if g_policy == "all":  # the roots of one construction share its witnesses
+            assert len(big) > len(set(big))
+        if fmt == "csv":  # the identity cells p, g and b are rendered too
+            expected += [v for r in reports for v in (r.p, r.g, r.b) if v is not None]
+        assert Counter(renders) == Counter(set(expected))
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_all_g_survey_renders_each_gcd_once(renders, capsys, fmt):
+    code, out, err = run(capsys, "survey", "--limit", "300", "--g-policy", "all",
+                         "--w-policy", "all", "--format", fmt)
+    assert code == 0 and err == ""
+    rows = verify.survey_conjecture(300, "all", "all")
+    gcds = [v for r in rows for v in (r.gcd_full, r.gcd_minus, r.gcd_plus)]
+    assert len(gcds) > 3 * len(set(gcds))
+    assert set(gcds) <= set(renders) and max(Counter(renders).values()) == 1
 
 
 def test_green_plain_verify_renders_no_witness(renders, capsys):

@@ -6,8 +6,9 @@ rotation, a per-bit T(2^-1) sum, the Legendre-symbol character sum, the
 per-tau closed-form spectrum, bit loops for interleaving and the text
 conversions, the per-shift accumulation of the product identity, and the
 per-root discrete-log and bucket loops behind the cyclotomic classes, the
-quartic decomposition and the DHL columns. The linear complexity from one
-GF(2) gcd is checked against the public Berlekamp-Massey over two periods.
+quartic decomposition and the DHL columns. The linear complexity, which
+folds S mod x^m + 1 for N = 2^v m, is checked against the one GF(2) Euclid
+over the whole period and the public Berlekamp-Massey over two periods.
 The grids, which build one record per construction (p, e, w), are checked
 against the per-row and per-point loops that built one per (p, g, w).
 Every comparison is exact equality.
@@ -474,6 +475,74 @@ def test_linear_complexity_construction_ladder(params):
 def test_linear_complexity_pinned_at_9413():
     s = su_sequence(construction_params(9413, 3, (0, 1, 0, 1)))
     assert analysis.linear_complexity(s) == 37650
+
+
+def ref_gcd_linear_complexity(s):
+    """The one-Euclid kernel: N - deg gcd(x^N + 1, S(x)) over the whole period."""
+    a, b = (1 << s.period) | 1, s.value
+    while b:
+        db = b.bit_length()
+        while (da := a.bit_length()) >= db:
+            a ^= b << (da - db)
+        a, b = b, a
+    return s.period - (a.bit_length() - 1)
+
+
+def clmul(a, b):
+    """Product over GF(2) of packed polynomials."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def gf2_power(a, j):
+    out = 1
+    for _ in range(j):
+        out = clmul(out, a)
+    return out
+
+
+def repeated(rng, n, period):
+    """A random sequence of period n whose true period divides `period`."""
+    block = rng.getrandbits(period)
+    return BinarySequence(n, sum(block << k for k in range(0, n, period)))
+
+
+def reduction_cases(v, m):
+    """Sequences of period N = 2^v m: random ones and those the fold singles out."""
+    n, q = m << v, 1 << v
+    rng = random.Random(n * 1000 + m)
+    xm1 = (1 << m) | 1
+    cases = [BinarySequence(n, rng.getrandbits(n)) for _ in range(6)]
+    cases += constant_sequences(n)
+    cases += [BinarySequence(n, 1 << k) for k in {0, n // 2, n - 1}]
+    cases.append(BinarySequence(n, int("01" * (n // 2) + "0" * (n % 2), 2)))
+    # S = (x^m + 1)^j T for j < 2^v, so x^m + 1 divides S j times or more;
+    # already j = 1 gives G1 = x^m + 1, where the last Euclid is full size
+    for j in sorted({1, q // 2, q - 1} - {0}):
+        cases.append(BinarySequence(n, clmul(gf2_power(xm1, j), rng.getrandbits(n - j * m))))
+    for div in (2, 4):  # true period N/2 or N/4
+        if n % div == 0:
+            cases.append(repeated(rng, n, n // div))
+    return cases
+
+
+@pytest.mark.parametrize("v,m", [(v, m) for v in range(7)
+                                 for m in (1, 3, 5, 7, 9, 15, 21, 45)])
+def test_linear_complexity_reduction_against_one_euclid(v, m):
+    for s in reduction_cases(v, m):
+        assert analysis.linear_complexity(s) == ref_gcd_linear_complexity(s) \
+            == ref_linear_complexity(s)
+
+
+@pytest.mark.parametrize("p,expected", [(18773, 75090), (37253, 149010)])
+def test_linear_complexity_pinned_on_large_periods(p, expected):
+    # The expected values come from ref_gcd_linear_complexity (smallest g, w = 0101).
+    s = su_sequence(construction_params(p, 2, (0, 1, 0, 1)))
+    assert analysis.linear_complexity(s) == expected
 
 
 # ------------------------------------------- one record per construction
