@@ -2,9 +2,11 @@
 spectral product identity, and linear complexity.
 
 All results are exact integers. The brute-force spectrum comes from the bits
-alone through one big-integer product (Kronecker substitution), so a full
-spectrum costs one multiplication of two 16N-bit ints rather than N
-rotations; the closed form is assembled from slices of one length-p table.
+alone through one big-number product (Kronecker substitution), so a full
+spectrum costs one decimal multiplication of two kN-digit numbers, k the
+digit count of the weight, rather than N rotations; libmpdec runs it as a
+number-theoretic transform. The closed form is assembled from slices of one
+length-p table.
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, and
@@ -95,11 +97,8 @@ class IdentityCheck:
     rhs: MersenneResidue
 
 
-def _spread(bits: bytes, width: int) -> int:
-    """The int whose width-byte field k holds bits[k]."""
-    fields = bytearray(width * len(bits))
-    fields[::width] = bits
-    return int.from_bytes(fields, "little")
+# Maps the digit text b"0".."9" to the digit values 0..9.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
@@ -107,25 +106,45 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
 
     With weight W and coincidence counts C(tau) = #{t : s(t) = s(t + tau) = 1},
     AC(tau) = N - 4W + 4C(tau). All C(tau) come from one product: with
-    A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient k of A * B is
-    sum_t s(t) s(t + N-1-k), and folding X^N = 1 leaves C((N-1-k) mod N) as
-    coefficient k. Evaluated at X = 2^16 (2^32 once N >= 2^16), each
-    coefficient, at most N, fits its own field and never carries.
+    A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient j of A * B is
+    sum_t s(t) s(t + N-1-j), and folding X^N = 1 leaves C((N-1-j) mod N) as
+    coefficient j. Evaluated at X = 10^k with k the number of decimal
+    digits of W, each coefficient, at most W, fits its own k-digit field
+    and never carries. The product is one decimal multiplication, which
+    libmpdec runs as a number-theoretic transform in O(N log N); the
+    folded text, read most significant field first, is C(0), C(1), ...
     """
-    n = s.period
-    width = 2 if n < 1 << 16 else 4
-    bits = bytes(s.bits())
-    product = _spread(bits, width) * _spread(bits[::-1], width)
-    shift = 8 * width * n
-    folded = (product >> shift) + (product & ((1 << shift) - 1))
+    import decimal  # deferred: only the brute spectrum needs it
+
+    n, weight = s.period, s.weight
+    k = len(str(weight))
+    sep = "0" * (k - 1)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    # The MSB-first binary text puts s(N-1) in the leading field of A, and
+    # its reversal puts s(0) in the leading field of B.
+    text = format(s.value, f"0{n}b")
+    a = decimal.Decimal(sep.join(text))
+    b = decimal.Decimal(sep.join(text[::-1]))
+    text = str(ctx.multiply(a, b))
+    size = n * k
+    folded = ctx.add(decimal.Decimal(text[:-size] or 0), decimal.Decimal(text[-size:]))
+    # Digit plane j (raw[j::k], one digit per field, tau = 0 first) is spread
+    # into one field per tau; the fields accumulate the counts in binary, and
+    # no partial count exceeds W, so no field carries into the next.
+    raw = str(folded).zfill(size).encode().translate(_DIGIT_VALUES)
+    width = 2 if weight < 1 << 16 else 4
+    fields = bytearray(width * n)
+    total = 0
+    for j in range(k):
+        fields[::width] = raw[j::k]
+        total = total * 10 + int.from_bytes(fields, "little")
     counts = array(next(c for c in "HIL" if array(c).itemsize == width))
-    counts.frombytes(folded.to_bytes(width * n, "little"))
+    counts.frombytes(total.to_bytes(width * n, "little"))
     if sys.byteorder == "big":
         counts.byteswap()
-    base = n - 4 * s.weight
-    # counts[N-1-tau] = C(tau), so tau = 0, 1, ... reads the fields backwards
-    return AutocorrSpectrum(period=n,
-                            values=tuple([base + 4 * c for c in reversed(counts)]))
+    base = n - 4 * weight
+    return AutocorrSpectrum(period=n, values=tuple([base + 4 * c for c in counts]))
 
 
 def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:

@@ -181,14 +181,14 @@ def _spectrum_check(rec: _Construction) -> CheckReport:
     witnesses: dict[str, object] = {"b_jacobi": params.b}
 
     b_used: int | None = None
-    if brute == analysis.closed_form_spectrum(params):
+    claimed = analysis.closed_form_spectrum(params)
+    if brute == claimed:
         b_used = params.b
         witnesses["sign_flipped"] = False
     elif brute == analysis.closed_form_spectrum(_flip_b(params)):
         b_used = -params.b
         witnesses["sign_flipped"] = True
     else:
-        claimed = analysis.closed_form_spectrum(params)
         tau = next(t for t in range(brute.period)
                    if brute.values[t] != claimed.values[t])
         witnesses.update(first_mismatch_tau=tau,
@@ -380,8 +380,15 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> li
     for p, points in _grid(limit, g_policy, w_policy):
         built = {key: _construction(construction_params(*point)).row
                  for key, point in _firsts(p, points).items()}
-        rows += [replace(built[key], g=g) for g, _, key in points]
+        rows += [_row_copy(built[key], g) for g, _, key in points]
     return rows
+
+
+def _row_copy(row: SurveyRow, g: int) -> SurveyRow:
+    """row with g replaced, built by the constructor rather than dataclasses.replace."""
+    return SurveyRow(p=row.p, g=g, w=row.w, gcd_full=row.gcd_full,
+                     gcd_minus=row.gcd_minus, gcd_plus=row.gcd_plus, phi=row.phi,
+                     lower_bound=row.lower_bound, upper_bound=row.upper_bound)
 
 
 def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
@@ -422,8 +429,13 @@ def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[C
 
 
 def _copies(points, built: dict) -> list[CheckReport]:
-    """Each point's reports: those of its key, with its own g and witnesses dict."""
-    return [replace(r, g=g, witnesses=dict(r.witnesses))
+    """Each point's reports: those of its key, with its own g and witnesses dict.
+
+    The constructor is called directly: dataclasses.replace costs several
+    times more per copy, and an all-g grid makes one copy per report and g.
+    """
+    return [CheckReport(check=r.check, p=r.p, passed=r.passed, g=g, w=r.w, b=r.b,
+                        witnesses=dict(r.witnesses))
             for g, _, key in points for r in built[key]]
 
 

@@ -6,7 +6,9 @@ rotation, a per-bit T(2^-1) sum, the Legendre-symbol character sum, the
 per-tau closed-form spectrum, bit loops for interleaving and the text
 conversions, the per-shift accumulation of the product identity, and the
 per-root discrete-log and bucket loops behind the cyclotomic classes, the
-quartic decomposition and the DHL columns. The linear complexity, which
+quartic decomposition and the DHL columns. The brute spectrum, a decimal
+Kronecker product on libmpdec, is also checked against the 16-bit int
+Kronecker product it replaced. The linear complexity, which
 folds S mod x^m + 1 for N = 2^v m, is checked against the one GF(2) Euclid
 over the whole period and the public Berlekamp-Massey over two periods.
 The grids, which build one record per construction (p, e, w), are checked
@@ -17,6 +19,8 @@ Every comparison is exact equality.
 import dataclasses
 import math
 import random
+import sys
+from array import array
 from itertools import product
 
 import pytest
@@ -59,6 +63,29 @@ def ref_autocorrelation(s):
         diff = (s.value ^ left_shift(s, tau).value).bit_count()
         values.append(n - 2 * diff)
     return tuple(values)
+
+
+def ref_kronecker_autocorrelation(s):
+    """The int Kronecker kernel: one product of two 16N-bit ints (32N from N = 2^16)."""
+    n = s.period
+    width = 2 if n < 1 << 16 else 4
+    bits = bytes(s.bits())
+
+    def spread(b):
+        fields = bytearray(width * len(b))
+        fields[::width] = b
+        return int.from_bytes(fields, "little")
+
+    product = spread(bits) * spread(bits[::-1])
+    shift = 8 * width * n
+    folded = (product >> shift) + (product & ((1 << shift) - 1))
+    counts = array(next(c for c in "HIL" if array(c).itemsize == width))
+    counts.frombytes(folded.to_bytes(width * n, "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    base = n - 4 * s.weight
+    # counts[N-1-tau] = C(tau), so tau = 0, 1, ... reads the fields backwards
+    return tuple(base + 4 * c for c in reversed(counts))
 
 
 def ref_eval_T_inv(s):
@@ -233,6 +260,7 @@ LADDER = ladder_params()
 
 def check_sequence_kernels(s):
     assert analysis.autocorrelation(s).values == ref_autocorrelation(s)
+    assert analysis.autocorrelation(s).values == ref_kronecker_autocorrelation(s)
     assert s.bits() == ref_bits(s)
     assert str(s) == "".join(map(str, ref_bits(s)))
     assert BinarySequence.from_bits(ref_bits(s)) == s
@@ -266,9 +294,21 @@ def test_random_sequences(s):
     check_sequence_kernels(s)
 
 
+@pytest.mark.parametrize("n", (9, 10, 99, 100, 999, 1000, 9999, 10000))
+def test_autocorrelation_decimal_field_edges(n):
+    # All ones makes W = C(tau) = N: at N = 10^j - 1 the count fills its
+    # j-digit field with nines, and at N = 10^j the field widens by a digit.
+    ones = BinarySequence(n, (1 << n) - 1)
+    assert analysis.autocorrelation(ones).values == (n,) * n
+    rng = random.Random(n)
+    s = BinarySequence(n, rng.getrandbits(n))
+    assert analysis.autocorrelation(s).values == ref_kronecker_autocorrelation(s)
+
+
 def test_autocorrelation_field_width_edges():
-    # All ones fills every field to exactly N: 2^16 - 1 is the largest count
-    # a 16-bit field holds, so period 2^16 must take the 32-bit path.
+    # The counts are read back through 16-bit array fields while W < 2^16,
+    # 32-bit from W = 2^16 on. All ones makes C(tau) = W = N, so period
+    # 2^16 - 1 fills a 16-bit field and period 2^16 must take the 32-bit one.
     for n in ((1 << 16) - 1, 1 << 16):
         ones = BinarySequence(n, (1 << n) - 1)
         assert analysis.autocorrelation(ones).values == (n,) * n
@@ -279,6 +319,18 @@ def test_autocorrelation_field_width_edges():
     for tau in (0, 1, 2, 3, 255, 256, 4096, n // 2, n - 2, n - 1):
         diff = (s.value ^ left_shift(s, tau).value).bit_count()
         assert spectrum[tau] == n - 2 * diff
+
+
+@pytest.mark.parametrize("weight", ((1 << 16) - 1, 1 << 16))
+def test_autocorrelation_array_width_edges_by_weight(weight):
+    # The array width follows W, not N: a longer period whose weight sits at
+    # the 16-bit boundary, with counts other than W away from tau = 0.
+    n = (1 << 16) + 37
+    rng = random.Random(weight)
+    zeros = set(rng.sample(range(n), n - weight))
+    s = BinarySequence.from_bits([0 if t in zeros else 1 for t in range(n)])
+    assert s.weight == weight
+    assert analysis.autocorrelation(s).values == ref_kronecker_autocorrelation(s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -333,12 +385,23 @@ def test_construction_ladder(params):
     s = su_sequence(params)
     assert s == ref_su_sequence(params)
     assert analysis.autocorrelation(s).values == ref_autocorrelation(s)
+    assert analysis.autocorrelation(s).values == ref_kronecker_autocorrelation(s)
     assert bigmod.eval_T_inv(s).value == ref_eval_T_inv(s)
     assert deinterleave(s) == ref_deinterleave(s)
     assert analysis.hu_identity_check(s) == ref_hu_identity_check(s)
     for q in (params, verify._flip_b(params)):
         assert analysis.closed_form_spectrum(q).values == ref_closed_form_spectrum(q)
         assert verify.product_closed_form(q).value == ref_product_closed_form(q)
+
+
+def test_autocorrelation_on_transform_sized_construction():
+    # p = 9413 gives operands of 4p * 5 digits, far past the size from which
+    # libmpdec multiplies through its number-theoretic transform.
+    params = construction_params(9413, 3, (0, 1, 0, 1))
+    s = su_sequence(params)
+    spectrum = analysis.autocorrelation(s)
+    assert spectrum.values == ref_kronecker_autocorrelation(s)
+    assert spectrum == analysis.closed_form_spectrum(params)
 
 
 # ------------------------------------------------------------ product identity
