@@ -8,11 +8,12 @@ complexity bound, and the bound itself. A survey mode tabulates
 gcd(S(2), 2^(2p)+1) across the eligible primes; that gcd is conjectured (not
 known) to always be 5, so the survey only reports.
 
-The construction depends on the primitive root g only through
-e = ind_g0(g) mod 4, which is 1 or 3. The grids therefore build one record per
-(p, e, w): the parameters, the sequence, S(2) folded once and its gcd split.
-Every check reads that record, and its rows and reports are copied out to each
-g that shares it. Only the current prime's records are kept.
+Each check takes the parameters and, optionally, the sequence to check; it
+builds the parameters' own sequence when none is given. The construction
+depends on the primitive root g only through e = ind_g0(g) mod 4, which is 1
+or 3, so the grids build one sequence per (p, e, w), run the checks on it once,
+and copy its rows and reports out to each g that shares it. Only the current
+prime's sequences are kept.
 
 No check uses a tolerance anywhere; everything is exact integer equality.
 """
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter, namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import analysis, bigmod
@@ -139,30 +139,6 @@ def _flip_b(params: ConstructionParams) -> ConstructionParams:
     return replace(params, quartic=replace(params.quartic, b=-params.quartic.b))
 
 
-# One distinct construction (p, e, w) and everything the checks read. params
-# carry the first g that needed it: every primitive root with the same
-# e = ind_g0(g) mod 4 gives the same sequence, S(2) and gcd split. s2 is
-# S(2) mod 2^(4p) - 1, folded once; row is its gcd split.
-_Construction = namedtuple("_Construction", "params sequence s2 row")
-
-
-def _construction(params: ConstructionParams,
-                  sequence: BinarySequence | None = None) -> _Construction:
-    """The record of params, for their own sequence unless one is given.
-
-    One big gcd: 2^(2p)-1 divides 2^(4p)-1, so gcd_minus is read from
-    gcd_full, and gcd_plus is the cofactor.
-    """
-    p = params.p
-    s = su_sequence(params) if sequence is None else sequence
-    report = analysis.two_adic_complexity(s)
-    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
-    row = SurveyRow(p=p, g=params.g, w=params.w, gcd_full=report.gcd,
-                    gcd_minus=gcd_minus, gcd_plus=report.gcd // gcd_minus,
-                    phi=report.phi, lower_bound=2 * p, upper_bound=4 * p - 2)
-    return _Construction(params=params, sequence=s, s2=report.s2, row=row)
-
-
 def check_autocorrelation_spectrum(params: ConstructionParams,
                                    sequence: BinarySequence | None = None) -> CheckReport:
     """Brute-force autocorrelation versus the closed form, at every shift.
@@ -172,12 +148,8 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     what downstream congruence checks should use. Independently re-asserts
     that the out-of-phase values lie in {0, 4, -4}.
     """
-    return _spectrum_check(_construction(params, sequence))
-
-
-def _spectrum_check(rec: _Construction) -> CheckReport:
-    params = rec.params
-    brute = analysis.autocorrelation(rec.sequence)
+    s = su_sequence(params) if sequence is None else sequence
+    brute = analysis.autocorrelation(s)
     witnesses: dict[str, object] = {"b_jacobi": params.b}
 
     b_used: int | None = None
@@ -239,12 +211,8 @@ def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
 def check_product_congruence(params: ConstructionParams,
                              sequence: BinarySequence | None = None) -> CheckReport:
     """Evaluate S(2) T(2^-1) from the bits and compare with the closed form."""
-    return _product_check(_construction(params, sequence))
-
-
-def _product_check(rec: _Construction) -> CheckReport:
-    params, s = rec.params, rec.sequence
-    lhs = bigmod.mul(bigmod.MersenneResidue(s.period, rec.s2), bigmod.eval_T_inv(s))
+    s = su_sequence(params) if sequence is None else sequence
+    lhs = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
     rhs = product_closed_form(params)
     return CheckReport(
         check="st-product-congruence",
@@ -262,11 +230,8 @@ def check_small_factor_gcds(params: ConstructionParams,
     mod small primes), so outcomes are recorded per w rather than assumed to
     transfer between offset vectors.
     """
-    return _small_factor_check(_construction(params, sequence))
-
-
-def _small_factor_check(rec: _Construction) -> CheckReport:
-    params, s2 = rec.params, rec.s2
+    s = su_sequence(params) if sequence is None else sequence
+    s2 = bigmod.eval_S(s).value
     p = params.p
     gcd3 = math.gcd(s2, 3)
     gcd5 = math.gcd(s2, 5)
@@ -303,11 +268,8 @@ def check_complexity_bounds(params: ConstructionParams,
 
     The three components are recorded separately so a failure localizes.
     """
-    return _bounds_check(_construction(params, sequence))
-
-
-def _bounds_check(rec: _Construction) -> CheckReport:
-    params, row = rec.params, rec.row
+    s = su_sequence(params) if sequence is None else sequence
+    row = _survey_row(params, s)
     bounds_ok = row.lower_bound <= row.phi <= row.upper_bound
     coprime_ok = row.gcd_minus == 1
     div5_ok = row.gcd_full % 5 == 0
@@ -320,6 +282,20 @@ def _bounds_check(rec: _Construction) -> CheckReport:
                    "gcd_full": row.gcd_full, "gcd_minus": row.gcd_minus,
                    "coprime_ok": coprime_ok, "div5_ok": div5_ok},
     )
+
+
+def _survey_row(params: ConstructionParams, s: BinarySequence) -> SurveyRow:
+    """The gcd split and 2-adic complexity of s, as the survey row of params.
+
+    One big gcd: 2^(2p)-1 divides 2^(4p)-1, so gcd_minus is read from
+    gcd_full, and gcd_plus is the cofactor.
+    """
+    p = params.p
+    report = analysis.two_adic_complexity(s)
+    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
+    return SurveyRow(p=p, g=params.g, w=params.w, gcd_full=report.gcd,
+                     gcd_minus=gcd_minus, gcd_plus=report.gcd // gcd_minus,
+                     phi=report.phi, lower_bound=2 * p, upper_bound=4 * p - 2)
 
 
 def _roots_for(p: int, g_policy) -> list[int]:
@@ -378,8 +354,10 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> li
     """
     rows = []
     for p, points in _grid(limit, g_policy, w_policy):
-        built = {key: _construction(construction_params(*point)).row
-                 for key, point in _firsts(p, points).items()}
+        built = {}
+        for key, point in _firsts(p, points).items():
+            params = construction_params(*point)
+            built[key] = _survey_row(params, su_sequence(params))
         rows += [_row_copy(built[key], g) for g, _, key in points]
     return rows
 
@@ -396,35 +374,32 @@ def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
                        witnesses={"error": f"{type(exc).__name__}: {exc}"})
 
 
-# The checks after the sign gate, with the name an error report carries.
-_GATED_CHECKS = (("check_product_congruence", _product_check),
-                 ("check_small_factor_gcds", _small_factor_check),
-                 ("check_complexity_bounds", _bounds_check))
-
-
 def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[CheckReport]:
     """All per-(p, g, w) checks, gate first so downstream checks see the
     resolved sign of b.
 
-    Every check reads one record; b does not enter the construction, so
-    flipping it after the gate leaves the sequence and S(2) valid.
+    Every check reads one sequence; b does not enter the construction, so
+    flipping it after the gate leaves the sequence valid. A check that raises
+    becomes a failed report under its function name, and the others still run.
     """
     p, g, w = point
     try:
-        rec = _construction(construction_params(p, g, w))
+        params = construction_params(p, g, w)
+        s = su_sequence(params)
     except Exception as exc:  # noqa: BLE001 - the batch must not abort
         return [_error_report("construction", p, g, w, exc)]
 
-    gate = _spectrum_check(rec)
+    gate = check_autocorrelation_spectrum(params, s)
     out = [gate]
     b_used = gate.witnesses.get("b_used")
-    if isinstance(b_used, int) and b_used != rec.params.b:
-        rec = rec._replace(params=_flip_b(rec.params))
-    for name, check in _GATED_CHECKS:
+    if isinstance(b_used, int) and b_used != params.b:
+        params = _flip_b(params)
+    for check in (check_product_congruence, check_small_factor_gcds,
+                  check_complexity_bounds):
         try:
-            out.append(check(rec))
+            out.append(check(params, s))
         except Exception as exc:  # noqa: BLE001
-            out.append(_error_report(name, p, g, w, exc))
+            out.append(_error_report(check.__name__, p, g, w, exc))
     return out
 
 
@@ -466,6 +441,7 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
         firsts = [point for p, points in grid for point in _firsts(p, points).values()]
         workers = _worker_count(jobs, os.cpu_count(), len(firsts))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 evaluate = dict(zip(firsts, pool.map(_evaluate_point, firsts))).__getitem__
 

@@ -1,7 +1,13 @@
+import concurrent.futures
 import dataclasses
+import functools
 import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +222,13 @@ class InProcessPool:
         return map(fn, items)
 
 
+def use_in_process_pool(monkeypatch):
+    """Route run_all's pool through InProcessPool on two cores, with an empty log."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(InProcessPool, "mapped", [])
+
+
 @pytest.mark.parametrize("grid,pooled", [
     (lambda: verify.survey_conjecture(300, "all", "all"), False),
     (lambda: verify.run_all(300, "all", "all"), False),
@@ -230,9 +243,7 @@ def test_all_g_grid_builds_two_sequences_per_p_and_w(monkeypatch, grid, pooled):
         return su_sequence(params)
 
     monkeypatch.setattr(verify, "su_sequence", counting)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(InProcessPool, "mapped", [])
+    use_in_process_pool(monkeypatch)
     grid()
     assert calls == {(p, w): 2 for p in eligible_primes(300) for w in ADMISSIBLE_W}
     # the pool, where one starts, maps one point per construction
@@ -256,20 +267,115 @@ def test_copied_reports_do_not_share_witnesses():
     lambda: verify.run_all(300, "all", "all"),
 ])
 def test_grid_holds_one_primes_records_at_a_time(monkeypatch, grid):
-    real = verify._construction
-    built = []  # (p, weak reference to the record's sequence, its largest part)
+    built = []  # (p, weak reference to a sequence the grid built)
 
-    def tracking(params, sequence=None):
+    def tracking(params):
         for p, ref in built:
-            assert p == params.p or ref() is None, f"a record of p={p} outlived its prime"
-        rec = real(params, sequence)
-        built.append((params.p, weakref.ref(rec.sequence)))
-        return rec
+            assert p == params.p or ref() is None, f"a sequence of p={p} outlived its prime"
+        s = su_sequence(params)
+        built.append((params.p, weakref.ref(s)))
+        return s
 
-    monkeypatch.setattr(verify, "_construction", tracking)
+    monkeypatch.setattr(verify, "su_sequence", tracking)
     grid()
     assert {p for p, _ in built} == set(eligible_primes(300))
     assert len(built) == 2 * 4 * len(eligible_primes(300))
+
+
+def counting_two_adic_complexity(monkeypatch) -> Counter:
+    """Patch analysis.two_adic_complexity to count its calls per sequence."""
+    calls = Counter()
+    real = analysis.two_adic_complexity
+
+    def counting(s):
+        calls[s.period, s.value] += 1
+        return real(s)
+
+    monkeypatch.setattr(analysis, "two_adic_complexity", counting)
+    return calls
+
+
+@pytest.mark.parametrize("check,expected", [
+    (verify.check_autocorrelation_spectrum, 0),
+    (verify.check_product_congruence, 0),
+    (verify.check_small_factor_gcds, 0),
+    (verify.check_complexity_bounds, 1),
+])
+def test_only_the_bounds_check_computes_the_two_adic_complexity(monkeypatch, check, expected):
+    calls = counting_two_adic_complexity(monkeypatch)
+    assert check(construction_params(293, 2)).passed
+    assert sum(calls.values()) == expected
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: verify.survey_conjecture(300, "all", "all"),
+    lambda: verify.run_all(300, "all", "all"),
+])
+def test_grids_compute_the_two_adic_complexity_once_per_construction(monkeypatch, grid):
+    calls = counting_two_adic_complexity(monkeypatch)
+    grid()
+    assert set(calls.values()) == {1}
+    assert len(calls) == 2 * 4 * len(eligible_primes(300))
+
+
+def pooled_run_all(monkeypatch, jobs):
+    """run_all(60, all w) with jobs workers, a pool run in this process."""
+    use_in_process_pool(monkeypatch)
+    out = verify.run_all(60, w_policy="all", jobs=jobs)
+    assert len(InProcessPool.mapped) == (16 if jobs > 1 else 0)
+    return out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_all_calls_each_public_check_once_per_construction(monkeypatch, jobs):
+    calls = Counter()
+
+    def counted(check):
+        @functools.wraps(check)
+        def counting(params, sequence=None):
+            calls[check.__name__] += 1
+            return check(params, sequence)
+        return counting
+
+    names = ("check_autocorrelation_spectrum", "check_product_congruence",
+             "check_small_factor_gcds", "check_complexity_bounds")
+    for name in names:
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    reports, _ = pooled_run_all(monkeypatch, jobs)
+    assert calls == {name: 16 for name in names}
+    assert reports == verify.run_all(60, w_policy="all")[0]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_all_isolates_a_check_that_raises(monkeypatch, jobs):
+    def check_small_factor_gcds(params, sequence=None):
+        raise RuntimeError(f"no gcds at p={params.p}")
+
+    expected, _ = verify.run_all(60, w_policy="all")
+    monkeypatch.setattr(verify, "check_small_factor_gcds", check_small_factor_gcds)
+    reports, summary = pooled_run_all(monkeypatch, jobs)
+    errors = [r for r in reports if r.check == "check_small_factor_gcds"]
+    assert len(errors) == 16 and not any(r.passed for r in errors)
+    assert all(r.witnesses == {"error": f"RuntimeError: no gcds at p={r.p}"}
+               for r in errors)
+    # every other check still reports, unchanged
+    assert ([r for r in reports if r.check != "check_small_factor_gcds"]
+            == [r for r in expected if r.check != "small-factor-gcds"])
+    assert summary["failures_by_kind"]["check_small_factor_gcds w=0101"] == 4
+
+
+def test_importing_the_package_loads_no_pool_or_decimal():
+    # the process pool and decimal are imported where they are first used
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = ("import sys, twoadic, twoadic.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'decimal') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_run_all_checks_downstream_with_the_gated_sign(monkeypatch):
