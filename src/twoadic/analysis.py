@@ -5,8 +5,11 @@ All results are exact integers. The brute-force spectrum comes from the bits
 alone through one big-number product (Kronecker substitution), so a full
 spectrum costs one decimal multiplication of two kN-digit numbers, k the
 digit count of the weight, rather than N rotations; libmpdec runs it as a
-number-theoretic transform. The closed form is assembled from slices of one
-length-p table.
+number-theoretic transform. Its digit planes fold the two halves of the
+product in binary, and the spectrum comes out packed: AC(tau) + N in
+fixed-width fields of bytes, with no int per shift. The closed form writes
+the same fields from one length-p table of quadratic-residue codes, so the
+spectrum check compares two byte strings.
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, and
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 from . import bigmod
 from .bigmod import MersenneResidue, decimal_str
-from .numtheory import legendre_table
+from .numtheory import residue_codes
 from .sequences import BinarySequence, ConstructionParams
 
 __all__ = [
@@ -39,31 +42,121 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AutocorrSpectrum:
     """AC(tau) for tau = 0..N-1; AC(0) = N always.
+
+    The kernels build a spectrum packed: AC(tau) + N, which lies in [0, 2N],
+    as little-endian unsigned fields, tau = 0 first, of 2 bytes while
+    2N < 2^16 and 4 bytes from there on. The width depends on N alone, so
+    two packed spectra are equal exactly when their bytes are, and ``==``,
+    histogram() and out_of_phase() read the fields without building ints per
+    shift; ``values``, the tuple of AC(tau), is built on first read. A
+    spectrum constructed from values carries no fields and compares by value.
+    Instances are immutable.
 
     Serializes via to_record() to {"period": int, "values": comma-joined
     decimal string}.
     """
 
-    period: int
-    values: tuple[int, ...]
+    __slots__ = ("period", "_values", "_fields")
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.period:
+    def __init__(self, period: int, values: tuple[int, ...]) -> None:
+        if len(values) != period:
             raise ValueError("need one value per shift")
+        self._init(period, tuple(values), None)
+
+    @classmethod
+    def _packed(cls, period: int, fields: bytes) -> "AutocorrSpectrum":
+        spectrum = object.__new__(cls)
+        spectrum._init(period, None, fields)
+        return spectrum
+
+    def _init(self, period, values, fields) -> None:
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_fields", fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.period, self.values)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        if self._values is None:
+            n = self.period
+            object.__setattr__(self, "_values", tuple([v - n for v in self._lifted()]))
+        return self._values
+
+    def _lifted(self) -> array:
+        """The packed fields, AC(tau) + N, as native ints."""
+        lifted = array(_TYPECODES[len(self._fields) // self.period], self._fields)
+        if sys.byteorder == "big":
+            lifted.byteswap()
+        return lifted
+
+    def _out_of_phase_counts(self) -> dict[int, int]:
+        """Counts of the out-of-phase values (tau >= 1), in no set order.
+
+        Packed fields whose upper bytes agree at every shift differ only in
+        their low byte; each round deletes every copy of the next low byte
+        left, in one bytes pass, and counts what went. At most 256 rounds,
+        one per distinct value. Fields whose upper bytes differ are counted
+        one by one.
+        """
+        n = self.period
+        if self._fields is None:
+            return Counter(self.values[1:])
+        width = len(self._fields) // n
+        tail = self._fields[width:]
+        planes = [tail[j::width] for j in range(width)]
+        if any(plane.translate(None, plane[:1]) for plane in planes[1:]):
+            return Counter([v - n for v in self._lifted()[1:]])
+        high = int.from_bytes(tail[1:width], "little") << 8  # upper bytes of any field
+        counts = {}
+        rest = planes[0]
+        while rest:
+            left = rest.translate(None, rest[:1])
+            counts[high + rest[0] - n] = len(rest) - len(left)
+            rest = left
+        return counts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AutocorrSpectrum):
+            return NotImplemented
+        if self._fields is not None and other._fields is not None:
+            return self.period == other.period and self._fields == other._fields
+        return self.period == other.period and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.values))
+
+    def __repr__(self) -> str:
+        return f"AutocorrSpectrum(period={self.period!r}, values={self.values!r})"
 
     def histogram(self) -> dict[int, int]:
         """Counts of the out-of-phase values (tau >= 1), keyed by value."""
-        return dict(sorted(Counter(self.values[1:]).items()))
+        return dict(sorted(self._out_of_phase_counts().items()))
 
     def out_of_phase(self) -> set[int]:
-        return set(self.values[1:])
+        return set(self._out_of_phase_counts())
 
     def to_record(self) -> dict[str, object]:
         return {"period": self.period,
                 "values": ",".join(str(v) for v in self.values)}
+
+
+def _field_width(n: int) -> int:
+    """Bytes per packed field of a period-n spectrum: AC(tau) + N is at most 2N."""
+    return 2 if 2 * n < 1 << 16 else 4
+
+
+# array type codes of 2- and 4-byte unsigned ints
+_TYPECODES = {w: next(c for c in "HIL" if array(c).itemsize == w) for w in (2, 4)}
 
 
 @dataclass(frozen=True)
@@ -107,44 +200,57 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     With weight W and coincidence counts C(tau) = #{t : s(t) = s(t + tau) = 1},
     AC(tau) = N - 4W + 4C(tau). All C(tau) come from one product: with
     A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient j of A * B is
-    sum_t s(t) s(t + N-1-j), and folding X^N = 1 leaves C((N-1-j) mod N) as
-    coefficient j. Evaluated at X = 10^k with k the number of decimal
-    digits of W, each coefficient, at most W, fits its own k-digit field
-    and never carries. The product is one decimal multiplication, which
-    libmpdec runs as a number-theoretic transform in O(N log N); the
-    folded text, read most significant field first, is C(0), C(1), ...
+    sum_t s(t) s(t + N-1-j), and folding X^N = 1 adds coefficient N + j onto
+    coefficient j, which leaves C((N-1-j) mod N) there. Evaluated at
+    X = 10^k with k the number of decimal digits of W, each coefficient, at
+    most W, fits its own k-digit field and never carries. The product is one
+    decimal multiplication, which libmpdec runs as a number-theoretic
+    transform in O(N log N).
+
+    The product's text, read most significant field first, holds coefficients
+    2N-1 .. N (the high half; coefficient 2N-1 is 0) and then N-1 .. 0, so
+    field i of either half counts towards C(i). Digit plane j, digit j of
+    every field, is spread into 2N binary fields, high half first, and the
+    planes accumulate as total = 10 total + plane; no partial count exceeds
+    W, so no field carries into the next. One mask and shift fold the high
+    half onto the low one, and one big-int step, 4 C + (2N - 4W) per field,
+    turns the counts into the packed spectrum of AutocorrSpectrum. No
+    Decimal is parsed back from the product, and no int is made per shift.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
     n, weight = s.period, s.weight
     k = len(str(weight))
-    sep = "0" * (k - 1)
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
     # The MSB-first binary text puts s(N-1) in the leading field of A, and
     # its reversal puts s(0) in the leading field of B.
-    text = format(s.value, f"0{n}b")
-    a = decimal.Decimal(sep.join(text))
-    b = decimal.Decimal(sep.join(text[::-1]))
-    text = str(ctx.multiply(a, b))
-    size = n * k
-    folded = ctx.add(decimal.Decimal(text[:-size] or 0), decimal.Decimal(text[-size:]))
-    # Digit plane j (raw[j::k], one digit per field, tau = 0 first) is spread
-    # into one field per tau; the fields accumulate the counts in binary, and
-    # no partial count exceeds W, so no field carries into the next.
-    raw = str(folded).zfill(size).encode().translate(_DIGIT_VALUES)
-    width = 2 if weight < 1 << 16 else 4
-    fields = bytearray(width * n)
+    text = format(s.value, f"0{n}b").encode()
+    digits = bytearray(b"0") * (n * k)
+    digits[k - 1::k] = text
+    a = decimal.Decimal(digits.decode())
+    digits[k - 1::k] = text[::-1]
+    b = decimal.Decimal(digits.decode())
+    raw = str(ctx.multiply(a, b)).zfill(2 * n * k).encode().translate(_DIGIT_VALUES)
+    # The counts, at most W, fit 2-byte fields while W < 2^16; where the
+    # packed spectrum needs wider fields, the folded counts are spread out.
+    cw, width = (2 if weight < 1 << 16 else 4), _field_width(n)
+    fields = bytearray(2 * cw * n)
     total = 0
     for j in range(k):
-        fields[::width] = raw[j::k]
+        fields[::cw] = raw[j::k]
         total = total * 10 + int.from_bytes(fields, "little")
-    counts = array(next(c for c in "HIL" if array(c).itemsize == width))
-    counts.frombytes(total.to_bytes(width * n, "little"))
-    if sys.byteorder == "big":
-        counts.byteswap()
-    base = n - 4 * weight
-    return AutocorrSpectrum(period=n, values=tuple([base + 4 * c for c in counts]))
+    shift = 8 * cw * n
+    counts = (total >> shift) + (total & ((1 << shift) - 1))
+    if cw < width:
+        narrow = counts.to_bytes(cw * n, "little")
+        fields = bytearray(width * n)
+        for j in range(cw):
+            fields[j::width] = narrow[j::cw]
+        counts = int.from_bytes(fields, "little")
+    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
+    packed = 4 * counts + (2 * n - 4 * weight) * ones
+    return AutocorrSpectrum._packed(n, packed.to_bytes(width * n, "little"))
 
 
 def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
@@ -165,20 +271,31 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     the tau1-odd block. Out-of-phase values always lie in {0, 4, -4}.
 
     The residues D0 u D2 are the nonzero squares mod p whatever g is, so the
-    odd-tau1 blocks read one Legendre table rotated by tau1 * d.
+    odd-tau1 blocks read one table of residue codes (0 for r = 0, 1 for a
+    residue, 2 for a non-residue, built from the squares) rotated by
+    tau1 * d. Every shift gets a code by stride-slice assignment, and one
+    translation per byte of the packed fields turns the codes into the
+    fields of AutocorrSpectrum.
     """
     p, d, b = params.p, params.d, params.b
+    n = 4 * p
     eps = 1 if params.w[0] != params.w[1] else -1
-    # odd[r] is the tau1-odd value at (tau2 + tau1*d) mod p = r
-    odd = [-4 * eps * b * chi for chi in legendre_table(p)]
-    odd[0] = -4 * eps
-    values = [0] * (4 * p)
-    values[0::4] = [4 * p] + [-4] * (p - 1)
-    values[4 * ((-2 * d) % p) + 2] = 4
+    # the value of each code: residue codes 0..2 for odd tau1, then -4 for
+    # tau1 = 0, AC(0), 0 for tau1 = 2 and its one +4
+    values = (-4 * eps, -4 * eps * b, 4 * eps * b, -4, n, 0, 4)
+    codes = bytearray(bytes((3, 0, 5, 0)) * p)
+    residues = residue_codes(p)
     for tau1 in (1, 3):
         k = tau1 * d % p
-        values[tau1::4] = odd[k:] + odd[:k]
-    return AutocorrSpectrum(period=4 * p, values=tuple(values))
+        codes[tau1::4] = residues[k:] + residues[:k]
+    codes[0] = 4
+    codes[4 * ((-2 * d) % p) + 2] = 6
+    width = _field_width(n)
+    fields = bytearray(width * n)
+    for j in range(width):
+        byte_j = bytes((v + n) >> (8 * j) & 0xFF for v in values)
+        fields[j::width] = codes.translate(byte_j.ljust(256, b"\x00"))
+    return AutocorrSpectrum._packed(n, bytes(fields))
 
 
 def two_adic_complexity(s: BinarySequence) -> TwoAdicReport:
@@ -283,7 +400,8 @@ def linear_complexity(s: BinarySequence) -> int:
          for odd N (v = 0) that is the answer;
       2. over GF(2), h(x) = G1(x^(2^v)) (Frobenius); S decimates into
          sum_r x^r U_r(x^(2^v)) with deg U_r < m, so S mod h is
-         sum_r x^r (U_r mod G1)(x^(2^v)), each U_r reduced in degree m;
+         sum_r x^r (U_r mod G1)(x^(2^v)), each U_r reduced by halving
+         (_gf2_mod_halving) in O(m deg G1);
       3. N - deg gcd(h, S mod h), a Euclid of degree 2^v deg G1.
 
     The fold, the decimation and the stretch are O(N) slices of binary
@@ -305,8 +423,10 @@ def linear_complexity(s: BinarySequence) -> int:
     # so text[q - 1 - r::q] is U_r, and so is rem[q - 1 - r::q] for its remainder.
     text = format(s.value, f"0{n}b")
     rem = [""] * (q * d)
+    rounds = _gf2_halvings(g1, m)
     for r in range(q):
-        rem[q - 1 - r::q] = format(_gf2_mod(int(text[q - 1 - r::q], 2), g1), f"0{d}b")
+        u = int(text[q - 1 - r::q], 2)
+        rem[q - 1 - r::q] = format(_gf2_mod_halving(u, g1, rounds), f"0{d}b")
     h = int(("0" * (q - 1)).join(format(g1, "b")), 2)
     return n - (_gf2_gcd(h, int("".join(rem), 2)).bit_length() - 1)
 
@@ -317,6 +437,51 @@ def _gf2_mod(a: int, b: int) -> int:
     while (da := a.bit_length()) >= db:
         a ^= b << (da - db)
     return a
+
+
+def _gf2_halvings(g: int, size: int) -> list[tuple[int, int]]:
+    """The rounds (h, x^h mod g) that take a polynomial of `size` bits mod g
+    down to at most 4 deg g bits; none if size is that small already.
+
+    A round writes U = hi x^h + lo with h = size // 2, and
+    U = hi (x^h mod g) + lo mod g has at most size - h + deg g - 1 bits.
+    """
+    d = g.bit_length() - 1
+    rounds = []
+    while size > 4 * d:
+        h = size // 2
+        rounds.append((h, _gf2_xpow_mod(h, g)))
+        size = max(h, size - h + d - 1)
+    return rounds
+
+
+def _gf2_mod_halving(u: int, g: int, rounds: list[tuple[int, int]]) -> int:
+    """u mod g over GF(2) through the rounds of _gf2_halvings(g, len u).
+
+    Each round multiplies the high half by x^h mod g, at most deg g shifts of
+    it, so a reduction costs O(len u deg g) where _gf2_mod costs
+    O(len u^2); for g = x + 1, where x^h mod g = 1, the rounds fold u to its
+    parity.
+    """
+    for h, xh in rounds:
+        hi, lo = u >> h, u & ((1 << h) - 1)
+        k = 0
+        while xh >> k:
+            if xh >> k & 1:
+                lo ^= hi << k
+            k += 1
+        u = lo
+    return _gf2_mod(u, g)
+
+
+def _gf2_xpow_mod(h: int, g: int) -> int:
+    """x^h mod g over GF(2), by squaring: a square spreads the bits apart."""
+    r = 1
+    for bit in format(h, "b"):
+        r = _gf2_mod(int("0".join(format(r, "b")), 2), g)
+        if bit == "1":
+            r = _gf2_mod(r << 1, g)
+    return r
 
 
 def _gf2_gcd(a: int, b: int) -> int:

@@ -71,11 +71,15 @@ def mul(x: MersenneResidue, y: MersenneResidue) -> MersenneResidue:
 
 
 def add_signed(x: MersenneResidue, t: int) -> MersenneResidue:
-    """Canonical residue of x + t for any signed integer t."""
-    m = modulus(x.N)
-    if m == 1:
-        return MersenneResidue(x.N, 0)
-    return MersenneResidue(x.N, (x.value + t) % m)
+    """Canonical residue of x + t for any signed integer t.
+
+    |t| is folded by N-bit limbs like any non-negative input, one linear pass
+    per limb instead of a long division by m = 2^N - 1; a negative t leaves
+    x - fold(|t|) in (-m, m), which one small % makes canonical.
+    """
+    if t >= 0:
+        return MersenneResidue(x.N, _fold(x.value + t, x.N))
+    return MersenneResidue(x.N, (x.value - _fold(-t, x.N)) % modulus(x.N))
 
 
 def gcd_with_modulus(x: MersenneResidue) -> int:

@@ -126,18 +126,26 @@ def legendre_symbol(i: int, p: int) -> int:
 
 
 def legendre_table(p: int) -> list[int]:
-    """All Legendre symbols (i/p) for i = 0..p-1, as a list indexed by i.
+    """All Legendre symbols (i/p) for i = 0..p-1, as a list indexed by i."""
+    return [(0, 1, -1)[c] for c in residue_codes(p)]
+
+
+@functools.lru_cache(maxsize=1)
+def residue_codes(p: int) -> bytes:
+    """Byte i is 0 for i = 0, 1 if i is a nonzero square mod p, else 2.
 
     The nonzero squares i^2 mod p for 1 <= i <= (p - 1)/2 are exactly the
     quadratic residues, so one pass over them replaces p Euler-criterion
-    exponentiations.
+    exponentiations. The table is read from the squares, never from the
+    cyclotomic classes, so the checks that use it stay independent of the
+    construction; like the cyclotomy, it is kept for the most recent prime.
     """
     _require_odd_prime(p)
-    table = [-1] * p
+    table = bytearray(b"\x02") * p
     table[0] = 0
     for i in range(1, (p + 1) // 2):
         table[i * i % p] = 1
-    return table
+    return bytes(table)
 
 
 def is_eligible_prime(p: int) -> bool:

@@ -33,7 +33,7 @@ from .numtheory import (
     index_mod4,
     is_prime,
     is_primitive_root,
-    legendre_table,
+    residue_codes,
     smallest_primitive_root,
 )
 from .sequences import (
@@ -56,6 +56,14 @@ __all__ = [
     "survey_conjecture",
     "run_all",
 ]
+
+# One name per check: its verdicts and the report of an error raised inside it
+# both carry it.
+SPECTRUM_CHECK = "autocorrelation-spectrum"
+PRODUCT_CHECK = "st-product-congruence"
+SMALL_FACTOR_CHECK = "small-factor-gcds"
+COPRIMALITY_CHECK = "coprimality-facts"
+BOUNDS_CHECK = "complexity-bounds"
 
 
 @dataclass
@@ -171,12 +179,16 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     witnesses["b_used"] = b_used
     witnesses["magnitude_ok"] = magnitude_ok
     return CheckReport(
-        check="autocorrelation-spectrum",
+        check=SPECTRUM_CHECK,
         p=params.p, g=params.g, w=params.w,
         b=b_used if b_used is not None else params.b,
         passed=b_used is not None and magnitude_ok,
         witnesses=witnesses,
     )
+
+
+# _CODE_TEXT[c] maps residue code c to b"1" and every other byte to b"0".
+_CODE_TEXT = tuple(bytes(0x31 if v == c else 0x30 for v in range(256)) for c in range(3))
 
 
 def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
@@ -190,16 +202,16 @@ def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
 
     The sign of the character-sum term is tied to b, which makes the check
     sensitive to the quartic sign convention. K is the packed residues minus
-    the packed non-residues, each read as hex digits (digit i is 2^(4i)).
+    the packed non-residues, each read as hex digits (digit i is 2^(4i)) from
+    the residue codes of numtheory.residue_codes.
     """
     p, b = params.p, params.b
     n = 4 * p
     m = bigmod.modulus(n)
     eps = 1 if params.w[0] != params.w[1] else -1
-    chi = legendre_table(p)[::-1]  # hex text puts i = p - 1 first
-    residues = int("".join("1" if c == 1 else "0" for c in chi), 16)
-    non_residues = int("".join("1" if c == -1 else "0" for c in chi), 16)
-    character_sum = residues - non_residues
+    codes = residue_codes(p)[::-1]  # hex text puts i = p - 1 first
+    character_sum = (int(codes.translate(_CODE_TEXT[1]), 16)
+                     - int(codes.translate(_CODE_TEXT[2]), 16))
     two_2p = 1 << (2 * p)
     inner = (m // 15
              + eps * (two_2p + 1) * ((1 << p) - eps)
@@ -215,7 +227,7 @@ def check_product_congruence(params: ConstructionParams,
     lhs = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
     rhs = product_closed_form(params)
     return CheckReport(
-        check="st-product-congruence",
+        check=PRODUCT_CHECK,
         p=params.p, g=params.g, w=params.w, b=params.b,
         passed=lhs == rhs,
         witnesses={"lhs": lhs.value, "rhs": rhs.value},
@@ -238,7 +250,7 @@ def check_small_factor_gcds(params: ConstructionParams,
     div3 = ((1 << (2 * p)) - 1) % 3 == 0
     div5 = ((1 << (2 * p)) + 1) % 5 == 0
     return CheckReport(
-        check="small-factor-gcds",
+        check=SMALL_FACTOR_CHECK,
         p=p, g=params.g, w=params.w, b=params.b,
         passed=gcd3 == 1 and gcd5 == 5 and div3 and div5,
         witnesses={"s2": s2, "gcd_3": gcd3, "gcd_5": gcd5,
@@ -255,7 +267,7 @@ def check_coprimality_facts(p: int) -> CheckReport:
     gcd1 = math.gcd(p, mersenne)
     gcd2 = math.gcd(p + 4, cofactor)
     return CheckReport(
-        check="coprimality-facts",
+        check=COPRIMALITY_CHECK,
         p=p,
         passed=gcd1 == 1 and gcd2 == 1 and rem == 0,
         witnesses={"gcd_p_mersenne": gcd1, "gcd_p4_cofactor": gcd2},
@@ -274,7 +286,7 @@ def check_complexity_bounds(params: ConstructionParams,
     coprime_ok = row.gcd_minus == 1
     div5_ok = row.gcd_full % 5 == 0
     return CheckReport(
-        check="complexity-bounds",
+        check=BOUNDS_CHECK,
         p=params.p, g=params.g, w=params.w, b=params.b,
         passed=bounds_ok and coprime_ok and div5_ok,
         witnesses={"phi": row.phi, "lower_bound": row.lower_bound,
@@ -380,7 +392,8 @@ def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[C
 
     Every check reads one sequence; b does not enter the construction, so
     flipping it after the gate leaves the sequence valid. A check that raises
-    becomes a failed report under its function name, and the others still run.
+    becomes a failed report under its check name, and the others still run; a
+    gate that raises leaves b as it is.
     """
     p, g, w = point
     try:
@@ -389,17 +402,21 @@ def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[C
     except Exception as exc:  # noqa: BLE001 - the batch must not abort
         return [_error_report("construction", p, g, w, exc)]
 
-    gate = check_autocorrelation_spectrum(params, s)
+    try:
+        gate = check_autocorrelation_spectrum(params, s)
+    except Exception as exc:  # noqa: BLE001
+        gate = _error_report(SPECTRUM_CHECK, p, g, w, exc)
     out = [gate]
     b_used = gate.witnesses.get("b_used")
     if isinstance(b_used, int) and b_used != params.b:
         params = _flip_b(params)
-    for check in (check_product_congruence, check_small_factor_gcds,
-                  check_complexity_bounds):
+    for name, check in ((PRODUCT_CHECK, check_product_congruence),
+                        (SMALL_FACTOR_CHECK, check_small_factor_gcds),
+                        (BOUNDS_CHECK, check_complexity_bounds)):
         try:
             out.append(check(params, s))
         except Exception as exc:  # noqa: BLE001
-            out.append(_error_report(check.__name__, p, g, w, exc))
+            out.append(_error_report(name, p, g, w, exc))
     return out
 
 

@@ -72,6 +72,21 @@ def test_add_signed_examples():
     assert bigmod.add_signed(residue((1 << N) - 3, N), 2).value == 0
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 64, 1000])
+def test_add_signed_fold_against_remainder(N):
+    # the limb fold of add_signed against one % m, on the edges of the
+    # fold and on |t| of up to eight limbs, both signs
+    m = (1 << N) - 1
+    rng = random.Random(N)
+    ts = [0, m, -m, m + 1, -(m + 1)]
+    ts += [sign * rng.getrandbits(rng.randint(1, 8 * N))
+           for _ in range(50) for sign in (1, -1)]
+    for x in {0, rng.randrange(max(m, 1)), max(m - 1, 0)}:
+        for t in ts:
+            got = bigmod.add_signed(residue(x, N), t)
+            assert got.value == ((x + t) % m if m > 1 else 0), (x, t)
+
+
 # ------------------------------------------------------ gcd_with_modulus
 
 def test_gcd_examples():

@@ -8,9 +8,11 @@ conversions, the per-shift accumulation of the product identity, and the
 per-root discrete-log and bucket loops behind the cyclotomic classes, the
 quartic decomposition and the DHL columns. The brute spectrum, a decimal
 Kronecker product on libmpdec, is also checked against the 16-bit int
-Kronecker product it replaced. The linear complexity, which
+Kronecker product it replaced, and both spectrum kernels' packed fields
+against those references packed one field at a time. The linear complexity, which
 folds S mod x^m + 1 for N = 2^v m, is checked against the one GF(2) Euclid
-over the whole period and the public Berlekamp-Massey over two periods.
+over the whole period and the public Berlekamp-Massey over two periods, and
+its reduction of U_r mod G1 by halving against the remainder loop _gf2_mod.
 The grids, which build one record per construction (p, e, w), are checked
 against the per-row and per-point loops that built one per (p, g, w).
 Every comparison is exact equality.
@@ -21,6 +23,7 @@ import math
 import random
 import sys
 from array import array
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -331,6 +334,109 @@ def test_autocorrelation_array_width_edges_by_weight(weight):
     s = BinarySequence.from_bits([0 if t in zeros else 1 for t in range(n)])
     assert s.weight == weight
     assert analysis.autocorrelation(s).values == ref_kronecker_autocorrelation(s)
+
+
+# ------------------------------------------------------- packed spectra
+#
+# The kernels return spectra packed as AC(tau) + N in little-endian fields of
+# 2 bytes while 2N < 2^16, else 4. ref_packed packs the reference values the
+# same way, one field at a time.
+
+def ref_packed(values):
+    n = len(values)
+    width = 2 if 2 * n < 1 << 16 else 4
+    return b"".join((v + n).to_bytes(width, "little") for v in values)
+
+
+def check_packed(spectrum, want):
+    """A kernel-made spectrum against reference values, read every way."""
+    assert spectrum._fields == ref_packed(want)
+    assert spectrum == analysis.AutocorrSpectrum(period=len(want), values=want)
+    assert spectrum.histogram() == dict(sorted(Counter(want[1:]).items()))
+    assert spectrum.out_of_phase() == set(want[1:])
+    assert spectrum.values == want
+
+
+def check_packed_brute(s):
+    want = ref_autocorrelation(s)
+    assert want == ref_kronecker_autocorrelation(s)
+    check_packed(analysis.autocorrelation(s), want)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_packed_brute_every_tiny_sequence(n):
+    for s in every_sequence(n):
+        check_packed_brute(s)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 64, 255, 1000))
+def test_packed_brute_constant_sequences(n):
+    for s in constant_sequences(n):
+        check_packed_brute(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences_up_to_300)
+def test_packed_brute_random_sequences(s):
+    check_packed_brute(s)
+
+
+@pytest.mark.parametrize("params", LADDER[::5],
+                         ids=[f"p{q.p}-g{q.g}-w{''.join(map(str, q.w))}" for q in LADDER[::5]])
+def test_packed_kernels_on_the_ladder(params):
+    s = su_sequence(params)
+    brute = analysis.autocorrelation(s)
+    check_packed(brute, ref_autocorrelation(s))
+    flipped = verify._flip_b(params)
+    for q in (params, flipped):
+        check_packed(analysis.closed_form_spectrum(q), ref_closed_form_spectrum(q))
+    # the construction's b matches, the flipped one does not
+    assert brute == analysis.closed_form_spectrum(params)
+    assert brute != analysis.closed_form_spectrum(flipped)
+
+
+@pytest.mark.parametrize("n", ((1 << 15) - 1, 1 << 15))
+def test_packed_field_width_switch(n):
+    # all ones makes AC + N = 2N at every shift: 2^16 - 2 fills a 2-byte
+    # field at N = 2^15 - 1, and N = 2^15 needs 4-byte fields
+    ones = BinarySequence(n, (1 << n) - 1)
+    spectrum = analysis.autocorrelation(ones)
+    assert len(spectrum._fields) == n * (2 if n < 1 << 15 else 4)
+    check_packed(spectrum, (n,) * n)
+    s = BinarySequence(n, random.Random(n).getrandbits(n))
+    check_packed(analysis.autocorrelation(s), ref_kronecker_autocorrelation(s))
+
+
+def test_spectrum_from_out_of_range_values():
+    # values no packed field could hold still make a spectrum, compared by value
+    values = (10 ** 30, -(10 ** 30), 7, 7)
+    spectrum = analysis.AutocorrSpectrum(period=4, values=values)
+    assert spectrum == analysis.AutocorrSpectrum(period=4, values=list(values))
+    assert hash(spectrum) == hash(analysis.AutocorrSpectrum(period=4, values=values))
+    assert spectrum.histogram() == {-(10 ** 30): 1, 7: 2}
+    assert spectrum.out_of_phase() == {-(10 ** 30), 7}
+    ones = analysis.autocorrelation(BinarySequence(4, 0b1111))
+    assert spectrum != ones and ones != spectrum
+    assert ones == analysis.AutocorrSpectrum(period=4, values=(4, 4, 4, 4))
+    assert hash(ones) == hash(analysis.AutocorrSpectrum(period=4, values=(4, 4, 4, 4)))
+    with pytest.raises(AttributeError):
+        ones.period = 5
+
+
+@pytest.mark.parametrize("p,bit", [(13, 0), (29, 57), (173, 400), (1373, 5000)])
+def test_spectrum_mismatch_witnesses(p, bit):
+    params = construction_params(p, None, (0, 1, 0, 1))
+    s = su_sequence(params)
+    corrupted = BinarySequence(s.period, s.value ^ (1 << bit))
+    brute = ref_autocorrelation(corrupted)
+    claimed = ref_closed_form_spectrum(params)
+    tau = next(t for t in range(s.period) if brute[t] != claimed[t])
+    report = verify.check_autocorrelation_spectrum(params, corrupted)
+    assert not report.passed
+    assert report.witnesses["first_mismatch_tau"] == tau
+    assert report.witnesses["brute_value"] == brute[tau]
+    assert report.witnesses["claimed_value"] == claimed[tau]
+    assert report.witnesses["magnitude_ok"] == (set(brute[1:]) <= {0, 4, -4})
 
 
 @settings(max_examples=100, deadline=None)
@@ -727,3 +833,48 @@ def test_run_all_all_g_matches_per_point_loop(limit):
 def test_parallel_run_all_all_g_matches_per_point_loop():
     reports, _ = verify.run_all(300, "all", "all", jobs=2)
     assert_same_records(reports, ref_run_all(300))
+
+
+# ------------------------------------------- U_r mod G1 by halving
+#
+# linear_complexity reduces each decimated U_r (deg < m) mod G1 =
+# gcd(x^m + 1, S) through halving rounds; the reference is the bit-by-bit
+# remainder loop _gf2_mod that it replaced.
+
+def divisors_of_xm1(m, max_degree):
+    """Every packed polynomial of degree 1..max_degree dividing x^m + 1."""
+    xm1 = (1 << m) | 1
+    return [g for g in range(2, 1 << (max_degree + 1)) if analysis._gf2_mod(xm1, g) == 0]
+
+
+@pytest.mark.parametrize("m", [3, 15, 63, 255, 4095])
+def test_gf2_halving_against_remainder_loop(m):
+    rng = random.Random(m)
+    divisors = divisors_of_xm1(m, 8)
+    assert {g.bit_length() - 1 for g in divisors} <= set(range(1, 9))
+    for g in divisors:
+        rounds = analysis._gf2_halvings(g, m)
+        for u in [0, 1, (1 << m) - 1] + [rng.getrandbits(rng.randint(1, m)) for _ in range(4)]:
+            assert analysis._gf2_mod_halving(u, g, rounds) == analysis._gf2_mod(u, g)
+
+
+def test_gf2_halving_on_the_ladder():
+    # the U_r and G1 that linear_complexity meets on the construction
+    seen = set()
+    for params in LADDER:
+        s = su_sequence(params)
+        n = s.period
+        q = n & -n
+        m = n // q
+        folded, width = s.value, n
+        while width > m:
+            width >>= 1
+            folded = (folded >> width) ^ (folded & ((1 << width) - 1))
+        g1 = analysis._gf2_gcd((1 << m) | 1, folded)
+        seen.add(g1.bit_length() - 1)
+        rounds = analysis._gf2_halvings(g1, m)
+        text = format(s.value, f"0{n}b")
+        for r in range(q):
+            u = int(text[q - 1 - r::q], 2)
+            assert analysis._gf2_mod_halving(u, g1, rounds) == analysis._gf2_mod(u, g1)
+    assert 1 in seen  # G1 = x + 1, the fold to parity

@@ -354,14 +354,44 @@ def test_run_all_isolates_a_check_that_raises(monkeypatch, jobs):
     expected, _ = verify.run_all(60, w_policy="all")
     monkeypatch.setattr(verify, "check_small_factor_gcds", check_small_factor_gcds)
     reports, summary = pooled_run_all(monkeypatch, jobs)
-    errors = [r for r in reports if r.check == "check_small_factor_gcds"]
+    # an error is reported under the name the check's verdicts carry
+    errors = [r for r in reports if r.check == "small-factor-gcds"]
     assert len(errors) == 16 and not any(r.passed for r in errors)
     assert all(r.witnesses == {"error": f"RuntimeError: no gcds at p={r.p}"}
                for r in errors)
     # every other check still reports, unchanged
-    assert ([r for r in reports if r.check != "check_small_factor_gcds"]
+    assert ([r for r in reports if r.check != "small-factor-gcds"]
             == [r for r in expected if r.check != "small-factor-gcds"])
-    assert summary["failures_by_kind"]["check_small_factor_gcds w=0101"] == 4
+    assert summary["failures_by_kind"]["small-factor-gcds w=0101"] == 4
+    assert all(kind.split()[0] in {r.check for r in expected}
+               for kind in summary["failures_by_kind"])
+
+
+def test_run_all_isolates_a_gate_that_raises(monkeypatch):
+    def check_autocorrelation_spectrum(params, sequence=None):
+        raise RuntimeError("no spectrum")
+
+    expected, _ = verify.run_all(60, w_policy="all")
+    monkeypatch.setattr(verify, "check_autocorrelation_spectrum",
+                        check_autocorrelation_spectrum)
+    reports, summary = verify.run_all(60, w_policy="all")
+    gates = [r for r in reports if r.check == verify.SPECTRUM_CHECK]
+    assert len(gates) == 16 and not any(r.passed for r in gates)
+    assert all(r.witnesses == {"error": "RuntimeError: no spectrum"} for r in gates)
+    # b stays as the Jacobi sum gives it, which the downstream checks accept
+    assert ([r for r in reports if r.check != verify.SPECTRUM_CHECK]
+            == [r for r in expected if r.check != verify.SPECTRUM_CHECK])
+    assert summary["failures_by_kind"]["autocorrelation-spectrum w=0101"] == 4
+
+
+def test_each_check_reports_under_its_name_constant():
+    params = construction_params(13, 2, (0, 1, 0, 1))
+    checks = ((verify.SPECTRUM_CHECK, verify.check_autocorrelation_spectrum),
+              (verify.PRODUCT_CHECK, verify.check_product_congruence),
+              (verify.SMALL_FACTOR_CHECK, verify.check_small_factor_gcds),
+              (verify.BOUNDS_CHECK, verify.check_complexity_bounds))
+    assert [check(params).check for _, check in checks] == [name for name, _ in checks]
+    assert verify.check_coprimality_facts(13).check == verify.COPRIMALITY_CHECK
 
 
 def test_importing_the_package_loads_no_pool_or_decimal():
