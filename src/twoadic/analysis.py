@@ -9,7 +9,8 @@ number-theoretic transform. Its digit planes fold the two halves of the
 product in binary, and the spectrum comes out packed: AC(tau) + N in
 fixed-width fields of bytes, with no int per shift. The closed form writes
 the same fields from one length-p table of quadratic-residue codes, so the
-spectrum check compares two byte strings.
+spectrum check compares two byte strings, and the product identity folds
+its right side from the fields' bit planes.
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, and
@@ -23,6 +24,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bigmod
 from .bigmod import MersenneResidue, decimal_str
@@ -42,55 +44,48 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class AutocorrSpectrum:
     """AC(tau) for tau = 0..N-1; AC(0) = N always.
 
-    The kernels build a spectrum packed: AC(tau) + N, which lies in [0, 2N],
-    as little-endian unsigned fields, tau = 0 first, of 2 bytes while
-    2N < 2^16 and 4 bytes from there on. The width depends on N alone, so
-    two packed spectra are equal exactly when their bytes are, and ``==``,
-    histogram() and out_of_phase() read the fields without building ints per
-    shift; ``values``, the tuple of AC(tau), is built on first read. A
-    spectrum constructed from values carries no fields and compares by value.
-    Instances are immutable.
+    The only form is packed: AC(tau) + N, which lies in [0, 2N], as
+    little-endian unsigned fields, tau = 0 first, of 2 bytes while 2N < 2^16
+    and 4 bytes from there on. The width depends on N alone, so two spectra
+    are equal exactly when their bytes are; ``==``, ``hash``, histogram(),
+    out_of_phase() and hu_identity_check read the fields, and ``values``, the
+    tuple of AC(tau), is built on first read. The kernels write the fields;
+    the constructor packs the values it is given and refuses any outside
+    [-N, N], which no autocorrelation reaches. Instances are immutable.
 
     Serializes via to_record() to {"period": int, "values": comma-joined
     decimal string}.
     """
 
-    __slots__ = ("period", "_values", "_fields")
+    period: int
+    _fields: bytes
 
     def __init__(self, period: int, values: tuple[int, ...]) -> None:
         if len(values) != period:
             raise ValueError("need one value per shift")
-        self._init(period, tuple(values), None)
+        if not all(-period <= v <= period for v in values):
+            raise ValueError(f"autocorrelation values lie in [-{period}, {period}]")
+        width = _field_width(period)
+        self._hold(period, b"".join((v + period).to_bytes(width, "little") for v in values))
 
     @classmethod
     def _packed(cls, period: int, fields: bytes) -> "AutocorrSpectrum":
         spectrum = object.__new__(cls)
-        spectrum._init(period, None, fields)
+        spectrum._hold(period, fields)
         return spectrum
 
-    def _init(self, period, values, fields) -> None:
+    def _hold(self, period: int, fields: bytes) -> None:
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_fields", fields)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.period, self.values)
-
-    @property
+    @cached_property
     def values(self) -> tuple[int, ...]:
-        if self._values is None:
-            n = self.period
-            object.__setattr__(self, "_values", tuple([v - n for v in self._lifted()]))
-        return self._values
+        n = self.period
+        return tuple([v - n for v in self._lifted()])
 
     def _lifted(self) -> array:
         """The packed fields, AC(tau) + N, as native ints."""
@@ -109,8 +104,6 @@ class AutocorrSpectrum:
         one by one.
         """
         n = self.period
-        if self._fields is None:
-            return Counter(self.values[1:])
         width = len(self._fields) // n
         tail = self._fields[width:]
         planes = [tail[j::width] for j in range(width)]
@@ -124,16 +117,6 @@ class AutocorrSpectrum:
             counts[high + rest[0] - n] = len(rest) - len(left)
             rest = left
         return counts
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AutocorrSpectrum):
-            return NotImplemented
-        if self._fields is not None and other._fields is not None:
-            return self.period == other.period and self._fields == other._fields
-        return self.period == other.period and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.period, self.values))
 
     def __repr__(self) -> str:
         return f"AutocorrSpectrum(period={self.period!r}, values={self.values!r})"
@@ -319,41 +302,32 @@ def hu_identity_check(s: BinarySequence) -> IdentityCheck:
     This holds for every periodic binary sequence; the remaining term of the
     underlying polynomial identity carries a factor sum_i 2^i = 2^N - 1 and
     vanishes here. Returns both sides for diagnostics.
+
+    The right side is folded from the packed spectrum, whose tau = 0 field
+    AC(0) = N is already the constant term N. Each field holds
+    u = AC(tau) + N in [0, 2N]; bit k of every field at once is the binary
+    text of one plane, read MSB first (tau = N - 1 leads), so the sum is
+    sum_k plane_k 2^k minus N (2^N - 1), in O(N) per plane.
     """
     n = s.period
     if n < 2:
         raise ValueError("identity needs period >= 2")
     st = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
     lhs = bigmod.add_signed(bigmod.reduce(0, n), -2 * st.value)
-    # the identity's constant term N takes the place of AC(0)
-    terms = (n,) + autocorrelation(s).values[1:]
-    rhs = bigmod.add_signed(bigmod.reduce(0, n), _binary_fold(terms, n))
+    fields = autocorrelation(s)._fields
+    width = len(fields) // n
+    raw = fields[::-1]  # big-endian fields, tau = N - 1 first
+    total = -n * ((1 << n) - 1)
+    for k in range((2 * n).bit_length()):
+        # byte k // 8 of a little-endian field sits at width - 1 - k // 8 once reversed
+        plane = raw[width - 1 - k // 8::width].translate(_BIT_TEXT[k % 8])
+        total += int(plane, 2) << k
+    rhs = bigmod.add_signed(bigmod.reduce(0, n), total)
     return IdentityCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
 # _BIT_TEXT[k] maps a byte to b"1" if its bit k is set, else b"0".
 _BIT_TEXT = tuple(bytes(0x31 if v >> k & 1 else 0x30 for v in range(256)) for k in range(8))
-
-
-def _binary_fold(values: tuple[int, ...], offset: int) -> int:
-    """sum_t values[t] 2^t, for values[t] in [-offset, offset], in O(N) per bit plane.
-
-    Each u = values[t] + offset lies in [0, 2 * offset]; bit k of every u at
-    once is the binary text of one plane, read MSB first (t = N - 1 leads).
-    The sum is sum_k plane_k 2^k minus offset * (2^N - 1).
-    """
-    n = len(values)
-    lifted = array("q", [v + offset for v in values])
-    if sys.byteorder == "big":
-        lifted.byteswap()
-    raw = lifted.tobytes()[::-1]  # big-endian fields, t = N - 1 first
-    size = lifted.itemsize
-    total = -offset * ((1 << n) - 1)
-    for k in range((2 * offset).bit_length()):
-        # byte k // 8 of a little-endian field sits at size - 1 - k // 8 once reversed
-        plane = raw[size - 1 - k // 8::size].translate(_BIT_TEXT[k % 8])
-        total += int(plane, 2) << k
-    return total
 
 
 def berlekamp_massey(bits) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "smallest_primitive_root",
     "all_primitive_roots",
     "legendre_symbol",
-    "legendre_table",
     "is_eligible_prime",
     "eligible_primes",
     "QuarticParams",
@@ -123,11 +122,6 @@ def legendre_symbol(i: int, p: int) -> int:
         return 0
     r = pow(i, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def legendre_table(p: int) -> list[int]:
-    """All Legendre symbols (i/p) for i = 0..p-1, as a list indexed by i."""
-    return [(0, 1, -1)[c] for c in residue_codes(p)]
 
 
 @functools.lru_cache(maxsize=1)

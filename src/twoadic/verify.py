@@ -28,10 +28,10 @@ from dataclasses import dataclass, field, replace
 from . import analysis, bigmod
 from .bigmod import decimal_str
 from .numtheory import (
+    _require_odd_prime,
     all_primitive_roots,
     eligible_primes,
     index_mod4,
-    is_prime,
     is_primitive_root,
     residue_codes,
     smallest_primitive_root,
@@ -260,8 +260,7 @@ def check_small_factor_gcds(params: ConstructionParams,
 
 def check_coprimality_facts(p: int) -> CheckReport:
     """gcd(p, 2^p - 1) = 1 and gcd(p + 4, (2^p + 1)/3) = 1 for odd prime p."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"expected an odd prime, got {p}")
+    _require_odd_prime(p)
     mersenne = (1 << p) - 1
     cofactor, rem = divmod((1 << p) + 1, 3)  # 3 | 2^p + 1 for odd p
     gcd1 = math.gcd(p, mersenne)

@@ -18,8 +18,10 @@ against the per-row and per-point loops that built one per (p, g, w).
 Every comparison is exact equality.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import sys
 from array import array
@@ -41,8 +43,8 @@ from twoadic.numtheory import (
     is_prime,
     is_primitive_root,
     legendre_symbol,
-    legendre_table,
     quartic_decomposition,
+    residue_codes,
 )
 from twoadic.sequences import (
     ADMISSIBLE_W,
@@ -338,9 +340,9 @@ def test_autocorrelation_array_width_edges_by_weight(weight):
 
 # ------------------------------------------------------- packed spectra
 #
-# The kernels return spectra packed as AC(tau) + N in little-endian fields of
-# 2 bytes while 2N < 2^16, else 4. ref_packed packs the reference values the
-# same way, one field at a time.
+# Every spectrum, kernel-made or built from values, is packed as AC(tau) + N
+# in little-endian fields of 2 bytes while 2N < 2^16, else 4. ref_packed packs
+# the reference values the same way, one field at a time.
 
 def ref_packed(values):
     n = len(values)
@@ -350,8 +352,9 @@ def ref_packed(values):
 
 def check_packed(spectrum, want):
     """A kernel-made spectrum against reference values, read every way."""
-    assert spectrum._fields == ref_packed(want)
-    assert spectrum == analysis.AutocorrSpectrum(period=len(want), values=want)
+    made = analysis.AutocorrSpectrum(period=len(want), values=want)
+    assert spectrum._fields == made._fields == ref_packed(want)
+    assert spectrum == made
     assert spectrum.histogram() == dict(sorted(Counter(want[1:]).items()))
     assert spectrum.out_of_phase() == set(want[1:])
     assert spectrum.values == want
@@ -405,22 +408,43 @@ def test_packed_field_width_switch(n):
     check_packed(spectrum, (n,) * n)
     s = BinarySequence(n, random.Random(n).getrandbits(n))
     check_packed(analysis.autocorrelation(s), ref_kronecker_autocorrelation(s))
+    # the identity folds its bit planes from fields of either width
+    for seq in (ones, s):
+        assert analysis.hu_identity_check(seq) == ref_hu_identity_check(seq)
 
 
 def test_spectrum_from_out_of_range_values():
-    # values no packed field could hold still make a spectrum, compared by value
-    values = (10 ** 30, -(10 ** 30), 7, 7)
+    # no autocorrelation leaves [-N, N], so no packed field holds such a value
+    for values in ((10 ** 30, -(10 ** 30), 7, 7), (5, 0, 0, 0), (-5, 0, 0, 0),
+                   (4, 0, 0, 5), (4, -5, 0, 0)):
+        with pytest.raises(ValueError, match=r"\[-4, 4\]"):
+            analysis.AutocorrSpectrum(period=4, values=values)
+    values = (4, -4, 4, 4)
     spectrum = analysis.AutocorrSpectrum(period=4, values=values)
+    assert spectrum.values == values
     assert spectrum == analysis.AutocorrSpectrum(period=4, values=list(values))
     assert hash(spectrum) == hash(analysis.AutocorrSpectrum(period=4, values=values))
-    assert spectrum.histogram() == {-(10 ** 30): 1, 7: 2}
-    assert spectrum.out_of_phase() == {-(10 ** 30), 7}
+    assert spectrum.histogram() == {-4: 1, 4: 2}
+    assert spectrum.out_of_phase() == {-4, 4}
     ones = analysis.autocorrelation(BinarySequence(4, 0b1111))
     assert spectrum != ones and ones != spectrum
     assert ones == analysis.AutocorrSpectrum(period=4, values=(4, 4, 4, 4))
     assert hash(ones) == hash(analysis.AutocorrSpectrum(period=4, values=(4, 4, 4, 4)))
     with pytest.raises(AttributeError):
         ones.period = 5
+
+
+def test_spectrum_pickle_and_deepcopy_round_trip():
+    params = construction_params(29, None, (0, 1, 0, 1))
+    for spectrum in (analysis.autocorrelation(su_sequence(params)),
+                     analysis.closed_form_spectrum(params),
+                     analysis.AutocorrSpectrum(period=4, values=(4, -4, 0, -4))):
+        for copied in (pickle.loads(pickle.dumps(spectrum)), copy.deepcopy(spectrum)):
+            assert copied == spectrum and hash(copied) == hash(spectrum)
+            assert copied.values == spectrum.values
+            assert repr(copied) == repr(spectrum)
+            with pytest.raises(AttributeError):
+                copied.period = 1
 
 
 @pytest.mark.parametrize("p,bit", [(13, 0), (29, 57), (173, 400), (1373, 5000)])
@@ -478,11 +502,12 @@ def test_from_bits_keeps_error_messages():
 
 # ------------------------------------------------------ construction ladder
 
-def test_legendre_table_matches_symbol():
+def test_residue_codes_match_symbol():
+    # code 0 / 1 / 2 is the Legendre symbol 0 / +1 / -1
     for p in (3, 5, 7, 13, 29, 53, 101):
-        assert legendre_table(p) == [legendre_symbol(i, p) for i in range(p)]
+        assert [(0, 1, -1)[c] for c in residue_codes(p)] == [legendre_symbol(i, p) for i in range(p)]
     with pytest.raises(ValueError):
-        legendre_table(9)
+        residue_codes(9)
 
 
 @pytest.mark.parametrize("params", LADDER,
@@ -526,6 +551,20 @@ def test_identity_fold_reads_the_spectrum(monkeypatch):
         check = analysis.hu_identity_check(s)
         assert not check.holds
         assert check == ref_hu_identity_check(s)
+
+
+@pytest.mark.parametrize("params", LADDER[::39],
+                         ids=[f"p{q.p}-g{q.g}-w{''.join(map(str, q.w))}" for q in LADDER[::39]])
+def test_identity_fold_reads_no_values(params, monkeypatch):
+    # the right side comes from the packed fields, never from the values tuple
+    s = su_sequence(params)
+    want = ref_hu_identity_check(s)
+
+    def no_values(spectrum):
+        raise AssertionError("AutocorrSpectrum.values read")
+
+    monkeypatch.setattr(analysis.AutocorrSpectrum, "values", property(no_values))
+    assert analysis.hu_identity_check(s) == want
 
 
 def test_identity_rejects_period_one():
