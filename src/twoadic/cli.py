@@ -93,7 +93,7 @@ def _cell(value: object, render=decimal_str) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return render(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 class _Texts(dict):
@@ -217,22 +217,6 @@ def _cmd_analyze(args) -> None:
         _emit("\n".join(lines) + "\n", args.out)
 
 
-def _reports_text(reports, records, summary, fmt: str, render) -> str:
-    if fmt == "json":
-        return json.dumps(records, indent=2) + "\n"
-    if fmt == "csv":
-        identity = ["p", "g", "w", "b", "check", "pass"]
-        witness_keys = sorted({k for rec in records for k in rec["witnesses"]})
-        rows = [[_cell(rec[k], render) for k in identity]
-                + [_cell(rec["witnesses"].get(k, ""), render) for k in witness_keys]
-                for rec in records]
-        return _csv_text(identity + witness_keys, rows)
-    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check} p={r.p} g={identity_field(r.g)} "
-             f"w={identity_field(r.w)} b={identity_field(r.b)}" for r in reports]
-    lines.append(f"passed {summary['passed']} of {summary['total']} checks")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_verify(args) -> None:
     reports, summary = verify.run_all(args.limit, **_grid_policies(args), jobs=args.jobs)
     # Each distinct witness int is rendered once, into every record that holds
@@ -241,7 +225,20 @@ def _cmd_verify(args) -> None:
     render = _Texts().__getitem__
     records = (None if args.format == "plain"
                else [r.to_record(render) for r in reports])
-    _emit(_reports_text(reports, records, summary, args.format, render), args.out)
+    if args.format == "json":
+        _emit(json.dumps(records, indent=2) + "\n", args.out)
+    elif args.format == "csv":
+        identity = ["p", "g", "w", "b", "check", "pass"]
+        witness_keys = sorted({k for rec in records for k in rec["witnesses"]})
+        rows = [[_cell(rec[k], render) for k in identity]
+                + [_cell(rec["witnesses"].get(k, ""), render) for k in witness_keys]
+                for rec in records]
+        _emit(_csv_text(identity + witness_keys, rows), args.out)
+    else:
+        lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check} p={r.p} g={identity_field(r.g)} "
+                 f"w={identity_field(r.w)} b={identity_field(r.b)}" for r in reports]
+        lines.append(f"passed {summary['passed']} of {summary['total']} checks")
+        _emit("\n".join(lines) + "\n", args.out)
     if summary["failed"]:
         i = next(i for i, r in enumerate(reports) if not r.passed)
         rec = reports[i].to_record(render) if records is None else records[i]

@@ -11,9 +11,10 @@ known) to always be 5, so the survey only reports.
 Each check takes the parameters and, optionally, the sequence to check; it
 builds the parameters' own sequence when none is given. The construction
 depends on the primitive root g only through e = ind_g0(g) mod 4, which is 1
-or 3, so the grids build one sequence per (p, e, w), run the checks on it once,
-and copy its rows and reports out to each g that shares it. Only the current
-prime's sequences are kept.
+or 3. One grid driver serves both run_all and the survey: it evaluates each
+construction (p, e, w) once, at its first g, serially or in a process pool,
+and hands its reports or row out to each g that shares it. Serially only the
+current prime's sequences are kept.
 
 No check uses a tolerance anywhere; everything is exact integer equality.
 """
@@ -334,25 +335,42 @@ def _w_vectors(w_policy) -> list[tuple[int, int, int, int]]:
     raise ValueError(f"unknown w policy {w_policy!r}")
 
 
-def _grid(limit: int, g_policy, w_policy):
-    """The grid one prime at a time, p-major like numtheory's per-prime cache.
+def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
+    """Each eligible p with its [(g, result), ...] in (g, w) order.
 
-    Yields p with its points (g, w, key) in (g, w) order. key = (e, w), with
-    e = ind_g0(g) mod 4, names the construction: points with one key share
-    the sequence and every check result except g.
+    e = ind_g0(g) mod 4 is computed once per root. Each construction (e, w)
+    is evaluated once, at its first point (p, g, w), and its result is shared
+    by every g with that e. Serially one prime at a time is resolved and
+    evaluated, as numtheory's one-prime caches expect; with jobs > 1 the
+    first points of the listed grid are mapped over a process pool.
     """
     ws = _w_vectors(w_policy)
-    for p in eligible_primes(limit):
-        yield p, [(g, w, (index_mod4(p, g), w))
-                  for g in _roots_for(p, g_policy) for w in ws]
+
+    def firsts(p, roots):
+        first_g: dict = {}
+        for g, e in roots:
+            first_g.setdefault(e, g)
+        return {(e, w): (p, g, w) for e, g in first_g.items() for w in ws}
+
+    grid = ((p, [(g, index_mod4(p, g)) for g in _roots_for(p, g_policy)])
+            for p in eligible_primes(limit))
+    result = evaluate
+    if jobs > 1:
+        grid = list(grid)
+        points = [point for p, roots in grid for point in firsts(p, roots).values()]
+        workers = _worker_count(jobs, os.cpu_count(), len(points))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                result = dict(zip(points, pool.map(evaluate, points))).__getitem__
+    for p, roots in grid:
+        built = {key: result(point) for key, point in firsts(p, roots).items()}
+        yield p, [(g, built[e, w]) for g, e in roots for w in ws]
 
 
-def _firsts(p: int, points) -> dict:
-    """The first grid point (p, g, w) of each key among one prime's points."""
-    firsts: dict = {}
-    for g, w, key in points:
-        firsts.setdefault(key, (p, g, w))
-    return firsts
+def _survey_point(point: tuple[int, int, tuple[int, int, int, int]]) -> SurveyRow:
+    params = construction_params(*point)
+    return _survey_row(params, su_sequence(params))
 
 
 def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> list[SurveyRow]:
@@ -361,23 +379,12 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> li
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
     identical tables. Each construction (p, e, w) is built once, and its row
-    is copied out to every g that shares it.
+    is copied, by the constructor, to every g that shares it.
     """
-    rows = []
-    for p, points in _grid(limit, g_policy, w_policy):
-        built = {}
-        for key, point in _firsts(p, points).items():
-            params = construction_params(*point)
-            built[key] = _survey_row(params, su_sequence(params))
-        rows += [_row_copy(built[key], g) for g, _, key in points]
-    return rows
-
-
-def _row_copy(row: SurveyRow, g: int) -> SurveyRow:
-    """row with g replaced, built by the constructor rather than dataclasses.replace."""
-    return SurveyRow(p=row.p, g=g, w=row.w, gcd_full=row.gcd_full,
-                     gcd_minus=row.gcd_minus, gcd_plus=row.gcd_plus, phi=row.phi,
-                     lower_bound=row.lower_bound, upper_bound=row.upper_bound)
+    return [SurveyRow(p, g, r.w, r.gcd_full, r.gcd_minus, r.gcd_plus, r.phi,
+                      r.lower_bound, r.upper_bound)
+            for p, points in _grid(limit, g_policy, w_policy, _survey_point)
+            for g, r in points]
 
 
 def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
@@ -419,17 +426,6 @@ def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[C
     return out
 
 
-def _copies(points, built: dict) -> list[CheckReport]:
-    """Each point's reports: those of its key, with its own g and witnesses dict.
-
-    The constructor is called directly: dataclasses.replace costs several
-    times more per copy, and an all-g grid makes one copy per report and g.
-    """
-    return [CheckReport(check=r.check, p=r.p, passed=r.passed, g=g, w=r.w, b=r.b,
-                        witnesses=dict(r.witnesses))
-            for g, _, key in points for r in built[key]]
-
-
 def _worker_count(jobs: int, cpus: int | None, tasks: int) -> int:
     """Processes worth starting: never more than requested, cores, or tasks."""
     return max(1, min(jobs, cpus or 1, tasks))
@@ -444,28 +440,21 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     them. The summary's ``failed`` count doubles as the exit status source;
     ``failures_by_kind`` counts the failures per ``"<check> w=<wwww>"`` (the
     check name alone for checks without a w), in sorted key order.
-    Each construction (p, e, w) is checked once, at its first g, and its
-    reports are copied out to every g that shares it. jobs >= 1 is a
-    ceiling: at most one worker per core and per construction is started.
+    The grid driver checks each construction (p, e, w) once, at its first
+    g, and each g that shares it gets a copy of its reports with its own
+    witnesses dict. jobs >= 1 is a ceiling: at most one worker per core and
+    per construction is started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    grid = _grid(limit, g_policy, w_policy)
-    evaluate = _evaluate_point
-    if jobs > 1:
-        grid = list(grid)
-        firsts = [point for p, points in grid for point in _firsts(p, points).values()]
-        workers = _worker_count(jobs, os.cpu_count(), len(firsts))
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                evaluate = dict(zip(firsts, pool.map(_evaluate_point, firsts))).__getitem__
-
+    # The constructor is called directly: dataclasses.replace costs several
+    # times more per copy, and an all-g grid makes one copy per report and g.
     ordered: list[CheckReport] = []
-    for p, points in grid:
+    for p, points in _grid(limit, g_policy, w_policy, _evaluate_point, jobs):
         ordered.append(check_coprimality_facts(p))
-        ordered += _copies(points, {key: evaluate(point)
-                                    for key, point in _firsts(p, points).items()})
+        ordered += [CheckReport(check=r.check, p=p, passed=r.passed, g=g, w=r.w, b=r.b,
+                                witnesses=dict(r.witnesses))
+                    for g, reports in points for r in reports]
 
     failures = [{"check": r.check, "p": r.p,
                  "g": identity_field(r.g), "w": identity_field(r.w)}

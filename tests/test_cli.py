@@ -1,4 +1,6 @@
+import csv
 import decimal
+import io
 import json
 import math
 import os
@@ -7,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from twoadic import cli, verify
+from twoadic import analysis, cli, verify
 from twoadic.sequences import ADMISSIBLE_W, BinarySequence, construction_params, su_sequence
 
 SU13 = "0101000011100101100111001001011101110111100000101010"
@@ -273,6 +275,23 @@ def test_verify_exit_one_on_corrupted_fixture(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "FAIL" in err and "p=5" in err
+
+
+def test_verify_shows_a_missing_b_used_as_empty(monkeypatch, capsys):
+    # a closed form matching at neither sign of b leaves the witness b_used None
+    def mismatched(params):
+        n = 4 * params.p
+        return analysis.AutocorrSpectrum(n, [n] + [0] * (n - 1))
+
+    monkeypatch.setattr(analysis, "closed_form_spectrum", mismatched)
+    code, out, err = run(capsys, "verify", "--limit", "5", "--format", "csv")
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    gate = next(row for row in rows if row["check"] == verify.SPECTRUM_CHECK)
+    assert (gate["pass"], gate["b_used"]) == ("false", "")
+    assert err.startswith("twoadic: FAIL autocorrelation-spectrum p=5 ")
+    assert " b_used= magnitude_ok=true" in err
+    assert "None" not in out + err
 
 
 def test_verify_rejects_bad_explicit_root(capsys):

@@ -633,9 +633,11 @@ def test_validation_unchanged(p, g):
 
 
 def test_survey_builds_one_record_per_prime():
-    numtheory._cyclotomy.cache_clear()
-    verify.survey_conjecture(1100, "all", "all")
-    assert numtheory._cyclotomy.cache_info().misses == len(ELIGIBLE_TO_1100) == 9
+    # serial grids resolve and evaluate one prime at a time
+    for grid in (verify.survey_conjecture, verify.run_all):
+        numtheory._cyclotomy.cache_clear()
+        grid(1100, "all", "all")
+        assert numtheory._cyclotomy.cache_info().misses == len(ELIGIBLE_TO_1100) == 9
 
 
 # ------------------------------------------------------- linear complexity

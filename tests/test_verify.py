@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from twoadic import analysis, bigmod, verify
-from twoadic.numtheory import eligible_primes
+from twoadic.numtheory import all_primitive_roots, eligible_primes
 from twoadic.sequences import (
     ADMISSIBLE_W,
     BinarySequence,
@@ -237,15 +237,24 @@ def use_in_process_pool(monkeypatch):
 def test_all_g_grid_builds_two_sequences_per_p_and_w(monkeypatch, grid, pooled):
     # every g shares its sequence with the roots of its e = ind(g) mod 4, 1 or 3
     calls = Counter()
+    indexed = Counter()
+    index_mod4 = verify.index_mod4
 
     def counting(params):
         calls[params.p, params.w] += 1
         return su_sequence(params)
 
+    def counting_index(p, g):
+        indexed[p, g] += 1
+        return index_mod4(p, g)
+
     monkeypatch.setattr(verify, "su_sequence", counting)
+    monkeypatch.setattr(verify, "index_mod4", counting_index)
     use_in_process_pool(monkeypatch)
     grid()
     assert calls == {(p, w): 2 for p in eligible_primes(300) for w in ADMISSIBLE_W}
+    # e is computed once per root, not once per (g, w)
+    assert indexed == {(p, g): 1 for p in eligible_primes(300) for g in all_primitive_roots(p)}
     # the pool, where one starts, maps one point per construction
     assert Counter((p, w) for p, _, w in InProcessPool.mapped) == (calls if pooled else {})
 
@@ -280,6 +289,17 @@ def test_grid_holds_one_primes_records_at_a_time(monkeypatch, grid):
     grid()
     assert {p for p, _ in built} == set(eligible_primes(300))
     assert len(built) == 2 * 4 * len(eligible_primes(300))
+
+
+def test_survey_rows_match_the_bounds_witnesses():
+    rows = verify.survey_conjecture(300, "all", "all")
+    reports, _ = verify.run_all(300, "all", "all")
+    bounds = [r for r in reports if r.check == verify.BOUNDS_CHECK]
+    assert [(r.p, r.g, r.w) for r in rows] == [(r.p, r.g, r.w) for r in bounds]
+    assert len(rows) == 1368
+    for row, report in zip(rows, bounds):
+        assert (row.phi, row.gcd_full, row.gcd_minus) == tuple(
+            report.witnesses[k] for k in ("phi", "gcd_full", "gcd_minus"))
 
 
 def counting_two_adic_complexity(monkeypatch) -> Counter:
