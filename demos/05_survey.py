@@ -13,14 +13,14 @@ The half-period bound phi >= 2p still holds at every grid point surveyed.
 
 from twoadic import survey_conjecture
 
+rows = survey_conjecture(500, g_policy="smallest", w_policy="all")
 print(f"{'p':>4} {'g':>3} {'w':>5} {'gcd-':>5} {'gcd+':>5} {'phi':>5} "
       f"{'2p':>5} {'4p-2':>5}")
-for row in survey_conjecture(500, g_policy="smallest", w_policy="all"):
+for row in rows:
     tag = "".join(map(str, row.w))
     print(f"{row.p:>4} {row.g:>3} {tag:>5} {row.gcd_minus:>5} {row.gcd_plus:>5} "
           f"{row.phi:>5} {row.lower_bound:>5} {row.upper_bound:>5}")
 
-rows = survey_conjecture(500, g_policy="smallest", w_policy="all")
 in_family = [r for r in rows if r.w[0] != r.w[1]]
 print("\nw(0) != w(1) rows with gcd_plus = 5:",
       f"{sum(1 for r in in_family if r.gcd_plus == 5)}/{len(in_family)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -94,18 +95,6 @@ def _cell(value: object, render=decimal_str) -> str:
     if isinstance(value, int):
         return render(value)
     return "" if value is None else str(value)
-
-
-class _Texts(dict):
-    """Decimal text of each int, rendered once: one per command's output.
-
-    Grid points that share a construction share its witness ints, so an
-    all-g grid would otherwise render each of them once per primitive root.
-    """
-
-    def __missing__(self, n: int) -> str:
-        text = self[n] = decimal_str(n)
-        return text
 
 
 def _resolve_instance(args) -> tuple[dict[str, object], BinarySequence]:
@@ -220,9 +209,10 @@ def _cmd_analyze(args) -> None:
 def _cmd_verify(args) -> None:
     reports, summary = verify.run_all(args.limit, **_grid_policies(args), jobs=args.jobs)
     # Each distinct witness int is rendered once, into every record that holds
-    # it. Plain text shows no witness, so it renders at most the first
-    # failure, for the FAIL line.
-    render = _Texts().__getitem__
+    # it: grid points that share a construction share its witness ints. Plain
+    # text shows no witness, so it renders at most the first failure, for the
+    # FAIL line.
+    render = functools.cache(decimal_str)
     records = (None if args.format == "plain"
                else [r.to_record(render) for r in reports])
     if args.format == "json":
@@ -249,7 +239,7 @@ def _cmd_verify(args) -> None:
 
 def _cmd_survey(args) -> None:
     rows = verify.survey_conjecture(args.limit, **_grid_policies(args))
-    render = _Texts().__getitem__
+    render = functools.cache(decimal_str)
     records = [r.to_record(render) for r in rows]
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.out)

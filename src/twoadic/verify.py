@@ -11,16 +11,17 @@ known) to always be 5, so the survey only reports.
 Each check takes the parameters and, optionally, the sequence to check; it
 builds the parameters' own sequence when none is given. The construction
 depends on the primitive root g only through e = ind_g0(g) mod 4, which is 1
-or 3. One grid driver serves both run_all and the survey: it evaluates each
-construction (p, e, w) once, at its first g, serially or in a process pool,
-and hands its reports or row out to each g that shares it. Serially only the
-current prime's sequences are kept.
+or 3. One grid driver serves both run_all and the survey. Its unit of work is
+the prime: one task per p, run serially or in a process pool, evaluates each
+construction (p, e, w) once, at its first g, and hands its reports or row out
+to each g that shares it. Serially only the current prime's sequences are kept.
 
 No check uses a tolerance anywhere; everything is exact integer equality.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
@@ -335,37 +336,37 @@ def _w_vectors(w_policy) -> list[tuple[int, int, int, int]]:
     raise ValueError(f"unknown w policy {w_policy!r}")
 
 
-def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
-    """Each eligible p with its [(g, result), ...] in (g, w) order.
+def _prime_points(p: int, g_policy, ws, evaluate) -> list:
+    """[(g, result), ...] of one eligible p, in (g, w) order.
 
     e = ind_g0(g) mod 4 is computed once per root. Each construction (e, w)
-    is evaluated once, at its first point (p, g, w), and its result is shared
-    by every g with that e. Serially one prime at a time is resolved and
-    evaluated, as numtheory's one-prime caches expect; with jobs > 1 the
-    first points of the listed grid are mapped over a process pool.
+    is evaluated once, at its first g, and its result is shared by every g
+    with that e.
     """
-    ws = _w_vectors(w_policy)
+    first_g: dict = {}
+    roots = [(g, first_g.setdefault(index_mod4(p, g), g)) for g in _roots_for(p, g_policy)]
+    built = {(g, w): evaluate((p, g, w)) for g in first_g.values() for w in ws}
+    return [(g, built[first, w]) for g, first in roots for w in ws]
 
-    def firsts(p, roots):
-        first_g: dict = {}
-        for g, e in roots:
-            first_g.setdefault(e, g)
-        return {(e, w): (p, g, w) for e, g in first_g.items() for w in ws}
 
-    grid = ((p, [(g, index_mod4(p, g)) for g in _roots_for(p, g_policy)])
-            for p in eligible_primes(limit))
-    result = evaluate
-    if jobs > 1:
-        grid = list(grid)
-        points = [point for p, roots in grid for point in firsts(p, roots).values()]
-        workers = _worker_count(jobs, os.cpu_count(), len(points))
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                result = dict(zip(points, pool.map(evaluate, points))).__getitem__
-    for p, roots in grid:
-        built = {key: result(point) for key, point in firsts(p, roots).items()}
-        yield p, [(g, built[e, w]) for g, e in roots for w in ws]
+def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
+    """Each eligible p with its [(g, result), ...] from _prime_points.
+
+    The prime is the one unit of work, so its cyclotomy is computed once, by
+    whichever process evaluates it. Serially one prime at a time is resolved
+    and evaluated, as numtheory's one-prime caches expect; with jobs > 1 the
+    primes are mapped over a process pool in the same order.
+    """
+    task = functools.partial(_prime_points, g_policy=g_policy, ws=_w_vectors(w_policy),
+                             evaluate=evaluate)
+    primes = eligible_primes(limit)
+    workers = _worker_count(jobs, os.cpu_count(), len(primes))
+    if workers == 1:
+        yield from zip(primes, map(task, primes))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from zip(primes, pool.map(task, primes))
 
 
 def _survey_point(point: tuple[int, int, tuple[int, int, int, int]]) -> SurveyRow:
@@ -443,7 +444,7 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     The grid driver checks each construction (p, e, w) once, at its first
     g, and each g that shares it gets a copy of its reports with its own
     witnesses dict. jobs >= 1 is a ceiling: at most one worker per core and
-    per construction is started.
+    per eligible prime is started, and each worker gets whole primes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from twoadic import analysis, bigmod, verify
+from twoadic import analysis, bigmod, numtheory, verify
 from twoadic.numtheory import all_primitive_roots, eligible_primes
 from twoadic.sequences import (
     ADMISSIBLE_W,
@@ -255,8 +255,17 @@ def test_all_g_grid_builds_two_sequences_per_p_and_w(monkeypatch, grid, pooled):
     assert calls == {(p, w): 2 for p in eligible_primes(300) for w in ADMISSIBLE_W}
     # e is computed once per root, not once per (g, w)
     assert indexed == {(p, g): 1 for p in eligible_primes(300) for g in all_primitive_roots(p)}
-    # the pool, where one starts, maps one point per construction
-    assert Counter((p, w) for p, _, w in InProcessPool.mapped) == (calls if pooled else {})
+    # the pool, where one starts, maps one task per prime
+    assert InProcessPool.mapped == (eligible_primes(300) if pooled else [])
+
+
+def test_pooled_grid_computes_each_primes_cyclotomy_once(monkeypatch):
+    # the workers resolve their own primes; the parent lists none of them
+    use_in_process_pool(monkeypatch)
+    numtheory._cyclotomy.cache_clear()
+    verify.run_all(1100, "all", "all", jobs=2)
+    assert InProcessPool.mapped == eligible_primes(1100)
+    assert numtheory._cyclotomy.cache_info().misses == len(eligible_primes(1100)) == 9
 
 
 def test_copied_reports_do_not_share_witnesses():
@@ -342,7 +351,7 @@ def pooled_run_all(monkeypatch, jobs):
     """run_all(60, all w) with jobs workers, a pool run in this process."""
     use_in_process_pool(monkeypatch)
     out = verify.run_all(60, w_policy="all", jobs=jobs)
-    assert len(InProcessPool.mapped) == (16 if jobs > 1 else 0)
+    assert InProcessPool.mapped == (eligible_primes(60) if jobs > 1 else [])
     return out
 
 
@@ -477,7 +486,7 @@ def test_failures_by_kind_keys_checks_without_w_by_name(monkeypatch):
     assert summary["failures_by_kind"] == {"coprimality-facts": 4}
 
 
-def test_run_all_explicit_policies():
+def test_run_all_explicit_policies(monkeypatch):
     # 2 generates Z_p* for all of 5, 13, 29
     reports, _ = verify.run_all(30, g_policy=2, w_policy=(1, 0, 1, 0))
     grid_points = {(r.p, r.g, r.w) for r in reports if r.g is not None}
@@ -485,6 +494,9 @@ def test_run_all_explicit_policies():
                            (29, 2, (1, 0, 1, 0))}
     with pytest.raises(ValueError):
         verify.run_all(30, g_policy=4)  # 4 is not a primitive root of 5
+    use_in_process_pool(monkeypatch)
+    with pytest.raises(ValueError, match="g=4 is not a primitive root of 5"):
+        verify.run_all(30, g_policy=4, jobs=2)  # raised by the task of p = 5
     with pytest.raises(ValueError):
         verify.run_all(30, w_policy=(0, 1, 1, 0))
 
