@@ -7,10 +7,13 @@ spectrum costs one decimal multiplication of two kN-digit numbers, k the
 digit count of the weight, rather than N rotations; libmpdec runs it as a
 number-theoretic transform. Its digit planes fold the two halves of the
 product in binary, and the spectrum comes out packed: AC(tau) + N in
-fixed-width fields of bytes, with no int per shift. The closed form writes
-the same fields from one length-p table of quadratic-residue codes, so the
-spectrum check compares two byte strings, and the product identity folds
-its right side from the fields' bit planes.
+fixed-width fields of bytes, with no int per shift. Complementing leaves AC
+unchanged and, for even N, adding 0101... negates AC at odd tau, so the
+transform runs once per orbit of these masks: the four admissible w of one
+construction share one multiply. The closed form writes the same fields
+from one length-p table of quadratic-residue codes, so the spectrum check
+compares two byte strings, and the product identity folds its right side
+from the fields' bit planes.
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, and
@@ -20,6 +23,7 @@ for callers that hold a bit list rather than a periodic sequence.
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from collections import Counter
@@ -180,6 +184,37 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     """Periodic autocorrelation AC(tau) = sum_t (-1)^(s(t) + s(t + tau)).
 
+    Complementing s changes no AC(tau), and for even N adding the
+    alternating sequence m(t) = t mod 2 multiplies AC(tau) by
+    (-1)^(m(t) + m(t + tau)) = (-1)^tau. So s is complemented if s(0) = 1
+    and then, for even N, given the alternating mask if s(1) = 1; the
+    transform runs on that orbit representative through a one-entry cache,
+    and where the mask was applied the odd-tau fields u = AC + N become
+    2N - u in one O(N) big-int step, exact as every field stays in [0, 2N].
+    The four admissible w of one (p, g) add exactly these masks, so, checked
+    back to back, they share one multiply; a single sequence gains nothing.
+    """
+    n, value = s.period, s.value
+    if value & 1:
+        value ^= (1 << n) - 1
+    alternate = n % 2 == 0 and value & 2
+    if alternate:
+        value ^= int("10" * (n // 2), 2)  # bits at the odd positions
+    fields = _orbit_fields(n, value)
+    if alternate:
+        width = _field_width(n)
+        ones = int.from_bytes((bytes(width) + b"\x01".ljust(width, b"\x00")) * (n // 2),
+                              "little")  # 1 in every odd-tau field
+        packed = int.from_bytes(fields, "little")
+        packed += 2 * (n * ones - (packed & ones * ((1 << 8 * width) - 1)))
+        fields = packed.to_bytes(width * n, "little")
+    return AutocorrSpectrum._packed(n, fields)
+
+
+@functools.lru_cache(maxsize=1)
+def _orbit_fields(n: int, value: int) -> bytes:
+    """The packed spectrum fields of the period-n sequence with bits value.
+
     With weight W and coincidence counts C(tau) = #{t : s(t) = s(t + tau) = 1},
     AC(tau) = N - 4W + 4C(tau). All C(tau) come from one product: with
     A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient j of A * B is
@@ -199,16 +234,17 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     half onto the low one, and one big-int step, 4 C + (2N - 4W) per field,
     turns the counts into the packed spectrum of AutocorrSpectrum. No
     Decimal is parsed back from the product, and no int is made per shift.
+    The cache holds the last orbit only, as numtheory's one-prime caches do.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
-    n, weight = s.period, s.weight
+    weight = value.bit_count()
     k = len(str(weight))
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
     # The MSB-first binary text puts s(N-1) in the leading field of A, and
     # its reversal puts s(0) in the leading field of B.
-    text = format(s.value, f"0{n}b").encode()
+    text = format(value, f"0{n}b").encode()
     digits = bytearray(b"0") * (n * k)
     digits[k - 1::k] = text
     a = decimal.Decimal(digits.decode())
@@ -233,7 +269,7 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
         counts = int.from_bytes(fields, "little")
     ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
     packed = 4 * counts + (2 * n - 4 * weight) * ones
-    return AutocorrSpectrum._packed(n, packed.to_bytes(width * n, "little"))
+    return packed.to_bytes(width * n, "little")
 
 
 def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:

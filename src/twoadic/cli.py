@@ -3,8 +3,8 @@
 Subcommands: construct | analyze | verify | survey. Each flag is declared
 once, in its subcommand or in one of three shared groups: the instance flags
 --g, --w and --allow-any-w (construct, analyze), the grid flags --limit, --g,
---g-policy, --w and --w-policy (verify, survey), and the output flags --format
-and --out (analyze, verify, survey; construct takes --out alone).
+--g-policy, --w, --w-policy and --jobs (verify, survey), and the output flags
+--format and --out (analyze, verify, survey; construct takes --out alone).
 
 Output is deterministic (no timestamps; fixed ordering), every emitted big
 integer is a decimal string, and CSV always carries a header row.
@@ -238,7 +238,7 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_survey(args) -> None:
-    rows = verify.survey_conjecture(args.limit, **_grid_policies(args))
+    rows = verify.survey_conjecture(args.limit, **_grid_policies(args), jobs=args.jobs)
     render = functools.cache(decimal_str)
     records = [r.to_record(render) for r in rows]
     if args.format == "json":
@@ -271,6 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--g-policy", choices=("smallest", "all"), default="smallest")
     grid.add_argument("--w", help="explicit admissible w")
     grid.add_argument("--w-policy", choices=("default", "all"), default="default")
+    grid.add_argument("--jobs", type=int, default=1,
+                      help="parallel grid workers, >= 1 (capped at cores and eligible primes)")
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write to file instead of stdout")
@@ -295,10 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--p", type=int)
     a.add_argument("--sequence-file", help="fixture literal instead of --p")
 
-    v = sub.add_parser("verify", parents=[grid, output],
-                       help="run every check over the prime grid")
-    v.add_argument("--jobs", type=int, default=1,
-                   help="parallel grid workers, >= 1 (capped at cores and constructions)")
+    sub.add_parser("verify", parents=[grid, output],
+                   help="run every check over the prime grid")
 
     sub.add_parser("survey", parents=[grid, output],
                    help="tabulate gcd(S(2), 2^(2p)+1) per grid point")

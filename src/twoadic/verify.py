@@ -374,17 +374,20 @@ def _survey_point(point: tuple[int, int, tuple[int, int, int, int]]) -> SurveyRo
     return _survey_row(params, su_sequence(params))
 
 
-def survey_conjecture(limit: int, g_policy="smallest", w_policy="default") -> list[SurveyRow]:
+def survey_conjecture(limit: int, g_policy="smallest", w_policy="default",
+                      jobs: int = 1) -> list[SurveyRow]:
     """Tabulate the gcd split of S(2) for every grid point.
 
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
-    identical tables. Each construction (p, e, w) is built once, and its row
-    is copied, by the constructor, to every g that shares it.
+    identical tables for every jobs >= 1, which caps the workers as in
+    run_all. Each construction (p, e, w) is built once, and its row is
+    copied, by the constructor, to every g that shares it.
     """
+    _require_jobs(jobs)
     return [SurveyRow(p, g, r.w, r.gcd_full, r.gcd_minus, r.gcd_plus, r.phi,
                       r.lower_bound, r.upper_bound)
-            for p, points in _grid(limit, g_policy, w_policy, _survey_point)
+            for p, points in _grid(limit, g_policy, w_policy, _survey_point, jobs)
             for g, r in points]
 
 
@@ -432,6 +435,11 @@ def _worker_count(jobs: int, cpus: int | None, tasks: int) -> int:
     return max(1, min(jobs, cpus or 1, tasks))
 
 
+def _require_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def run_all(limit: int, g_policy="smallest", w_policy="default",
             jobs: int = 1) -> tuple[list[CheckReport], dict[str, object]]:
     """Run every check over the configured grid.
@@ -446,8 +454,7 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     witnesses dict. jobs >= 1 is a ceiling: at most one worker per core and
     per eligible prime is started, and each worker gets whole primes.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _require_jobs(jobs)
     # The constructor is called directly: dataclasses.replace costs several
     # times more per copy, and an all-g grid makes one copy per report and g.
     ordered: list[CheckReport] = []

@@ -355,6 +355,22 @@ def test_survey_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_survey_parallel_matches_serial(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run(capsys, "survey", "--limit", "300", "--g-policy", "all", "--w-policy", "all",
+        "--format", "csv", "--out", str(a))
+    run(capsys, "survey", "--limit", "300", "--g-policy", "all", "--w-policy", "all",
+        "--format", "csv", "--jobs", "2", "--out", str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_survey_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "survey", "--limit", "60", "--jobs", jobs)
+    assert code == 2
+    assert out == "" and "jobs must be >= 1" in err
+
+
 # ------------------------------------------------------- witness rendering
 
 @pytest.fixture

@@ -9,8 +9,10 @@ per-root discrete-log and bucket loops behind the cyclotomic classes, the
 quartic decomposition and the DHL columns. The brute spectrum, a decimal
 Kronecker product on libmpdec, is also checked against the 16-bit int
 Kronecker product it replaced, and both spectrum kernels' packed fields
-against those references packed one field at a time. The linear complexity, which
-folds S mod x^m + 1 for N = 2^v m, is checked against the one GF(2) Euclid
+against those references packed one field at a time; every member of an
+orbit under the complement and alternating masks, which share one transform,
+is checked the same way. The linear complexity, which folds S mod x^m + 1
+for N = 2^v m, is checked against the one GF(2) Euclid
 over the whole period and the public Berlekamp-Massey over two periods, and
 its reduction of U_r mod G1 by halving against the remainder loop _gf2_mod.
 The grids, which build one record per construction (p, e, w), are checked
@@ -411,6 +413,70 @@ def test_packed_field_width_switch(n):
     # the identity folds its bit planes from fields of either width
     for seq in (ones, s):
         assert analysis.hu_identity_check(seq) == ref_hu_identity_check(seq)
+
+
+# ------------------------------------------------------------ orbit spectra
+#
+# autocorrelation runs its transform once per orbit of s under XOR with the
+# masks that keep |AC(tau)| fixed: the complement, and for even N the two
+# alternating sequences, which negate AC at odd tau. Every member of an orbit
+# is checked against both references, the first computed and the rest read
+# from the one-entry cache.
+
+def orbit_masks(n):
+    full = (1 << n) - 1
+    if n % 2:
+        return (0, full)
+    odd = int("10" * (n // 2), 2)
+    return (0, full, odd, full ^ odd)
+
+
+def check_orbit(s):
+    for m in orbit_masks(s.period):
+        member = BinarySequence(s.period, s.value ^ m)
+        want = ref_autocorrelation(member)
+        assert want == ref_kronecker_autocorrelation(member)
+        check_packed(analysis.autocorrelation(member), want)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_orbit_every_small_sequence(n):
+    # the members with s(0) = 0, and s(1) = 0 for even N, meet every orbit
+    # once; the orbit of 0 holds the all-zero and all-one sequences
+    step = 4 if n % 2 == 0 else 2
+    for value in range(0, 1 << n, step):
+        check_orbit(BinarySequence(n, value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences_up_to_300)
+def test_orbit_random_sequences(s):
+    check_orbit(s)
+
+
+@pytest.mark.parametrize("n", ((1 << 15) - 1, 1 << 15))
+def test_orbit_field_width_switch(n):
+    # s(0) = 0 and s(1) = 1: at even N the alternating mask is applied and
+    # the odd-tau fields mapped back, in 2-byte fields below N = 2^15, 4 from it
+    value = random.Random(n).getrandbits(n) & ~1 | 2
+    for m in orbit_masks(n):
+        member = BinarySequence(n, value ^ m)
+        spectrum = analysis.autocorrelation(member)
+        assert len(spectrum._fields) == n * (2 if n < 1 << 15 else 4)
+        check_packed(spectrum, ref_kronecker_autocorrelation(member))
+
+
+@pytest.mark.parametrize("p", eligible_primes(2213))
+def test_orbit_signs_on_the_ladder(p):
+    # w adds w0 to the even and w1 to the odd positions of the w = 0000 sequence
+    g = min(all_primitive_roots(p))
+    base = analysis.autocorrelation(su_sequence(construction_params(p, g, (0, 0, 0, 0))))
+    for w in ADMISSIBLE_W:
+        s = su_sequence(construction_params(p, g, w))
+        spectrum = analysis.autocorrelation(s)
+        assert spectrum.values == ref_kronecker_autocorrelation(s)
+        sign = -1 if w[0] != w[1] else 1
+        assert spectrum.values == tuple(sign ** tau * v for tau, v in enumerate(base.values))
 
 
 def test_spectrum_from_out_of_range_values():

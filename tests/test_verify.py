@@ -268,6 +268,25 @@ def test_pooled_grid_computes_each_primes_cyclotomy_once(monkeypatch):
     assert numtheory._cyclotomy.cache_info().misses == len(eligible_primes(1100)) == 9
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_runs_the_spectrum_transform_once_per_prime(monkeypatch, jobs):
+    # the four w of one (p, g) differ by the complement and alternating masks
+    use_in_process_pool(monkeypatch)
+    analysis._orbit_fields.cache_clear()
+    verify.run_all(1100, "smallest", "all", jobs=jobs)
+    assert InProcessPool.mapped == (eligible_primes(1100) if jobs > 1 else [])
+    assert analysis._orbit_fields.cache_info().misses == len(eligible_primes(1100))
+
+
+def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class():
+    # one transform per (p, e), e = ind(g) mod 4, for all four w
+    classes = {(p, numtheory.index_mod4(p, g))
+               for p in eligible_primes(1100) for g in all_primitive_roots(p)}
+    analysis._orbit_fields.cache_clear()
+    verify.run_all(1100, "all", "all")
+    assert analysis._orbit_fields.cache_info().misses == len(classes)
+
+
 def test_copied_reports_do_not_share_witnesses():
     # 2 and 6 = 2^5 have e = 1 mod 13, so their reports are copies of one
     reports, _ = verify.run_all(13, "all", "all")
