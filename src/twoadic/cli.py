@@ -168,7 +168,7 @@ def _cmd_analyze(args) -> None:
         meta, seq = _resolve_instance(args)
 
     histogram = analysis.autocorrelation(seq).histogram()
-    report = analysis.two_adic_complexity(seq)
+    two_adic = analysis.two_adic_complexity(seq).to_record()
     lc = analysis.linear_complexity(seq)
     hist_text = ";".join(f"{v}:{c}" for v, c in histogram.items())
 
@@ -177,7 +177,7 @@ def _cmd_analyze(args) -> None:
             "params": meta,
             "period": seq.period,
             "ac_histogram": {str(v): c for v, c in histogram.items()},
-            "two_adic": report.to_record(),
+            "two_adic": two_adic,
             "linear_complexity": lc,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -186,8 +186,8 @@ def _cmd_analyze(args) -> None:
                   "phi", "linear_complexity", "ac_histogram"]
         meta = meta or {}
         row = [_cell(meta.get(k, "")) for k in ("p", "g", "w", "a", "b", "d")]
-        row += [_cell(v) for v in (seq.period, report.s2, report.gcd, report.f,
-                                   report.phi, lc)]
+        row += [_cell(v) for v in (seq.period, two_adic["s2"], two_adic["gcd"],
+                                   two_adic["f"], two_adic["phi"], lc)]
         row.append(hist_text)
         _emit(_csv_text(header, [row]), args.out)
     else:
@@ -197,10 +197,10 @@ def _cmd_analyze(args) -> None:
         lines += [
             f"period: {seq.period}",
             f"ac histogram (out of phase): {hist_text}",
-            f"S(2): {decimal_str(report.s2)}",
-            f"gcd(S(2), 2^N-1): {decimal_str(report.gcd)}",
-            f"f: {decimal_str(report.f)}",
-            f"two-adic complexity: {report.phi}",
+            f"S(2): {two_adic['s2']}",
+            f"gcd(S(2), 2^N-1): {two_adic['gcd']}",
+            f"f: {two_adic['f']}",
+            f"two-adic complexity: {two_adic['phi']}",
             f"linear complexity: {lc}",
         ]
         _emit("\n".join(lines) + "\n", args.out)

@@ -4,9 +4,9 @@ Each check re-derives one claimed property from scratch and compares exactly,
 with the raw integers kept as witnesses: the closed-form autocorrelation
 against the spectrum computed from the bits, the S(2)T(2^-1) product against
 its closed form, the small-factor gcd facts, the coprimality facts behind the
-complexity bound, and the bound itself. A survey mode tabulates
-gcd(S(2), 2^(2p)+1) across the eligible primes; that gcd is conjectured (not
-known) to always be 5, so the survey only reports.
+complexity bound, and the bound itself. A survey mode tabulates the bounds
+check's gcd split across the eligible primes; its cofactor gcd(S(2), 2^(2p)+1)
+is conjectured (not known) to always be 5, so the survey only reports.
 
 Each check takes the parameters and, optionally, the sequence to check; it
 builds the parameters' own sequence when none is given. The construction
@@ -149,6 +149,13 @@ def _flip_b(params: ConstructionParams) -> ConstructionParams:
     return replace(params, quartic=replace(params.quartic, b=-params.quartic.b))
 
 
+def _report(check: str, params: ConstructionParams, passed: bool,
+            witnesses: dict[str, object], b: int | None = None) -> CheckReport:
+    """check's report on params: p, g, w and, unless given, b from params."""
+    return CheckReport(check=check, p=params.p, passed=passed, g=params.g, w=params.w,
+                       b=params.b if b is None else b, witnesses=witnesses)
+
+
 def check_autocorrelation_spectrum(params: ConstructionParams,
                                    sequence: BinarySequence | None = None) -> CheckReport:
     """Brute-force autocorrelation versus the closed form, at every shift.
@@ -180,13 +187,8 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     magnitude_ok = brute.out_of_phase() <= {0, 4, -4}
     witnesses["b_used"] = b_used
     witnesses["magnitude_ok"] = magnitude_ok
-    return CheckReport(
-        check=SPECTRUM_CHECK,
-        p=params.p, g=params.g, w=params.w,
-        b=b_used if b_used is not None else params.b,
-        passed=b_used is not None and magnitude_ok,
-        witnesses=witnesses,
-    )
+    return _report(SPECTRUM_CHECK, params, b_used is not None and magnitude_ok,
+                   witnesses, b=b_used)
 
 
 # _CODE_TEXT[c] maps residue code c to b"1" and every other byte to b"0".
@@ -228,12 +230,7 @@ def check_product_congruence(params: ConstructionParams,
     s = su_sequence(params) if sequence is None else sequence
     lhs = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
     rhs = product_closed_form(params)
-    return CheckReport(
-        check=PRODUCT_CHECK,
-        p=params.p, g=params.g, w=params.w, b=params.b,
-        passed=lhs == rhs,
-        witnesses={"lhs": lhs.value, "rhs": rhs.value},
-    )
+    return _report(PRODUCT_CHECK, params, lhs == rhs, {"lhs": lhs.value, "rhs": rhs.value})
 
 
 def check_small_factor_gcds(params: ConstructionParams,
@@ -249,15 +246,11 @@ def check_small_factor_gcds(params: ConstructionParams,
     p = params.p
     gcd3 = math.gcd(s2, 3)
     gcd5 = math.gcd(s2, 5)
-    div3 = ((1 << (2 * p)) - 1) % 3 == 0
-    div5 = ((1 << (2 * p)) + 1) % 5 == 0
-    return CheckReport(
-        check=SMALL_FACTOR_CHECK,
-        p=p, g=params.g, w=params.w, b=params.b,
-        passed=gcd3 == 1 and gcd5 == 5 and div3 and div5,
-        witnesses={"s2": s2, "gcd_3": gcd3, "gcd_5": gcd5,
-                   "divides_2p_minus": div3, "divides_2p_plus": div5},
-    )
+    div3 = pow(4, p, 3) == 1  # 2^(2p) = 4^p = 1 mod 3
+    div5 = pow(4, p, 5) == 4  # 4^p = -1 mod 5
+    return _report(SMALL_FACTOR_CHECK, params, gcd3 == 1 and gcd5 == 5 and div3 and div5,
+                   {"s2": s2, "gcd_3": gcd3, "gcd_5": gcd5,
+                    "divides_2p_minus": div3, "divides_2p_plus": div5})
 
 
 def check_coprimality_facts(p: int) -> CheckReport:
@@ -280,35 +273,22 @@ def check_complexity_bounds(params: ConstructionParams,
     """2p <= phi <= 4p - 2, gcd(S(2), 2^(2p)-1) = 1, and 5 | gcd(S(2), 2^(4p)-1).
 
     The three components are recorded separately so a failure localizes.
+    The survey tabulates phi and the gcd split: gcd_minus = gcd(S(2), 2^(2p)-1)
+    is read from the one big gcd_full, as 2^(2p)-1 divides 2^(4p)-1.
     """
     s = su_sequence(params) if sequence is None else sequence
-    row = _survey_row(params, s)
-    bounds_ok = row.lower_bound <= row.phi <= row.upper_bound
-    coprime_ok = row.gcd_minus == 1
-    div5_ok = row.gcd_full % 5 == 0
-    return CheckReport(
-        check=BOUNDS_CHECK,
-        p=params.p, g=params.g, w=params.w, b=params.b,
-        passed=bounds_ok and coprime_ok and div5_ok,
-        witnesses={"phi": row.phi, "lower_bound": row.lower_bound,
-                   "upper_bound": row.upper_bound, "bounds_ok": bounds_ok,
-                   "gcd_full": row.gcd_full, "gcd_minus": row.gcd_minus,
-                   "coprime_ok": coprime_ok, "div5_ok": div5_ok},
-    )
-
-
-def _survey_row(params: ConstructionParams, s: BinarySequence) -> SurveyRow:
-    """The gcd split and 2-adic complexity of s, as the survey row of params.
-
-    One big gcd: 2^(2p)-1 divides 2^(4p)-1, so gcd_minus is read from
-    gcd_full, and gcd_plus is the cofactor.
-    """
     p = params.p
-    report = analysis.two_adic_complexity(s)
-    gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
-    return SurveyRow(p=p, g=params.g, w=params.w, gcd_full=report.gcd,
-                     gcd_minus=gcd_minus, gcd_plus=report.gcd // gcd_minus,
-                     phi=report.phi, lower_bound=2 * p, upper_bound=4 * p - 2)
+    two_adic = analysis.two_adic_complexity(s)
+    gcd_minus = math.gcd(two_adic.gcd, (1 << (2 * p)) - 1)
+    lower, upper = 2 * p, 4 * p - 2
+    bounds_ok = lower <= two_adic.phi <= upper
+    coprime_ok = gcd_minus == 1
+    div5_ok = two_adic.gcd % 5 == 0
+    return _report(BOUNDS_CHECK, params, bounds_ok and coprime_ok and div5_ok,
+                   {"phi": two_adic.phi, "lower_bound": lower,
+                    "upper_bound": upper, "bounds_ok": bounds_ok,
+                    "gcd_full": two_adic.gcd, "gcd_minus": gcd_minus,
+                    "coprime_ok": coprime_ok, "div5_ok": div5_ok})
 
 
 def _roots_for(p: int, g_policy) -> list[int]:
@@ -355,8 +335,11 @@ def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
     The prime is the one unit of work, so its cyclotomy is computed once, by
     whichever process evaluates it. Serially one prime at a time is resolved
     and evaluated, as numtheory's one-prime caches expect; with jobs > 1 the
-    primes are mapped over a process pool in the same order.
+    primes are mapped over a process pool in the same order. jobs < 1 raises
+    ValueError on the first iteration, before any prime is evaluated.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     task = functools.partial(_prime_points, g_policy=g_policy, ws=_w_vectors(w_policy),
                              evaluate=evaluate)
     primes = eligible_primes(limit)
@@ -371,20 +354,24 @@ def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
 
 def _survey_point(point: tuple[int, int, tuple[int, int, int, int]]) -> SurveyRow:
     params = construction_params(*point)
-    return _survey_row(params, su_sequence(params))
+    bounds = check_complexity_bounds(params).witnesses
+    gcd_full, gcd_minus = bounds["gcd_full"], bounds["gcd_minus"]
+    return SurveyRow(params.p, params.g, params.w, gcd_full, gcd_minus, gcd_full // gcd_minus,
+                     bounds["phi"], bounds["lower_bound"], bounds["upper_bound"])
 
 
 def survey_conjecture(limit: int, g_policy="smallest", w_policy="default",
                       jobs: int = 1) -> list[SurveyRow]:
     """Tabulate the gcd split of S(2) for every grid point.
 
+    Each row is read from the witnesses of check_complexity_bounds: phi, the
+    bounds, gcd_full and gcd_minus, with gcd_plus = gcd_full / gcd_minus.
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
     identical tables for every jobs >= 1, which caps the workers as in
-    run_all. Each construction (p, e, w) is built once, and its row is
+    run_all. Each construction (p, e, w) is checked once, and its row is
     copied, by the constructor, to every g that shares it.
     """
-    _require_jobs(jobs)
     return [SurveyRow(p, g, r.w, r.gcd_full, r.gcd_minus, r.gcd_plus, r.phi,
                       r.lower_bound, r.upper_bound)
             for p, points in _grid(limit, g_policy, w_policy, _survey_point, jobs)
@@ -435,11 +422,6 @@ def _worker_count(jobs: int, cpus: int | None, tasks: int) -> int:
     return max(1, min(jobs, cpus or 1, tasks))
 
 
-def _require_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def run_all(limit: int, g_policy="smallest", w_policy="default",
             jobs: int = 1) -> tuple[list[CheckReport], dict[str, object]]:
     """Run every check over the configured grid.
@@ -454,7 +436,6 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     witnesses dict. jobs >= 1 is a ceiling: at most one worker per core and
     per eligible prime is started, and each worker gets whole primes.
     """
-    _require_jobs(jobs)
     # The constructor is called directly: dataclasses.replace costs several
     # times more per copy, and an all-g grid makes one copy per report and g.
     ordered: list[CheckReport] = []

@@ -90,3 +90,8 @@ def test_cli_golden(name, tmp_path, monkeypatch, capsys):
 def test_verify_parallel_matches_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_case((*CASES["verify-csv"], "--jobs", "2"), capsys) == GOLDEN["verify-csv"]
+
+
+def test_survey_parallel_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_case((*CASES["survey-csv"], "--jobs", "2"), capsys) == GOLDEN["survey-csv"]

@@ -116,6 +116,12 @@ def test_mersenne_divisibility_facts():
     for p in (5, 13, 29, 53, 173):
         assert ((1 << (2 * p)) - 1) % 3 == 0
         assert ((1 << (2 * p)) + 1) % 5 == 0
+    # the check reads both facts from 4^p mod 3 and mod 5, never from 2^(2p) +- 1
+    for p in (5, 13, 293, 9413):
+        witnesses = verify.check_small_factor_gcds(construction_params(p)).witnesses
+        big = 1 << (2 * p)
+        assert (witnesses["divides_2p_minus"], witnesses["divides_2p_plus"]) \
+            == ((big - 1) % 3 == 0, (big + 1) % 5 == 0) == (True, True)
 
 
 # ------------------------------------------------------- coprimality facts
@@ -185,9 +191,11 @@ def test_worker_count_caps_at_jobs_cores_and_points():
 
 
 def test_run_all_rejects_jobs_below_one():
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match="jobs"):
-            verify.run_all(60, jobs=jobs)
+    # both grids reach the check through the grid driver they share
+    for grid in (verify.run_all, verify.survey_conjecture):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                grid(60, jobs=jobs)
 
 
 def test_run_all_builds_each_sequence_once(monkeypatch):
@@ -328,6 +336,23 @@ def test_survey_rows_match_the_bounds_witnesses():
     for row, report in zip(rows, bounds):
         assert (row.phi, row.gcd_full, row.gcd_minus) == tuple(
             report.witnesses[k] for k in ("phi", "gcd_full", "gcd_minus"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_runs_the_bounds_check_once_per_construction(monkeypatch, jobs):
+    calls = Counter()
+    check = verify.check_complexity_bounds
+
+    def counting(params, sequence=None):
+        calls[params.p, params.g, params.w] += 1
+        return check(params, sequence)
+
+    monkeypatch.setattr(verify, "check_complexity_bounds", counting)
+    use_in_process_pool(monkeypatch)
+    verify.survey_conjecture(300, "all", "all", jobs=jobs)
+    assert InProcessPool.mapped == (eligible_primes(300) if jobs > 1 else [])
+    assert set(calls.values()) == {1}
+    assert len(calls) == 2 * 4 * len(eligible_primes(300))
 
 
 def counting_two_adic_complexity(monkeypatch) -> Counter:
