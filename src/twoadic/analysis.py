@@ -281,13 +281,14 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
       tau1 = 0, tau2 != 0:   -4
       tau1 = 2:              +4 once (tau2 + 2d = 0 mod p), else 0
       tau1 in {1, 3}, with r = (tau2 + tau1*d) mod p:
-                             -4e        if r = 0
-                             -4eb       if r is a quadratic residue (D0 u D2)
-                             +4eb       if r is a non-residue (D1 u D3)
+                             -4eps      if r = 0
+                             -4eps b    if r is a quadratic residue (D0 u D2)
+                             +4eps b    if r is a non-residue (D1 u D3)
 
-    where e = +1 when w(0) != w(1) and e = -1 when w(0) = w(1): complementing
-    adjacent columns flips every cross-column correlation, which is exactly
-    the tau1-odd block. Out-of-phase values always lie in {0, 4, -4}.
+    where eps = +1 when w(0) != w(1) and eps = -1 when w(0) = w(1):
+    complementing adjacent columns flips every cross-column correlation,
+    which is exactly the tau1-odd block. Out-of-phase values always lie in
+    {0, 4, -4}.
 
     The residues D0 u D2 are the nonzero squares mod p whatever g is, so the
     odd-tau1 blocks read one table of residue codes (0 for r = 0, 1 for a

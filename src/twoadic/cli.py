@@ -5,6 +5,8 @@ once, in its subcommand or in one of three shared groups: the instance flags
 --g, --w and --allow-any-w (construct, analyze), the grid flags --limit, --g,
 --g-policy, --w, --w-policy and --jobs (verify, survey), and the output flags
 --format and --out (analyze, verify, survey; construct takes --out alone).
+The parser is built once per process, and each subcommand's parser binds
+its handler, which main runs.
 
 Output is deterministic (no timestamps; fixed ordering), every emitted big
 integer is a decimal string, and CSV always carries a header row.
@@ -182,14 +184,10 @@ def _cmd_analyze(args) -> None:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        header = ["p", "g", "w", "a", "b", "d", "period", "s2", "gcd", "f",
-                  "phi", "linear_complexity", "ac_histogram"]
-        meta = meta or {}
-        row = [_cell(meta.get(k, "")) for k in ("p", "g", "w", "a", "b", "d")]
-        row += [_cell(v) for v in (seq.period, two_adic["s2"], two_adic["gcd"],
-                                   two_adic["f"], two_adic["phi"], lc)]
-        row.append(hist_text)
-        _emit(_csv_text(header, [row]), args.out)
+        # One ordered record: its keys are the header, its values the row.
+        record = {**(meta or dict.fromkeys(("p", "g", "w", "a", "b", "d"), "")),
+                  **two_adic, "linear_complexity": lc, "ac_histogram": hist_text}
+        _emit(_csv_text(list(record), [[_cell(v) for v in record.values()]]), args.out)
     else:
         lines = []
         if meta is not None:
@@ -258,6 +256,7 @@ def _cmd_survey(args) -> None:
         _emit("\n".join(lines) + "\n", args.out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--g", type=int, help="primitive root (default: smallest)")
@@ -291,32 +290,28 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", parents=[instance, out],
                        help="emit one sequence with its parameters")
     c.add_argument("--p", type=int, required=True, help="eligible prime (a^2 + 4)")
+    c.set_defaults(run=_cmd_construct)
 
     a = sub.add_parser("analyze", parents=[instance, output],
                        help="autocorrelation, 2-adic and linear complexity")
     a.add_argument("--p", type=int)
     a.add_argument("--sequence-file", help="fixture literal instead of --p")
+    a.set_defaults(run=_cmd_analyze)
 
-    sub.add_parser("verify", parents=[grid, output],
-                   help="run every check over the prime grid")
+    v = sub.add_parser("verify", parents=[grid, output],
+                       help="run every check over the prime grid")
+    v.set_defaults(run=_cmd_verify)
 
-    sub.add_parser("survey", parents=[grid, output],
-                   help="tabulate gcd(S(2), 2^(2p)+1) per grid point")
+    s = sub.add_parser("survey", parents=[grid, output],
+                       help="tabulate gcd(S(2), 2^(2p)+1) per grid point")
+    s.set_defaults(run=_cmd_survey)
     return ap
-
-
-_COMMANDS = {
-    "construct": _cmd_construct,
-    "analyze": _cmd_analyze,
-    "verify": _cmd_verify,
-    "survey": _cmd_survey,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except (_Exit, ValueError) as exc:  # ValueError: a w, grid or --jobs refused
         print(f"twoadic: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, _Exit) else EXIT_BAD_PRIME

@@ -101,11 +101,7 @@ def _generates(g: int, p: int) -> bool:
 
 def smallest_primitive_root(p: int) -> int:
     _require_odd_prime(p)
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise AssertionError("unreachable: every odd prime has a primitive root")
+    return next(g for g in range(2, p) if _generates(g, p))
 
 
 def all_primitive_roots(p: int) -> set[int]:
@@ -211,7 +207,8 @@ class CyclotomicClasses:
         return self.classes[0] | self.classes[2]
 
 
-# _CLASS_TEXT[j] maps a class label byte to b"1" for label j, b"0" otherwise.
+# _CLASS_TEXT[j] maps byte j to b"1" and every other byte to b"0": it reads
+# the class labels here and residue_codes' codes in verify.
 _CLASS_TEXT = tuple(bytes(0x31 if v == j else 0x30 for v in range(256)) for j in range(4))
 
 
@@ -230,13 +227,6 @@ class _Cyclotomy:
     a: int
     b0: int
     masks: tuple[int, int, int, int]
-
-    def index_mod4(self, g: int) -> int:
-        """e = ind_g0(g) mod 4 for a primitive root g: 1 or 3, as ind_g0(g) is odd.
-
-        g^((p-1)/4) = zeta^e, and zeta^3 = zeta^-1 != zeta.
-        """
-        return 1 if pow(g, (self.p - 1) // 4, self.p) == self.zeta else 3
 
 
 @functools.lru_cache(maxsize=1)
@@ -272,8 +262,10 @@ def index_mod4(p: int, g: int) -> int:
     """e = ind_g0(g) mod 4, 1 or 3, for a prime p = 1 mod 4 and a primitive
     root g that the caller has validated; the construction at (p, g) depends
     on g only through e.
+
+    ind_g0(g) is odd, g^((p-1)/4) = zeta^e, and zeta^3 = zeta^-1 != zeta.
     """
-    return _cyclotomy(p).index_mod4(g)
+    return 1 if pow(g, (p - 1) // 4, p) == _cyclotomy(p).zeta else 3
 
 
 def cyclotomic_masks(p: int, g: int) -> tuple[int, int, int, int]:
@@ -287,9 +279,8 @@ def cyclotomic_masks(p: int, g: int) -> tuple[int, int, int, int]:
         raise ValueError(f"order-4 cyclotomy needs p = 1 mod 4, got {p}")
     if not _generates(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
-    cyc = _cyclotomy(p)
-    e = cyc.index_mod4(g)
-    return cyc.masks[0], cyc.masks[e], cyc.masks[2], cyc.masks[3 * e % 4]
+    masks, e = _cyclotomy(p).masks, index_mod4(p, g)
+    return masks[0], masks[e], masks[2], masks[3 * e % 4]
 
 
 def cyclotomic_classes(p: int, g: int) -> CyclotomicClasses:
@@ -322,6 +313,6 @@ def quartic_decomposition(p: int, g: int) -> QuarticParams:
     if not _generates(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
     cyc = _cyclotomy(p)
-    b = cyc.b0 if cyc.index_mod4(g) == 1 else -cyc.b0
+    b = cyc.b0 if index_mod4(p, g) == 1 else -cyc.b0
     assert abs(b) == 1, "eligible p forces imaginary part +-2"
     return QuarticParams(p=p, k=(p - 1) // 4, a=cyc.a, b=b, g=g)

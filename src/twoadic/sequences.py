@@ -166,24 +166,24 @@ def _dhl_from_masks(p: int, masks: tuple[int, int, int, int], kind: int) -> Bina
 class ConstructionParams:
     """Everything defining one interleaved instance: (p, k, a, b, g), d, and w.
 
-    d = (3p + 1) / 4 is the canonical solution of 4d = 1 mod p; w is one of
-    the four admissible offset vectors.
+    d = (3p + 1) / 4 is the canonical solution of 4d = 1 mod p, so it is read
+    from p; w is one of the four admissible offset vectors.
     """
 
     quartic: QuarticParams
-    d: int
     w: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        p = self.quartic.p
-        if self.d != (3 * p + 1) // 4:
-            raise ValueError("d must be (3p + 1) / 4")
         if tuple(self.w) not in ADMISSIBLE_W:
             raise ValueError("w must satisfy w(0) = w(2) and w(1) = w(3)")
 
     @property
     def p(self) -> int:
         return self.quartic.p
+
+    @property
+    def d(self) -> int:
+        return (3 * self.quartic.p + 1) // 4
 
     @property
     def g(self) -> int:
@@ -204,7 +204,7 @@ def construction_params(p: int, g: int | None = None,
     if g is None:
         g = smallest_primitive_root(p)
     quartic = quartic_decomposition(p, g)
-    return ConstructionParams(quartic=quartic, d=(3 * p + 1) // 4, w=tuple(w))
+    return ConstructionParams(quartic=quartic, w=tuple(w))
 
 
 def su_sequence(params: ConstructionParams) -> BinarySequence:

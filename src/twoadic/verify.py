@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from . import analysis, bigmod
 from .bigmod import decimal_str
 from .numtheory import (
+    _CLASS_TEXT,
     _require_odd_prime,
     all_primitive_roots,
     eligible_primes,
@@ -191,18 +192,14 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
                    witnesses, b=b_used)
 
 
-# _CODE_TEXT[c] maps residue code c to b"1" and every other byte to b"0".
-_CODE_TEXT = tuple(bytes(0x31 if v == c else 0x30 for v in range(256)) for c in range(3))
-
-
 def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
     """Closed form of S(2) T(2^-1) mod 2^(4p) - 1 for the construction.
 
-    With K = sum over i in Z_p* of (i/p) 2^(4i) and e = +1 when w(0) != w(1),
-    -1 otherwise:
+    With K = sum over i in Z_p* of (i/p) 2^(4i) and eps = +1 when
+    w(0) != w(1), -1 otherwise:
 
-      S(2) T(2^-1) = 2 [ (2^(4p)-1)/15 + e (2^(2p)+1) (2^p - e)
-                         + e 2^p (2^(2p)+1) b K - p ]
+      S(2) T(2^-1) = 2 [ (2^(4p)-1)/15 + eps (2^(2p)+1) (2^p - eps)
+                         + eps 2^p (2^(2p)+1) b K - p ]
 
     The sign of the character-sum term is tied to b, which makes the check
     sensitive to the quartic sign convention. K is the packed residues minus
@@ -214,8 +211,8 @@ def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
     m = bigmod.modulus(n)
     eps = 1 if params.w[0] != params.w[1] else -1
     codes = residue_codes(p)[::-1]  # hex text puts i = p - 1 first
-    character_sum = (int(codes.translate(_CODE_TEXT[1]), 16)
-                     - int(codes.translate(_CODE_TEXT[2]), 16))
+    character_sum = (int(codes.translate(_CLASS_TEXT[1]), 16)
+                     - int(codes.translate(_CLASS_TEXT[2]), 16))
     two_2p = 1 << (2 * p)
     inner = (m // 15
              + eps * (two_2p + 1) * ((1 << p) - eps)

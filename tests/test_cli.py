@@ -32,6 +32,24 @@ def test_construct_reference(capsys):
     assert len(body.split(";")[1]) == 52
 
 
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for argv in (["construct", "--p", "13"], ["analyze", "--p", "13"],
+                 ["verify", "--limit", "60"], ["survey", "--limit", "60"]):
+        assert run(capsys, *argv)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_parser_keeps_no_state_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])  # --limit is required
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "construct", "--p", "13", "--g", "2", "--w", "0101")
+    assert code == 0
+    assert out == f"# p=13 g=2 a=-3 b=1 d=10 w=0101\nN=52;{SU13}\n"
+
+
 def test_construct_defaults_to_smallest_root(capsys):
     code, out, _ = run(capsys, "construct", "--p", "13")
     assert code == 0 and "g=2" in out

@@ -77,6 +77,15 @@ def test_smallest_primitive_root_matches_order_oracle():
         assert nt.smallest_primitive_root(p) == min(primitive_roots_by_order(p))
 
 
+def test_index_mod4_matches_discrete_log():
+    # every primitive root is g0^k with gcd(k, p - 1) = 1, and ind_g0 of it is k
+    for p in nt.eligible_primes(1100):
+        g0 = nt.smallest_primitive_root(p)
+        for k in range(1, p - 1):
+            if math.gcd(k, p - 1) == 1:
+                assert nt.index_mod4(p, pow(g0, k, p)) == k % 4
+
+
 @pytest.mark.parametrize("p,expected", [(5, {2, 3}), (13, {2, 6, 7, 11}), (3, {2})])
 def test_all_primitive_roots_examples(p, expected):
     assert primitive_roots_by_order(p) == expected

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from twoadic import analysis
 from twoadic import sequences as sq
-from twoadic.numtheory import all_primitive_roots, eligible_primes
+from twoadic.numtheory import all_primitive_roots, eligible_primes, smallest_primitive_root
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=96)
 
@@ -140,6 +142,28 @@ def test_construction_params_examples():
 def test_d_inverts_4_mod_p():
     for p in eligible_primes(500):
         assert 4 * ((3 * p + 1) // 4) % p == 1
+
+
+def first_root_per_class(p):
+    """The smallest primitive root g0^k of each class k mod 4."""
+    g0 = smallest_primitive_root(p)
+    firsts = {}
+    for k in range(1, p - 1):
+        if math.gcd(k, p - 1) == 1:
+            firsts[k % 4] = min(pow(g0, k, p), firsts.get(k % 4, p))
+    return sorted(firsts.values())
+
+
+def test_construction_params_derive_d_from_p():
+    for p in eligible_primes(1100):
+        for g in first_root_per_class(p):
+            params = sq.construction_params(p, g)
+            assert params.d == (3 * p + 1) // 4
+            assert 4 * params.d % p == 1
+            assert sq.ConstructionParams(quartic=params.quartic, w=params.w) == params
+            flipped = dataclasses.replace(
+                params, quartic=dataclasses.replace(params.quartic, b=-params.quartic.b))
+            assert flipped.b == -params.b and flipped.d == params.d
 
 
 def test_su_sequence_p5_hand_composed():
