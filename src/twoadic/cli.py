@@ -11,9 +11,10 @@ its handler, which main runs.
 Output is deterministic (no timestamps; fixed ordering), every emitted big
 integer is a decimal string, and CSV always carries a header row.
 
-Exit codes: 0 success, 1 failed verification check, 2 ineligible p (or usage
-error), 3 non-primitive root, 4 unreadable, invalid or oversized sequence
-file, 5 output could not be written. A command ends early by raising one
+Exit codes: 0 success, 1 failed verification check, 2 ineligible p, a --p
+whose period 4p exceeds MAX_SEQUENCE_FILE_BYTES, or a usage error,
+3 non-primitive root, 4 unreadable, invalid or oversized sequence file,
+5 output could not be written. A command ends early by raising one
 exception with a one-line message and its code; only main turns it (or a
 ValueError from the library, code 2) into the stderr line and the exit code.
 """
@@ -107,6 +108,10 @@ def _resolve_instance(args) -> tuple[dict[str, object], BinarySequence]:
     p = args.p
     if not is_eligible_prime(p):
         raise _Exit(f"p={p} is not an eligible prime (need p = a^2 + 4, a odd)",
+                    EXIT_BAD_PRIME)
+    if 4 * p > MAX_SEQUENCE_FILE_BYTES:  # before the O(p) cyclotomy allocates
+        raise _Exit(f"p={p} is too large: its period 4p exceeds the "
+                    f"{MAX_SEQUENCE_FILE_BYTES} bits a sequence file may hold",
                     EXIT_BAD_PRIME)
     g = args.g if args.g is not None else smallest_primitive_root(p)
     _require_root(g, p)

@@ -4,11 +4,13 @@ Primality, primitive roots, Legendre symbols, the decomposition p = a^2 + 4b^2
 with b = +-1, and the order-4 cyclotomic classes of Z_p*. All arithmetic is
 exact on plain ints; nothing here is probabilistic.
 
-The cyclotomic classes and the sign of b depend on the primitive root g only
-through e = ind(g) mod 4, where ind is the discrete log to the smallest
-primitive root g0: every primitive root has e = 1 or e = 3, and
-D_j(g) = D_{e*j mod 4}(g0). One O(p) pass per prime therefore serves every g;
-the result of that pass is kept for the most recent prime only.
+The cyclotomic classes depend on the primitive root g only through
+e = ind(g) mod 4, where ind is the discrete log to the smallest primitive
+root g0: every primitive root has e = 1 or e = 3, and
+D_j(g) = D_{e*j mod 4}(g0). One O(p) pass per prime therefore yields the
+class masks and zeta = g0^((p-1)/4) for every g; it is kept for the most
+recent prime only. The sign of b needs no pass: Jacobi's congruence reads it
+from g^((p-1)/4) mod p.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p}")
 
 
-def _prime_factors(n: int) -> list[int]:
+@functools.lru_cache(maxsize=1)
+def _prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors by trial division (n here is always p - 1, small)."""
     out = []
     d = 2
@@ -84,7 +87,7 @@ def _prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def is_primitive_root(g: int, p: int) -> bool:
@@ -217,15 +220,10 @@ class _Cyclotomy:
     """Order-4 cyclotomy of one prime p = 1 mod 4, relative to its smallest
     primitive root g0.
 
-    zeta = g0^((p-1)/4); a + 2*b0*i is the Jacobi sum J(chi0, chi0) of the
-    quartic character with chi0(g0) = i, normalised to a = 1 mod 4; bit x of
-    masks[j] is set iff x lies in D_j(g0).
+    zeta = g0^((p-1)/4); bit x of masks[j] is set iff x lies in D_j(g0).
     """
 
-    p: int
     zeta: int
-    a: int
-    b0: int
     masks: tuple[int, int, int, int]
 
 
@@ -242,20 +240,9 @@ def _cyclotomy(p: int) -> _Cyclotomy:
         labels[x] = e & 3
         x = x * g0 % p
 
-    # chi0(t) chi0(1-t) = i^(ind(t) + ind(1-t)), so only the labels matter.
-    counts = [0, 0, 0, 0]
-    for t in range(2, p):
-        counts[(labels[t] + labels[p + 1 - t]) & 3] += 1
-    re = counts[0] - counts[2]
-    im = counts[1] - counts[3]
-    assert re * re + im * im == p, "Jacobi sum must have norm p"
-    if re % 4 != 1:
-        re, im = -re, -im
-    assert im % 2 == 0, "the normalised Jacobi sum has an even imaginary part"
-
     text = bytes(labels[::-1])  # most significant first: x = p - 1 leads
     masks = tuple(int(text.translate(_CLASS_TEXT[j]), 2) for j in range(4))
-    return _Cyclotomy(p=p, zeta=pow(g0, (p - 1) // 4, p), a=re, b0=im // 2, masks=masks)
+    return _Cyclotomy(zeta=pow(g0, (p - 1) // 4, p), masks=masks)
 
 
 def index_mod4(p: int, g: int) -> int:
@@ -303,16 +290,21 @@ def quartic_decomposition(p: int, g: int) -> QuarticParams:
     1 mod 4. That b is the one appearing in the closed-form autocorrelation
     of the interleaved construction.
 
-    With e = ind_g0(g) mod 4, chi(g0^m) = i^(e*m) (e is its own inverse
-    mod 4), so chi = chi0^e for the character chi0 of the smallest primitive
-    root g0. For e = 3 that is the complex conjugate of chi0, whose Jacobi
-    sum is the conjugate of J(chi0, chi0): a stays and b changes sign.
+    Jacobi's congruence gives b without summing. Let k = (p-1)/4 and
+    z = g^k mod p, so z^2 = -1. Modulo the prime (p, i - z) of Z[i],
+    chi(t) = i^ind_g(t) = z^ind_g(t) = t^k, so J = sum_t t^k (1-t)^k, a
+    polynomial in t of degree 2k < p - 1 without constant term; each power
+    sum sum_t t^m with 0 < m < p - 1 is 0 mod p, so J = 0 mod (p, i - z).
+    With J = a + 2bi that is a + 2bz = 0, so a*z = 2b (mod p).
     """
     if not is_eligible_prime(p):
         raise ValueError(f"{p} is not prime of the form a^2 + 4 with a odd")
     if not _generates(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
-    cyc = _cyclotomy(p)
-    b = cyc.b0 if index_mod4(p, g) == 1 else -cyc.b0
-    assert abs(b) == 1, "eligible p forces imaginary part +-2"
-    return QuarticParams(p=p, k=(p - 1) // 4, a=cyc.a, b=b, g=g)
+    k = (p - 1) // 4
+    a = math.isqrt(p - 4)
+    if a % 4 != 1:
+        a = -a
+    t = a * pow(g, k, p) % p
+    assert t in (2, p - 2), "Jacobi's congruence forces a*z = 2b with b = +-1"
+    return QuarticParams(p=p, k=k, a=a, b=1 if t == 2 else -1, g=g)

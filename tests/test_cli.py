@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from twoadic import analysis, cli, verify
+from twoadic import analysis, cli, numtheory, verify
 from twoadic.sequences import ADMISSIBLE_W, BinarySequence, construction_params, su_sequence
 
 SU13 = "0101000011100101100111001001011101110111100000101010"
@@ -60,6 +60,21 @@ def test_construct_rejects_bad_primes(capsys):
     assert code == 2 and "eligible" in err
     code, _, err = run(capsys, "construct", "--p", "17")
     assert code == 2  # 17 - 4 is not a perfect square
+
+
+@pytest.mark.parametrize("command", ["construct", "analyze"])
+@pytest.mark.parametrize("p", ["1054733", "1000014000053"])
+def test_p_over_the_period_limit_exits_2(monkeypatch, capsys, command, p):
+    # eligible primes whose period 4p exceeds what a sequence file may hold;
+    # the refusal comes before the O(p) cyclotomy (a TB at the second p)
+    def no_cyclotomy(p):
+        raise AssertionError(f"the cyclotomy of {p} was built")
+
+    monkeypatch.setattr(numtheory, "_cyclotomy", no_cyclotomy)
+    code, out, err = run(capsys, command, "--p", p)
+    assert (code, out) == (2, "")
+    assert err == (f"twoadic: p={p} is too large: its period 4p exceeds the "
+                   f"{cli.MAX_SEQUENCE_FILE_BYTES} bits a sequence file may hold\n")
 
 
 def test_construct_rejects_non_primitive_root(capsys):

@@ -47,6 +47,7 @@ from twoadic.numtheory import (
     legendre_symbol,
     quartic_decomposition,
     residue_codes,
+    smallest_primitive_root,
 )
 from twoadic.sequences import (
     ADMISSIBLE_W,
@@ -661,9 +662,27 @@ def test_quartic_decomposition_every_root(p):
         assert quartic_decomposition(p, g) == ref_quartic_decomposition(p, g)
 
 
+def test_quartic_decomposition_both_classes_to_40000():
+    # the smallest root g0 has e = 1 and its inverse e = 3, so both signs of b
+    for p in eligible_primes(40000):
+        if p > 1100:
+            g0 = smallest_primitive_root(p)
+            for g in (g0, pow(g0, -1, p)):
+                assert quartic_decomposition(p, g) == ref_quartic_decomposition(p, g)
+
+
+def test_quartic_decomposition_skips_the_cyclotomy():
+    # b comes from Jacobi's congruence, one pow, not from a pass over Z_p*
+    numtheory._cyclotomy.cache_clear()
+    for p in ELIGIBLE_TO_1100:
+        for g in sorted(all_primitive_roots(p)):
+            quartic_decomposition(p, g)
+    assert numtheory._cyclotomy.cache_info().misses == 0
+
+
 def test_interleaved_primes_share_no_state():
     # One prime's record is cached at a time; switching p and back must
-    # rebuild it, never reuse another prime's masks or Jacobi sum.
+    # rebuild it, never reuse another prime's masks.
     calls = [(13, 2), (29, 3), (13, 6), (17, 3), (29, 2), (13, 7), (5, 3), (29, 8)]
     for _ in range(2):
         for p, g in calls:
@@ -704,6 +723,14 @@ def test_survey_builds_one_record_per_prime():
         numtheory._cyclotomy.cache_clear()
         grid(1100, "all", "all")
         assert numtheory._cyclotomy.cache_info().misses == len(ELIGIBLE_TO_1100) == 9
+
+
+def test_each_prime_is_factored_once():
+    # both grids are p-major, so the one cached p - 1 serves every root test
+    numtheory._prime_factors.cache_clear()
+    verify.run_all(6000, "smallest", "all")
+    verify.survey_conjecture(1100, "all", "all")
+    assert numtheory._prime_factors.cache_info().misses == 17 + 9 == 26
 
 
 # ------------------------------------------------------- linear complexity
