@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 
 __all__ = [
@@ -147,10 +147,13 @@ def is_eligible_prime(p: int) -> bool:
     These are exactly the primes p = 4k + 1 (k odd) admitting p = a^2 + 4b^2
     with b = +-1; the smallest are 5, 13, 29, 53, 173, 229, 293.
     """
-    if p < 5 or not is_prime(p):
-        return False
-    a = math.isqrt(p - 4)
-    return a * a == p - 4 and a % 2 == 1
+    return p >= 5 and is_prime(p) and _is_odd_square_plus_4(p)
+
+
+def _is_odd_square_plus_4(n: int) -> bool:
+    """True iff n = a^2 + 4 with a odd, so n >= 5 and n = 1 mod 4."""
+    a = math.isqrt(max(n - 4, 0))
+    return a * a == n - 4 and a % 2 == 1
 
 
 def eligible_primes(limit: int) -> list[int]:
@@ -170,27 +173,31 @@ def eligible_primes(limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class QuarticParams:
-    """The tuple (p, k, a, b, g) with p = 4k + 1 = a^2 + 4b^2, a = 1 mod 4, b = +-1.
+    """The tuple (p, b, g) with p = a^2 + 4b^2, b = +-1 and a odd.
 
-    The sign of b is pinned to the primitive root g through the quartic
-    Jacobi sum, see quartic_decomposition.
+    k = (p - 1) / 4 and a, the root of a^2 = p - 4 that is 1 mod 4, follow
+    from p. The sign of b is pinned to the primitive root g through the
+    quartic Jacobi sum, see quartic_decomposition.
     """
 
     p: int
-    k: int
-    a: int
     b: int
     g: int
 
     def __post_init__(self) -> None:
-        if self.p != 4 * self.k + 1:
-            raise ValueError("k must equal (p - 1) / 4")
-        if self.a * self.a + 4 * self.b * self.b != self.p:
-            raise ValueError("a^2 + 4b^2 must equal p")
-        if self.a % 4 != 1:
-            raise ValueError("a must be 1 mod 4")
         if self.b not in (-1, 1):
             raise ValueError("b must be +1 or -1")
+        if not _is_odd_square_plus_4(self.p):
+            raise ValueError(f"p must be a^2 + 4 with a odd, got {self.p}")
+
+    @property
+    def k(self) -> int:
+        return (self.p - 1) // 4
+
+    @property
+    def a(self) -> int:
+        a = math.isqrt(self.p - 4)
+        return a if a % 4 == 1 else -a
 
 
 @dataclass(frozen=True)
@@ -301,10 +308,7 @@ def quartic_decomposition(p: int, g: int) -> QuarticParams:
         raise ValueError(f"{p} is not prime of the form a^2 + 4 with a odd")
     if not _generates(g, p):
         raise ValueError(f"{g} is not a primitive root of {p}")
-    k = (p - 1) // 4
-    a = math.isqrt(p - 4)
-    if a % 4 != 1:
-        a = -a
-    t = a * pow(g, k, p) % p
+    params = QuarticParams(p=p, b=1, g=g)
+    t = params.a * pow(g, params.k, p) % p
     assert t in (2, p - 2), "Jacobi's congruence forces a*z = 2b with b = +-1"
-    return QuarticParams(p=p, k=k, a=a, b=1 if t == 2 else -1, g=g)
+    return params if t == 2 else replace(params, b=-1)

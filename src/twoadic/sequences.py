@@ -46,11 +46,6 @@ _TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _msb_text(value: int, width: int) -> str:
-    """Binary text of value, zero-padded to width, most significant bit first."""
-    return format(value, f"0{width}b")
-
-
 @dataclass(frozen=True)
 class BinarySequence:
     """One period of a binary sequence; bit i of ``value`` is s(i)."""
@@ -98,7 +93,7 @@ class BinarySequence:
         return self.period
 
     def __str__(self) -> str:
-        return _msb_text(self.value, self.period)[::-1]
+        return format(self.value, f"0{self.period}b")[::-1]
 
 
 def left_shift(s: BinarySequence, d: int) -> BinarySequence:
@@ -133,7 +128,7 @@ def interleave(s0: BinarySequence, s1: BinarySequence, s2: BinarySequence,
     # character from 3 - j onwards.
     text = bytearray(4 * v)
     for j, c in enumerate(cols):
-        text[3 - j::4] = _msb_text(c.value, v).encode()
+        text[3 - j::4] = format(c.value, f"0{v}b").encode()
     return BinarySequence(4 * v, int(text, 2))
 
 
@@ -142,7 +137,7 @@ def deinterleave(s: BinarySequence) -> tuple[BinarySequence, ...]:
     if s.period % 4 != 0:
         raise ValueError("period must be divisible by 4")
     v = s.period // 4
-    text = _msb_text(s.value, s.period)
+    text = format(s.value, f"0{s.period}b")
     return tuple(BinarySequence(v, int(text[3 - j::4], 2)) for j in range(4))
 
 
@@ -164,10 +159,10 @@ def _dhl_from_masks(p: int, masks: tuple[int, int, int, int], kind: int) -> Bina
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Everything defining one interleaved instance: (p, k, a, b, g), d, and w.
+    """Everything defining one interleaved instance: the quartic (p, b, g) and w.
 
-    d = (3p + 1) / 4 is the canonical solution of 4d = 1 mod p, so it is read
-    from p; w is one of the four admissible offset vectors.
+    k, a and d all follow from p; d = (3p + 1) / 4 is the canonical solution
+    of 4d = 1 mod p. w is one of the four admissible offset vectors.
     """
 
     quartic: QuarticParams
@@ -198,8 +193,8 @@ def construction_params(p: int, g: int | None = None,
                         w=(0, 1, 0, 1)) -> ConstructionParams:
     """Resolve (p, g, w) into full construction parameters.
 
-    g defaults to the smallest primitive root; b comes from the Jacobi-sum
-    decomposition of p.
+    g defaults to the smallest primitive root; b comes from Jacobi's
+    congruence in quartic_decomposition, and k, a and d follow from p.
     """
     if g is None:
         g = smallest_primitive_root(p)

@@ -103,8 +103,9 @@ class SurveyRow:
     """One grid point of the conjecture survey.
 
     gcd_full = gcd(S(2), 2^(4p)-1) splits as gcd_minus * gcd_plus over the
-    coprime factors 2^(2p)-1 and 2^(2p)+1. phi is the 2-adic complexity,
-    bracketed by the proven bounds [2p, 4p-2].
+    coprime factors 2^(2p)-1 and 2^(2p)+1, so gcd_plus is read from the other
+    two. phi is the 2-adic complexity, bracketed by the proven bounds
+    [2p, 4p-2], which are read from p.
     """
 
     p: int
@@ -112,10 +113,19 @@ class SurveyRow:
     w: tuple[int, int, int, int]
     gcd_full: int
     gcd_minus: int
-    gcd_plus: int
     phi: int
-    lower_bound: int
-    upper_bound: int
+
+    @property
+    def gcd_plus(self) -> int:
+        return self.gcd_full // self.gcd_minus
+
+    @property
+    def lower_bound(self) -> int:
+        return 2 * self.p
+
+    @property
+    def upper_bound(self) -> int:
+        return 4 * self.p - 2
 
     def to_record(self, render=decimal_str) -> dict[str, object]:
         """Flat record; the gcds become decimal strings through render."""
@@ -162,7 +172,8 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     """Brute-force autocorrelation versus the closed form, at every shift.
 
     This is also the sign gate for b: if the closed form matches only after
-    negating the Jacobi-sum b, the flip is recorded and the flipped value is
+    negating the b that quartic_decomposition read from Jacobi's congruence
+    (the b_jacobi witness), the flip is recorded and the flipped value is
     what downstream congruence checks should use. Independently re-asserts
     that the out-of-phase values lie in {0, 4, -4}.
     """
@@ -352,25 +363,24 @@ def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
 def _survey_point(point: tuple[int, int, tuple[int, int, int, int]]) -> SurveyRow:
     params = construction_params(*point)
     bounds = check_complexity_bounds(params).witnesses
-    gcd_full, gcd_minus = bounds["gcd_full"], bounds["gcd_minus"]
-    return SurveyRow(params.p, params.g, params.w, gcd_full, gcd_minus, gcd_full // gcd_minus,
-                     bounds["phi"], bounds["lower_bound"], bounds["upper_bound"])
+    return SurveyRow(params.p, params.g, params.w, bounds["gcd_full"], bounds["gcd_minus"],
+                     bounds["phi"])
 
 
 def survey_conjecture(limit: int, g_policy="smallest", w_policy="default",
                       jobs: int = 1) -> list[SurveyRow]:
     """Tabulate the gcd split of S(2) for every grid point.
 
-    Each row is read from the witnesses of check_complexity_bounds: phi, the
-    bounds, gcd_full and gcd_minus, with gcd_plus = gcd_full / gcd_minus.
+    Each row is read from the witnesses of check_complexity_bounds: phi,
+    gcd_full and gcd_minus; the row derives gcd_plus = gcd_full / gcd_minus
+    and the bounds.
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
     identical tables for every jobs >= 1, which caps the workers as in
     run_all. Each construction (p, e, w) is checked once, and its row is
     copied, by the constructor, to every g that shares it.
     """
-    return [SurveyRow(p, g, r.w, r.gcd_full, r.gcd_minus, r.gcd_plus, r.phi,
-                      r.lower_bound, r.upper_bound)
+    return [SurveyRow(p, g, r.w, r.gcd_full, r.gcd_minus, r.phi)
             for p, points in _grid(limit, g_policy, w_policy, _survey_point, jobs)
             for g, r in points]
 

@@ -156,7 +156,9 @@ def ref_quartic_decomposition(p, g):
     if re % 4 != 1:
         re, im = -re, -im
     assert im % 2 == 0 and abs(im) == 2
-    return QuarticParams(p=p, k=(p - 1) // 4, a=re, b=im // 2, g=g)
+    params = QuarticParams(p=p, b=im // 2, g=g)
+    assert params.a == re  # the Jacobi-sum a checks the one QuarticParams reads from p
+    return params
 
 
 DHL_SUPPORTS = {1: (0, 1), 2: (0, 3), 3: (1, 2), 4: (2, 3)}
@@ -858,8 +860,7 @@ def ref_survey_row(p, g, w, s):
     report = analysis.two_adic_complexity(s)
     gcd_minus = math.gcd(report.gcd, (1 << (2 * p)) - 1)
     return verify.SurveyRow(p=p, g=g, w=w, gcd_full=report.gcd, gcd_minus=gcd_minus,
-                            gcd_plus=report.gcd // gcd_minus, phi=report.phi,
-                            lower_bound=2 * p, upper_bound=4 * p - 2)
+                            phi=report.phi)
 
 
 def ref_spectrum_check(params, s):
@@ -898,7 +899,8 @@ def ref_gated_checks(params, s):
     div3 = ((1 << (2 * p)) - 1) % 3 == 0
     div5 = ((1 << (2 * p)) + 1) % 5 == 0
     row = ref_survey_row(p, params.g, params.w, s)
-    bounds_ok = row.lower_bound <= row.phi <= row.upper_bound
+    lower, upper = 2 * p, 4 * p - 2
+    bounds_ok = lower <= row.phi <= upper
     coprime_ok = row.gcd_minus == 1
     div5_ok = row.gcd_full % 5 == 0
     return [
@@ -911,8 +913,8 @@ def ref_gated_checks(params, s):
                            **ident),
         verify.CheckReport(check="complexity-bounds",
                            passed=bounds_ok and coprime_ok and div5_ok,
-                           witnesses={"phi": row.phi, "lower_bound": row.lower_bound,
-                                      "upper_bound": row.upper_bound, "bounds_ok": bounds_ok,
+                           witnesses={"phi": row.phi, "lower_bound": lower,
+                                      "upper_bound": upper, "bounds_ok": bounds_ok,
                                       "gcd_full": row.gcd_full, "gcd_minus": row.gcd_minus,
                                       "coprime_ok": coprime_ok, "div5_ok": div5_ok},
                            **ident),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -209,6 +210,39 @@ def test_quartic_decomposition_rejects_bad_inputs():
         nt.quartic_decomposition(17, 3)  # prime but not a^2 + 4
     with pytest.raises(ValueError):
         nt.quartic_decomposition(13, 3)  # 3 has order 3 mod 13
+
+
+def test_quartic_params_rejects_what_p_and_b_rule_out():
+    # p - 4 must be an odd square: 8 = (-2)^2 + 4 is refused for its even root
+    for p in (1, 3, 4, 8, 17, -5):
+        with pytest.raises(ValueError):
+            nt.QuarticParams(p=p, b=1, g=2)
+    for b in (0, 2):
+        with pytest.raises(ValueError):
+            nt.QuarticParams(p=13, b=b, g=2)
+
+
+def test_quartic_params_derives_k_and_a_from_p():
+    for p in nt.eligible_primes(1100):
+        g0 = nt.smallest_primitive_root(p)
+        for g in (g0, pow(g0, -1, p)):
+            q = nt.quartic_decomposition(p, g)
+            assert q.k == (p - 1) // 4
+            assert q.a * q.a + 4 == p
+            assert q.a % 4 == 1
+
+
+def test_quartic_params_flipping_b_keeps_k_and_a():
+    for p in nt.eligible_primes(1100):
+        q = nt.quartic_decomposition(p, nt.smallest_primitive_root(p))
+        flipped = dataclasses.replace(q, b=-q.b)
+        assert (flipped.p, flipped.k, flipped.a, flipped.b) == (q.p, q.k, q.a, -q.b)
+
+
+def test_quartic_params_stores_only_p_b_g():
+    assert [f.name for f in dataclasses.fields(nt.QuarticParams)] == ["p", "b", "g"]
+    with pytest.raises(TypeError):
+        nt.QuarticParams(p=13, k=3, a=-3, b=1, g=2)
 
 
 # ------------------------------------------------------ cyclotomic classes

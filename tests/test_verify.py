@@ -581,6 +581,21 @@ def test_survey_gcd_split_matches_direct_gcds():
         assert row.gcd_plus == math.gcd(s2, (1 << (2 * row.p)) + 1)
 
 
+def test_survey_row_derives_gcd_plus_and_bounds():
+    for row in verify.survey_conjecture(300, "all", "all"):
+        assert row.gcd_plus == row.gcd_full // row.gcd_minus
+        assert row.lower_bound == 2 * row.p
+        assert row.upper_bound == 4 * row.p - 2
+
+
+def test_survey_row_stores_only_what_it_cannot_derive():
+    assert [f.name for f in dataclasses.fields(verify.SurveyRow)] == [
+        "p", "g", "w", "gcd_full", "gcd_minus", "phi"]
+    with pytest.raises(TypeError):
+        verify.SurveyRow(p=13, g=2, w=(0, 1, 0, 1), gcd_full=5, gcd_minus=1, gcd_plus=5,
+                         phi=49, lower_bound=26, upper_bound=50)
+
+
 def test_complexity_bounds_on_constant_sequences():
     # S(2) = 0 mod 2^(4p) - 1 for both: gcd_full is the whole modulus
     for p, g in ((5, 2), (13, 2), (29, 2)):
