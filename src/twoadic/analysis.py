@@ -14,6 +14,13 @@ construction share one multiply. The closed form writes the same fields
 from one length-p table of quadratic-residue codes, so the spectrum check
 compares two byte strings, and the product identity folds its right side
 from the fields' bit planes.
+A sequence and its complement share every result here but S(2) itself: the
+spectrum, and, as both S(2) and T(2^-1) change sign mod 2^N - 1, the gcd
+with 2^N - 1, phi and S(2) T(2^-1). Each is kept in a two-entry cache keyed
+on (N, the bits complemented so that s(0) = 0), so the complement pairs
+among the four admissible w (0000/1111 and 0101/1010) are evaluated once
+each. The closed form depends on w only through eps, and keeps a two-entry
+cache keyed on (p, b, eps).
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, and
@@ -98,6 +105,7 @@ class AutocorrSpectrum:
             lifted.byteswap()
         return lifted
 
+    @cached_property
     def _out_of_phase_counts(self) -> dict[int, int]:
         """Counts of the out-of-phase values (tau >= 1), in no set order.
 
@@ -105,7 +113,9 @@ class AutocorrSpectrum:
         their low byte; each round deletes every copy of the next low byte
         left, in one bytes pass, and counts what went. At most 256 rounds,
         one per distinct value. Fields whose upper bytes differ are counted
-        one by one.
+        one by one. The counts are computed once per spectrum object, which
+        the caches below share between the two sequences of a complement
+        pair.
         """
         n = self.period
         width = len(self._fields) // n
@@ -127,10 +137,10 @@ class AutocorrSpectrum:
 
     def histogram(self) -> dict[int, int]:
         """Counts of the out-of-phase values (tau >= 1), keyed by value."""
-        return dict(sorted(self._out_of_phase_counts().items()))
+        return dict(sorted(self._out_of_phase_counts.items()))
 
     def out_of_phase(self) -> set[int]:
-        return set(self._out_of_phase_counts())
+        return set(self._out_of_phase_counts)
 
     def to_record(self) -> dict[str, object]:
         return {"period": self.period,
@@ -187,16 +197,28 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     Complementing s changes no AC(tau), and for even N adding the
     alternating sequence m(t) = t mod 2 multiplies AC(tau) by
     (-1)^(m(t) + m(t + tau)) = (-1)^tau. So s is complemented if s(0) = 1
-    and then, for even N, given the alternating mask if s(1) = 1; the
-    transform runs on that orbit representative through a one-entry cache,
-    and where the mask was applied the odd-tau fields u = AC + N become
+    and then, for even N, given the alternating mask if s(1) = 1. The
+    transform runs on that orbit representative, and keeps the last orbit's
+    fields; where the mask was applied the odd-tau fields u = AC + N become
     2N - u in one O(N) big-int step, exact as every field stays in [0, 2N].
-    The four admissible w of one (p, g) add exactly these masks, so, checked
-    back to back, they share one multiply; a single sequence gains nothing.
+    The finished spectrum is kept for the last two complement pairs. The
+    four admissible w of one (p, g) add exactly these masks, so, checked back
+    to back, they share one multiply, and each complement pair one spectrum
+    object; a single sequence gains nothing.
     """
+    return _spectrum(_complement_key(s))
+
+
+def _complement_key(s: BinarySequence) -> tuple[int, int]:
+    """(N, the bits of s, complemented if s(0) = 1): one key per complement pair."""
     n, value = s.period, s.value
-    if value & 1:
-        value ^= (1 << n) - 1
+    return (n, value ^ ((1 << n) - 1)) if value & 1 else (n, value)
+
+
+@functools.lru_cache(maxsize=2)
+def _spectrum(key: tuple[int, int]) -> AutocorrSpectrum:
+    """The spectrum of the complement pair with this _complement_key."""
+    n, value = key
     alternate = n % 2 == 0 and value & 2
     if alternate:
         value ^= int("10" * (n // 2), 2)  # bits at the odd positions
@@ -272,6 +294,11 @@ def _orbit_fields(n: int, value: int) -> bytes:
     return packed.to_bytes(width * n, "little")
 
 
+def _eps(w: tuple[int, int, int, int]) -> int:
+    """+1 when w(0) != w(1), -1 otherwise: w enters the closed forms only here."""
+    return 1 if w[0] != w[1] else -1
+
+
 def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     """Autocorrelation of the interleaved construction without touching bits.
 
@@ -295,11 +322,15 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     residue, 2 for a non-residue, built from the squares) rotated by
     tau1 * d. Every shift gets a code by stride-slice assignment, and one
     translation per byte of the packed fields turns the codes into the
-    fields of AutocorrSpectrum.
+    fields of AutocorrSpectrum. The result depends on (p, b, eps) only and
+    is kept for the last two of them.
     """
-    p, d, b = params.p, params.d, params.b
+    return _closed_form_spectrum(params.p, params.d, params.b, _eps(params.w))
+
+
+@functools.lru_cache(maxsize=2)
+def _closed_form_spectrum(p: int, d: int, b: int, eps: int) -> AutocorrSpectrum:
     n = 4 * p
-    eps = 1 if params.w[0] != params.w[1] else -1
     # the value of each code: residue codes 0..2 for odd tau1, then -4 for
     # tau1 = 0, AC(0), 0 for tau1 = 2 and its one +4
     values = (-4 * eps, -4 * eps * b, 4 * eps * b, -4, n, 0, 4)
@@ -323,14 +354,27 @@ def two_adic_complexity(s: BinarySequence) -> TwoAdicReport:
 
     Exact integer arithmetic throughout: floor(log2(m)) is bit_length(m) - 1.
     The all-zero and all-one sequences get the degenerate gcd = 2^N - 1 and
-    phi = 1.
+    phi = 1. Complementing s turns S(2) into -S(2) mod 2^N - 1, which has
+    the same gcd, so gcd, f and phi are kept per complement pair.
     """
-    n = s.period
-    s2 = bigmod.eval_S(s)
-    g = bigmod.gcd_with_modulus(s2)
-    f = bigmod.modulus(n) // g
-    return TwoAdicReport(period=n, s2=s2.value, gcd=g, f=f,
-                         phi=(f + 1).bit_length() - 1)
+    gcd, f, phi = _two_adic(_complement_key(s))
+    return TwoAdicReport(period=s.period, s2=bigmod.eval_S(s).value, gcd=gcd, f=f, phi=phi)
+
+
+@functools.lru_cache(maxsize=2)
+def _two_adic(key: tuple[int, int]) -> tuple[int, int, int]:
+    """(gcd, f, phi) of the complement pair with this key, whose bits are S(2)."""
+    n, value = key
+    gcd = bigmod.gcd_with_modulus(MersenneResidue(n, value))
+    f = bigmod.modulus(n) // gcd
+    return gcd, f, (f + 1).bit_length() - 1
+
+
+@functools.lru_cache(maxsize=2)
+def _st_product(key: tuple[int, int]) -> MersenneResidue:
+    """S(2) T(2^-1) of the complement pair with this key: both factors change sign."""
+    s = BinarySequence(*key)
+    return bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
 
 
 def hu_identity_check(s: BinarySequence) -> IdentityCheck:
@@ -349,7 +393,7 @@ def hu_identity_check(s: BinarySequence) -> IdentityCheck:
     n = s.period
     if n < 2:
         raise ValueError("identity needs period >= 2")
-    st = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
+    st = _st_product(_complement_key(s))
     lhs = bigmod.add_signed(bigmod.reduce(0, n), -2 * st.value)
     fields = autocorrelation(s)._fields
     width = len(fields) // n

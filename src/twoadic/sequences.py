@@ -10,6 +10,7 @@ go through the binary text of the packed value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .numtheory import (
@@ -206,11 +207,21 @@ def su_sequence(params: ConstructionParams) -> BinarySequence:
     """The interleaved sequence of period 4p built from DHL sequences.
 
     Columns are (s3 + w0, L^d s2 + w1, L^2d s1 + w2, L^3d s1 + w3); the last
-    two columns both come from the kind-1 sequence.
+    two columns both come from the kind-1 sequence. Adding w_j to column j
+    flips bit 4t + j for every t, so the sequence is the w = 0000 interleave
+    of (p, g), kept for the last (p, g), XOR the mask whose bit 4t + j is w_j.
     """
-    d = params.d
-    return generalized_interleaved(params.p, params.g, (3, 2, 1, 1),
-                                   (0, d, 2 * d, 3 * d), params.w)
+    p, w = params.p, params.w
+    # In most-significant-first text, each group of four bits reads w3 w2 w1 w0.
+    mask = int("".join(map(str, w[::-1])) * p, 2)
+    return BinarySequence(4 * p, _su_base(p, params.g, params.d) ^ mask)
+
+
+@functools.lru_cache(maxsize=1)
+def _su_base(p: int, g: int, d: int) -> int:
+    """Bits of the w = 0000 interleave of (p, g); d is ConstructionParams.d."""
+    return generalized_interleaved(p, g, (3, 2, 1, 1), (0, d, 2 * d, 3 * d),
+                                   (0, 0, 0, 0)).value
 
 
 def generalized_interleaved(p: int, g: int, kinds, shifts, w, *,

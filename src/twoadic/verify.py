@@ -15,6 +15,9 @@ or 3. One grid driver serves both run_all and the survey. Its unit of work is
 the prime: one task per p, run serially or in a process pool, evaluates each
 construction (p, e, w) once, at its first g, and hands its reports or row out
 to each g that shares it. Serially only the current prime's sequences are kept.
+A w and its complement share S(2) T(2^-1) and both closed forms, through
+two-entry caches here and in analysis, so each complement pair is evaluated
+once.
 
 No check uses a tolerance anywhere; everything is exact integer equality.
 """
@@ -121,11 +124,11 @@ class SurveyRow:
 
     @property
     def lower_bound(self) -> int:
-        return 2 * self.p
+        return _proven_bounds(self.p)[0]
 
     @property
     def upper_bound(self) -> int:
-        return 4 * self.p - 2
+        return _proven_bounds(self.p)[1]
 
     def to_record(self, render=decimal_str) -> dict[str, object]:
         """Flat record; the gcds become decimal strings through render."""
@@ -141,6 +144,11 @@ class SurveyRow:
             "upper_bound": self.upper_bound,
             "gcd_plus_is_5": self.gcd_plus == 5,
         }
+
+
+def _proven_bounds(p: int) -> tuple[int, int]:
+    """The proven bracket [2p, 4p - 2] of the 2-adic complexity at period 4p."""
+    return 2 * p, 4 * p - 2
 
 
 def identity_field(value: int | tuple[int, ...] | None) -> object:
@@ -215,12 +223,16 @@ def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
     The sign of the character-sum term is tied to b, which makes the check
     sensitive to the quartic sign convention. K is the packed residues minus
     the packed non-residues, each read as hex digits (digit i is 2^(4i)) from
-    the residue codes of numtheory.residue_codes.
+    the residue codes of numtheory.residue_codes. The result depends on
+    (p, b, eps) only and is kept for the last two of them.
     """
-    p, b = params.p, params.b
+    return _product_closed_form(params.p, params.b, analysis._eps(params.w))
+
+
+@functools.lru_cache(maxsize=2)
+def _product_closed_form(p: int, b: int, eps: int) -> bigmod.MersenneResidue:
     n = 4 * p
     m = bigmod.modulus(n)
-    eps = 1 if params.w[0] != params.w[1] else -1
     codes = residue_codes(p)[::-1]  # hex text puts i = p - 1 first
     character_sum = (int(codes.translate(_CLASS_TEXT[1]), 16)
                      - int(codes.translate(_CLASS_TEXT[2]), 16))
@@ -236,7 +248,7 @@ def check_product_congruence(params: ConstructionParams,
                              sequence: BinarySequence | None = None) -> CheckReport:
     """Evaluate S(2) T(2^-1) from the bits and compare with the closed form."""
     s = su_sequence(params) if sequence is None else sequence
-    lhs = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
+    lhs = analysis._st_product(analysis._complement_key(s))
     rhs = product_closed_form(params)
     return _report(PRODUCT_CHECK, params, lhs == rhs, {"lhs": lhs.value, "rhs": rhs.value})
 
@@ -288,7 +300,7 @@ def check_complexity_bounds(params: ConstructionParams,
     p = params.p
     two_adic = analysis.two_adic_complexity(s)
     gcd_minus = math.gcd(two_adic.gcd, (1 << (2 * p)) - 1)
-    lower, upper = 2 * p, 4 * p - 2
+    lower, upper = _proven_bounds(p)
     bounds_ok = lower <= two_adic.phi <= upper
     coprime_ok = gcd_minus == 1
     div5_ok = two_adic.gcd % 5 == 0

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoadic import bigmod
-from twoadic.sequences import BinarySequence
+from twoadic.numtheory import eligible_primes
+from twoadic.sequences import ADMISSIBLE_W, BinarySequence, construction_params, su_sequence
 
 
 def residue(value, N):
@@ -93,6 +94,57 @@ def test_gcd_examples():
     assert bigmod.gcd_with_modulus(residue(0, 52)) == 2**52 - 1
     assert bigmod.gcd_with_modulus(residue(1, 52)) == 1
     assert bigmod.gcd_with_modulus(residue(15, 8)) == 15
+
+
+# The split gcd against one math.gcd(v, 2^N - 1), the kernel it replaces above
+# the crossover. N covers the tiny and odd moduli, N = 2 mod 4 (one split, then
+# an odd exponent), powers of two (a split at every level), both sides of the
+# crossover and the construction's N = 4p.
+SPLIT = bigmod._GCD_SPLIT_BITS
+SPLIT_N = sorted({1, 2, 3, 4, 5, 7, 31, 127, 2047, 2049, 4099,
+                  6, 10, 30, 1022, 2 * 1031, 2 * 2053, 2 * 4099,
+                  8, 64, 1 << 11, 1 << 12, 1 << 13, 1 << 14,
+                  *range(SPLIT - 4, SPLIT + 5),
+                  *(4 * p for p in (5, 13, 293, 509, 521, 1373, 2213, 5333))})
+
+
+def split_values(N, rng):
+    """0, 1, m - 1, multiples of 3, 5, 15, 17 and 257, and random residues."""
+    m = (1 << N) - 1
+    values = {0, 1, m - 1, *(rng.randrange(m) for _ in range(4))}
+    for k in (3, 5, 15, 17, 257):
+        values |= {k, k * rng.randrange(max(1, m // k)), k * (m // k)}
+    return sorted(v for v in values if v < m)
+
+
+@pytest.mark.parametrize("N", SPLIT_N)
+def test_split_gcd_against_math_gcd(N):
+    rng = random.Random(N)
+    m = (1 << N) - 1
+    for v in split_values(N, rng):
+        assert bigmod.gcd_with_modulus(residue(v, N)) == math.gcd(v, m), (N, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SPLIT_N).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(0, max(0, (1 << N) - 2)))))
+def test_split_gcd_random_values(case):
+    N, v = case
+    assert bigmod.gcd_with_modulus(residue(v, N)) == math.gcd(v, (1 << N) - 1)
+
+
+def test_split_gcd_on_the_construction_ladder():
+    # gcd(S(2), 2^(4p) - 1) is 5 or a small multiple of it: 15 where 3 | S(2)
+    # (w = 0000 and 1111), and 25 or 75 where 25 divides too
+    seen = set()
+    for p in eligible_primes(6000):
+        for w in ADMISSIBLE_W:
+            s2 = bigmod.eval_S(su_sequence(construction_params(p, None, w)))
+            gcd = bigmod.gcd_with_modulus(s2)
+            assert gcd == math.gcd(s2.value, (1 << (4 * p)) - 1), (p, w)
+            seen.add(gcd)
+    assert {5, 15, 75} <= seen
+    assert max(4 * p for p in eligible_primes(6000)) > 4 * SPLIT
 
 
 # ------------------------------------------------------------ evaluations

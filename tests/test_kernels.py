@@ -16,7 +16,9 @@ for N = 2^v m, is checked against the one GF(2) Euclid
 over the whole period and the public Berlekamp-Massey over two periods, and
 its reduction of U_r mod G1 by halving against the remainder loop _gf2_mod.
 The grids, which build one record per construction (p, e, w), are checked
-against the per-row and per-point loops that built one per (p, g, w).
+against the per-row and per-point loops that built one per (p, g, w), and
+what a w shares with its complement through the caches against a cold
+evaluation of the complement.
 Every comparison is exact equality.
 """
 
@@ -34,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoadic import analysis, bigmod, numtheory, verify
+from twoadic import analysis, bigmod, numtheory, sequences, verify
 from twoadic.numtheory import (
     CyclotomicClasses,
     QuarticParams,
@@ -56,6 +58,7 @@ from twoadic.sequences import (
     construction_params,
     deinterleave,
     dhl_sequence,
+    generalized_interleaved,
     interleave,
     left_shift,
     su_sequence,
@@ -602,6 +605,85 @@ def test_autocorrelation_on_transform_sized_construction():
     spectrum = analysis.autocorrelation(s)
     assert spectrum.values == ref_kronecker_autocorrelation(s)
     assert spectrum == analysis.closed_form_spectrum(params)
+
+
+# ------------------------------------------------------------ complement pairs
+
+# Every cache that shares a result between the w of one (p, g).
+PAIR_CACHES = (analysis._spectrum, analysis._orbit_fields, analysis._two_adic,
+               analysis._st_product, analysis._closed_form_spectrum,
+               verify._product_closed_form, sequences._su_base)
+COMPLEMENT_PAIRS = (((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 1, 0, 1), (1, 0, 1, 0)))
+
+
+def clear_pair_caches():
+    for cache in PAIR_CACHES:
+        cache.cache_clear()
+
+
+def pair_results(params):
+    """Everything a complement pair shares, plus S(2), for params' sequence."""
+    s = su_sequence(params)
+    return {"spectrum": analysis.autocorrelation(s)._fields,
+            "two_adic": analysis.two_adic_complexity(s),
+            "st": analysis._st_product(analysis._complement_key(s)),
+            "identity": analysis.hu_identity_check(s),
+            "closed": analysis.closed_form_spectrum(params)._fields,
+            "product": verify.product_closed_form(params)}
+
+
+PAIR_POINTS = sorted({(q.p, q.g) for q in LADDER})
+
+
+@pytest.mark.parametrize("p,g", PAIR_POINTS, ids=[f"p{p}-g{g}" for p, g in PAIR_POINTS])
+def test_complement_shares_every_result_with_a_cold_evaluation(p, g):
+    m = (1 << (4 * p)) - 1
+    for w, complement in COMPLEMENT_PAIRS:
+        clear_pair_caches()
+        first = pair_results(construction_params(p, g, w))
+        misses = [cache.cache_info().misses for cache in PAIR_CACHES]
+        shared = pair_results(construction_params(p, g, complement))
+        # the complement is served from the caches: nothing is recomputed
+        assert [cache.cache_info().misses for cache in PAIR_CACHES] == misses
+        clear_pair_caches()
+        assert shared == pair_results(construction_params(p, g, complement))
+        # and it relates to w's results as the identities say
+        a, b = first["two_adic"], shared["two_adic"]
+        assert (a.gcd, a.f, a.phi) == (b.gcd, b.f, b.phi)
+        assert b.s2 == (m - a.s2) % m
+        assert shared == {**first, "two_adic": b}
+
+
+@pytest.mark.parametrize("p", [5, 13, 29, 293, 2213])
+def test_su_sequence_is_the_interleave_xor_a_mask(p):
+    # the first root of each class e = ind(g) mod 4, 1 and 3
+    roots = {}
+    for g in sorted(all_primitive_roots(p)):
+        roots.setdefault(numtheory.index_mod4(p, g), g)
+    assert sorted(roots) == [1, 3]
+    for g in roots.values():
+        for w in ADMISSIBLE_W:
+            params = construction_params(p, g, w)
+            d = params.d
+            assert su_sequence(params) == generalized_interleaved(
+                p, g, (3, 2, 1, 1), (0, d, 2 * d, 3 * d), w)
+
+
+def test_all_w_run_is_the_single_w_runs_interleaved():
+    # past the gcd split's crossover, which the golden digests (N <= 1172) stay below
+    limit = 6000
+    reports, summary = verify.run_all(limit, w_policy="all")
+    single = {w: verify.run_all(limit, w_policy=w)[0] for w in ADMISSIBLE_W}
+    want = []
+    for i, p in enumerate(eligible_primes(limit)):
+        coprimality = single[ADMISSIBLE_W[0]][5 * i]
+        want.append(coprimality)
+        for w in ADMISSIBLE_W:
+            assert single[w][5 * i] == coprimality
+            want += single[w][5 * i + 1:5 * i + 5]
+    assert reports == want
+    assert summary["failed"] == sum(not r.passed for r in want)
+    assert max(4 * p for p in eligible_primes(limit)) > 4 * bigmod._GCD_SPLIT_BITS
 
 
 # ------------------------------------------------------------ product identity

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from twoadic import analysis, bigmod, numtheory, verify
+from twoadic import analysis, bigmod, numtheory, sequences, verify
 from twoadic.numtheory import all_primitive_roots, eligible_primes
 from twoadic.sequences import (
     ADMISSIBLE_W,
@@ -293,6 +293,36 @@ def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class():
     analysis._orbit_fields.cache_clear()
     verify.run_all(1100, "all", "all")
     assert analysis._orbit_fields.cache_info().misses == len(classes)
+
+
+# The caches shared by a complement pair (w = 0000/1111 and 0101/1010), and the
+# construction's w = 0000 interleave, shared by all four w of one (p, g).
+PAIR_CACHES = (analysis._spectrum, analysis._two_adic, analysis._st_product,
+               analysis._closed_form_spectrum, verify._product_closed_form)
+
+
+def pair_cache_misses(run):
+    for cache in PAIR_CACHES + (sequences._su_base,):
+        cache.cache_clear()
+    run()
+    return ([cache.cache_info().misses for cache in PAIR_CACHES],
+            sequences._su_base.cache_info().misses)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_evaluates_each_complement_pair_once(monkeypatch, jobs):
+    use_in_process_pool(monkeypatch)
+    primes = eligible_primes(1100)
+    misses = pair_cache_misses(lambda: verify.run_all(1100, "smallest", "all", jobs=jobs))
+    assert InProcessPool.mapped == (primes if jobs > 1 else [])
+    assert misses == ([2 * len(primes)] * len(PAIR_CACHES), len(primes))
+
+
+def test_all_g_grid_evaluates_each_complement_pair_once_per_construction_class():
+    classes = {(p, numtheory.index_mod4(p, g))
+               for p in eligible_primes(1100) for g in all_primitive_roots(p)}
+    misses = pair_cache_misses(lambda: verify.run_all(1100, "all", "all"))
+    assert misses == ([2 * len(classes)] * len(PAIR_CACHES), len(classes))
 
 
 def test_copied_reports_do_not_share_witnesses():
