@@ -223,8 +223,12 @@ def _cmd_verify(args) -> None:
     elif args.format == "csv":
         identity = ["p", "g", "w", "b", "check", "pass"]
         witness_keys = sorted({k for rec in records for k in rec["witnesses"]})
+        # Most cells belong to other checks' witnesses: each row starts blank in
+        # header order, and only the record's own witnesses go through _cell.
+        blank = dict.fromkeys(witness_keys, "")
         rows = [[_cell(rec[k], render) for k in identity]
-                + [_cell(rec["witnesses"].get(k, ""), render) for k in witness_keys]
+                + list({**blank, **{k: _cell(v, render)
+                                    for k, v in rec["witnesses"].items()}}.values())
                 for rec in records]
         _emit(_csv_text(identity + witness_keys, rows), args.out)
     else:

@@ -10,7 +10,8 @@ root g0: every primitive root has e = 1 or e = 3, and
 D_j(g) = D_{e*j mod 4}(g0). One O(p) pass per prime therefore yields the
 class masks and zeta = g0^((p-1)/4) for every g; it is kept for the most
 recent prime only. The sign of b needs no pass: Jacobi's congruence reads it
-from g^((p-1)/4) mod p.
+from g^((p-1)/4) mod p. The primitive roots are the g0^i with i coprime to
+p - 1, so enumerating them gives each root's e = i mod 4 as well.
 """
 
 from __future__ import annotations
@@ -109,8 +110,26 @@ def smallest_primitive_root(p: int) -> int:
 
 def all_primitive_roots(p: int) -> set[int]:
     """The phi(p-1) generators of Z_p*, as canonical residues."""
+    return {g for g, _ in _roots_with_index(p)}
+
+
+def _roots_with_index(p: int) -> list[tuple[int, int]]:
+    """(g, ind_g0(g) mod 4) for every primitive root g of the odd prime p,
+    ascending in g.
+
+    The roots are the g0^i with i coprime to p - 1, so one walk over the
+    powers of g0 yields each root with e = i mod 4, without a pow per root.
+    Such an i is odd, so e is 1 or 3 and a zero byte marks a non-root.
+    """
     g0 = smallest_primitive_root(p)
-    return {pow(g0, e, p) for e in range(1, p - 1) if math.gcd(e, p - 1) == 1}
+    n = p - 1
+    index = bytearray(p)
+    x = 1
+    for i in range(1, n):
+        x = x * g0 % p
+        if math.gcd(i, n) == 1:
+            index[x] = i & 3
+    return [(g, e) for g, e in enumerate(index) if e]
 
 
 def legendre_symbol(i: int, p: int) -> int:
@@ -258,6 +277,8 @@ def index_mod4(p: int, g: int) -> int:
     on g only through e.
 
     ind_g0(g) is odd, g^((p-1)/4) = zeta^e, and zeta^3 = zeta^-1 != zeta.
+    This is one pow per root; _roots_with_index reads e for every root of p
+    from the walk that finds them.
     """
     return 1 if pow(g, (p - 1) // 4, p) == _cyclotomy(p).zeta else 3
 

@@ -14,7 +14,10 @@ depends on the primitive root g only through e = ind_g0(g) mod 4, which is 1
 or 3. One grid driver serves both run_all and the survey. Its unit of work is
 the prime: one task per p, run serially or in a process pool, evaluates each
 construction (p, e, w) once, at its first g, and hands its reports or row out
-to each g that shares it. Serially only the current prime's sequences are kept.
+to each g that shares it. An all-g grid reads each root's e from the
+enumeration that finds the roots as powers g0^i (e = i mod 4), with no pow per
+root, and the parent gives each g its own copy of the shared record without
+the dataclass __init__. Serially only the current prime's sequences are kept.
 A w and its complement share S(2) T(2^-1) and both closed forms, through
 two-entry caches here and in analysis, so each complement pair is evaluated
 once.
@@ -35,7 +38,7 @@ from .bigmod import decimal_str
 from .numtheory import (
     _CLASS_TEXT,
     _require_odd_prime,
-    all_primitive_roots,
+    _roots_with_index,
     eligible_primes,
     index_mod4,
     is_primitive_root,
@@ -311,15 +314,19 @@ def check_complexity_bounds(params: ConstructionParams,
                     "coprime_ok": coprime_ok, "div5_ok": div5_ok})
 
 
-def _roots_for(p: int, g_policy) -> list[int]:
+def _roots_for(p: int, g_policy) -> list[tuple[int, int]]:
+    """[(g, e), ...] of the policy's roots at p, ascending, with
+    e = ind_g0(g) mod 4: read from the enumeration for "all", 1 for the
+    smallest root g0 itself, and one pow for an explicit g.
+    """
     if isinstance(g_policy, int):
         if not is_primitive_root(g_policy, p):
             raise ValueError(f"g={g_policy} is not a primitive root of {p}")
-        return [g_policy]
+        return [(g_policy, index_mod4(p, g_policy))]
     if g_policy == "smallest":
-        return [smallest_primitive_root(p)]
+        return [(smallest_primitive_root(p), 1)]
     if g_policy == "all":
-        return sorted(all_primitive_roots(p))
+        return _roots_with_index(p)
     raise ValueError(f"unknown g policy {g_policy!r}")
 
 
@@ -339,12 +346,11 @@ def _w_vectors(w_policy) -> list[tuple[int, int, int, int]]:
 def _prime_points(p: int, g_policy, ws, evaluate) -> list:
     """[(g, result), ...] of one eligible p, in (g, w) order.
 
-    e = ind_g0(g) mod 4 is computed once per root. Each construction (e, w)
-    is evaluated once, at its first g, and its result is shared by every g
-    with that e.
+    Each construction (e, w), e = ind_g0(g) mod 4, is evaluated once, at its
+    first g, and its result is shared by every g with that e.
     """
     first_g: dict = {}
-    roots = [(g, first_g.setdefault(index_mod4(p, g), g)) for g in _roots_for(p, g_policy)]
+    roots = [(g, first_g.setdefault(e, g)) for g, e in _roots_for(p, g_policy)]
     built = {(g, w): evaluate((p, g, w)) for g in first_g.values() for w in ws}
     return [(g, built[first, w]) for g, first in roots for w in ws]
 
@@ -389,12 +395,34 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default",
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
     identical tables for every jobs >= 1, which caps the workers as in
-    run_all. Each construction (p, e, w) is checked once, and its row is
-    copied, by the constructor, to every g that shares it.
+    run_all. Each construction (p, e, w) is checked once, and every g that
+    shares it gets a copy of its row from _root_copy.
     """
-    return [SurveyRow(p, g, r.w, r.gcd_full, r.gcd_minus, r.phi)
-            for p, points in _grid(limit, g_policy, w_policy, _survey_point, jobs)
+    return [_root_copy(r, g)
+            for _, points in _grid(limit, g_policy, w_policy, _survey_point, jobs)
             for g, r in points]
+
+
+def _root_copy(record, g: int):
+    """The shared SurveyRow or CheckReport record as root g's own copy.
+
+    An all-g grid makes one copy per record and root, so the copy skips the
+    dataclass __init__. A frozen __init__ sets each field through
+    object.__setattr__, so a row's copy fills its __dict__ from the record's
+    in one update instead. A report's copy gets its own witnesses dict and
+    keeps its fields in plain attribute stores: a filled __dict__ would be one
+    more container for the garbage collector per report, and with it the
+    copies of run_all(20000, "all", "all") took about 1.4 times as long as
+    through __init__.
+    """
+    copy = object.__new__(type(record))
+    if isinstance(record, CheckReport):
+        copy.check, copy.p, copy.passed, copy.g, copy.w, copy.b, copy.witnesses = (
+            record.check, record.p, record.passed, g, record.w, record.b,
+            dict(record.witnesses))
+    else:
+        copy.__dict__.update(record.__dict__, g=g)
+    return copy
 
 
 def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
@@ -451,21 +479,20 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     ``failures_by_kind`` counts the failures per ``"<check> w=<wwww>"`` (the
     check name alone for checks without a w), in sorted key order.
     The grid driver checks each construction (p, e, w) once, at its first
-    g, and each g that shares it gets a copy of its reports with its own
-    witnesses dict. jobs >= 1 is a ceiling: at most one worker per core and
-    per eligible prime is started, and each worker gets whole primes.
+    g, and each g that shares it gets a copy of its reports from _root_copy,
+    with its own witnesses dict. jobs >= 1 is a ceiling: at most one worker
+    per core and per eligible prime is started, and each worker gets whole
+    primes.
     """
-    # The constructor is called directly: dataclasses.replace costs several
-    # times more per copy, and an all-g grid makes one copy per report and g.
     ordered: list[CheckReport] = []
     for p, points in _grid(limit, g_policy, w_policy, _evaluate_point, jobs):
         ordered.append(check_coprimality_facts(p))
-        ordered += [CheckReport(check=r.check, p=p, passed=r.passed, g=g, w=r.w, b=r.b,
-                                witnesses=dict(r.witnesses))
-                    for g, reports in points for r in reports]
+        ordered += [_root_copy(r, g) for g, reports in points for r in reports]
 
-    failures = [{"check": r.check, "p": r.p,
-                 "g": identity_field(r.g), "w": identity_field(r.w)}
+    # An all-g grid can fail at hundreds of thousands of points with at most
+    # four distinct w, so the text of each distinct g and w is built once.
+    text = functools.cache(identity_field)
+    failures = [{"check": r.check, "p": r.p, "g": text(r.g), "w": text(r.w)}
                 for r in ordered if not r.passed]
     kinds = Counter(f"{f['check']} w={f['w']}" if f["w"] else f["check"] for f in failures)
     summary = {

@@ -87,6 +87,15 @@ def test_index_mod4_matches_discrete_log():
                 assert nt.index_mod4(p, pow(g0, k, p)) == k % 4
 
 
+def test_roots_with_index_matches_index_mod4():
+    # the enumeration reads e = i mod 4 off the exponent of g0^i; index_mod4
+    # takes one pow per root
+    for p in nt.eligible_primes(3000):
+        pairs = nt._roots_with_index(p)
+        assert pairs == [(g, nt.index_mod4(p, g)) for g in sorted(nt.all_primitive_roots(p))]
+        assert [g for g, _ in pairs] == [g for g in range(2, p) if nt.is_primitive_root(g, p)]
+
+
 @pytest.mark.parametrize("p,expected", [(5, {2, 3}), (13, {2, 6, 7, 11}), (3, {2})])
 def test_all_primitive_roots_examples(p, expected):
     assert primitive_roots_by_order(p) == expected

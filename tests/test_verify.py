@@ -261,8 +261,8 @@ def test_all_g_grid_builds_two_sequences_per_p_and_w(monkeypatch, grid, pooled):
     use_in_process_pool(monkeypatch)
     grid()
     assert calls == {(p, w): 2 for p in eligible_primes(300) for w in ADMISSIBLE_W}
-    # e is computed once per root, not once per (g, w)
-    assert indexed == {(p, g): 1 for p in eligible_primes(300) for g in all_primitive_roots(p)}
+    # e is read from the enumeration of the roots, never by a pow per root
+    assert indexed == {}
     # the pool, where one starts, maps one task per prime
     assert InProcessPool.mapped == (eligible_primes(300) if pooled else [])
 
@@ -323,6 +323,34 @@ def test_all_g_grid_evaluates_each_complement_pair_once_per_construction_class()
                for p in eligible_primes(1100) for g in all_primitive_roots(p)}
     misses = pair_cache_misses(lambda: verify.run_all(1100, "all", "all"))
     assert misses == ([2 * len(classes)] * len(PAIR_CACHES), len(classes))
+
+
+def test_root_copies_equal_the_records_the_constructor_builds():
+    # 2 and 6 share every construction at p = 13; each is copied to both roots
+    reports, _ = verify.run_all(13, "all", "all")
+    rows = verify.survey_conjecture(13, "all", "all")
+    copied = [r for r in reports if r.g is not None] + rows
+    assert {(r.p, r.g) for r in copied} == {(p, g) for p in (5, 13)
+                                             for g in all_primitive_roots(p)}
+    for record in copied:
+        for g in (record.g, 6):
+            copy = verify._root_copy(record, g)
+            built = dataclasses.replace(record, g=g)
+            assert type(copy) is type(built)
+            assert copy == built and vars(copy) == vars(built)
+            assert copy.to_record() == built.to_record()
+            if isinstance(record, verify.SurveyRow):
+                assert hash(copy) == hash(built)
+
+
+def test_survey_row_copies_stay_frozen():
+    row = verify.survey_conjecture(13, "all", "all")[-1]
+    copy = verify._root_copy(row, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copy.g = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copy.phi = 0
+    assert (copy.g, copy.phi) == (2, row.phi)
 
 
 def test_copied_reports_do_not_share_witnesses():
