@@ -326,7 +326,7 @@ def test_all_g_grid_evaluates_each_complement_pair_once_per_construction_class()
 
 
 def test_root_copies_equal_the_records_the_constructor_builds():
-    # 2 and 6 share every construction at p = 13; each is copied to both roots
+    # every per-root record of the all-g grids, copied at its own g and at 6
     reports, _ = verify.run_all(13, "all", "all")
     rows = verify.survey_conjecture(13, "all", "all")
     copied = [r for r in reports if r.g is not None] + rows
