@@ -3,17 +3,18 @@ spectral product identity, and linear complexity.
 
 All results are exact integers. The brute-force spectrum comes from the bits
 alone through one big-number product (Kronecker substitution), so a full
-spectrum costs one decimal multiplication of two kN-digit numbers, k the
-digit count of the weight, rather than N rotations; libmpdec runs it as a
-number-theoretic transform. Its digit planes fold the two halves of the
-product in binary, and the spectrum comes out packed: AC(tau) + N in
-fixed-width fields of bytes, with no int per shift. Complementing leaves AC
-unchanged and, for even N, adding 0101... negates AC at odd tau, so the
-transform runs once per orbit of these masks: the four admissible w of one
-construction share one multiply. The closed form writes the same fields
-from one length-p table of quadratic-residue codes, so the spectrum check
-compares two byte strings, and the product identity folds its right side
-from the fields' bit planes.
+spectrum costs one decimal multiplication of two kN-digit numbers rather
+than N rotations, k the digit count of W^2 / N for weight W where every
+count but the known C(0) = W fits it (checked), else of W; libmpdec runs it
+as a number-theoretic transform. libmpdec also folds the two halves of the
+product onto each other, and the spectrum comes out packed: AC(tau) + N in
+fixed-width fields of bytes, read from the folded digits by digit planes,
+with no int per shift. Complementing leaves AC unchanged and, for even N,
+adding 0101... negates AC at odd tau, so the transform runs once per orbit
+of these masks: the four admissible w of one construction share one
+multiply. The closed form writes the same fields from one length-p table of
+quadratic-residue codes, so the spectrum check compares two byte strings,
+and the product identity folds its right side from the fields' bit planes.
 A sequence and its complement share every result here but S(2) itself: the
 spectrum, and, as both S(2) and T(2^-1) change sign mod 2^N - 1, the gcd
 with 2^N - 1, phi and S(2) T(2^-1). Each is kept in a two-entry cache keyed
@@ -242,26 +243,53 @@ def _orbit_fields(n: int, value: int) -> bytes:
     A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient j of A * B is
     sum_t s(t) s(t + N-1-j), and folding X^N = 1 adds coefficient N + j onto
     coefficient j, which leaves C((N-1-j) mod N) there. Evaluated at
-    X = 10^k with k the number of decimal digits of W, each coefficient, at
-    most W, fits its own k-digit field and never carries. The product is one
-    decimal multiplication, which libmpdec runs as a number-theoretic
-    transform in O(N log N).
+    X = 10^k, each count below 10^k fits its own k-digit field and never
+    carries. The product is one decimal multiplication, which libmpdec runs
+    as a number-theoretic transform in O(N log N).
 
-    The product's text, read most significant field first, holds coefficients
-    2N-1 .. N (the high half; coefficient 2N-1 is 0) and then N-1 .. 0, so
-    field i of either half counts towards C(i). Digit plane j, digit j of
-    every field, is spread into 2N binary fields, high half first, and the
-    planes accumulate as total = 10 total + plane; no partial count exceeds
-    W, so no field carries into the next. One mask and shift fold the high
-    half onto the low one, and one big-int step, 4 C + (2N - 4W) per field,
-    turns the counts into the packed spectrum of AutocorrSpectrum. No
-    Decimal is parsed back from the product, and no int is made per shift.
-    The cache holds the last orbit only, as numtheory's one-prime caches do.
+    C(0) = W is known, so _fold_counts takes it out of coefficient N - 1
+    and the other counts set k. They sum to W^2 - W and lie near their mean,
+    at most W^2 / N; where W^2 / N has fewer digits than W, fields of its
+    digit count are tried first, a smaller transform (at N = 37652, 4 digits
+    in place of 5 took the multiply from about 14 ms to 8). Were a count
+    too big for them, its field would carry, and a carry turns 10^k in one
+    field into 1 in the next, so the decoded fields sum to W^2 - W exactly
+    when none carried. If they do not, the product is redone with fields of
+    the digits of W, which every count fits. The cache holds the last orbit
+    only, as numtheory's one-prime caches do.
+    """
+    weight = value.bit_count()
+    full, narrow = len(str(weight)), len(str(weight * weight // n))
+    width = _field_width(n)
+    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")  # 1 in every field
+    for k in (narrow, full)[narrow == full:]:
+        counts = _fold_counts(n, value, weight, k)
+        if counts is not None:
+            break
+    packed = 4 * (counts + weight) + (2 * n - 4 * weight) * ones
+    return packed.to_bytes(width * n, "little")
+
+
+def _fold_counts(n: int, value: int, weight: int, k: int) -> int | None:
+    """C(tau) for tau >= 1, from the product with k-digit fields, as
+    little-endian fields of _field_width(n), tau = 0 first and left 0; None
+    if a field carried, which the sum of the decoded fields shows.
+
+    W 10^(k (N - 1)), the C(0) term, is subtracted from the product, which
+    then splits at 10^(N k) inside libmpdec, by exponent shifts and no
+    division: hi = floor(prod 10^(-N k)), and hi + (prod - hi 10^(N k))
+    adds coefficient N + j onto coefficient j. Its text is plain digits, as
+    the exponent stays 0: field i, most significant first, holds C(i).
+    Digit plane j, digit j of every field, is spread into N binary fields,
+    and the planes accumulate as total = 10 total + plane. Every partial
+    value is at most W <= N, which fits the field: on narrower fields than
+    the digits of W it is below 10^k <= W, and on those it is a prefix of a
+    count. So no binary field carries, and no int is made per shift. The
+    field sum accumulates the same way from the digit sum of each plane,
+    read from the plane's bytes by the popcounts of their four low bits.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
-    weight = value.bit_count()
-    k = len(str(weight))
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
     # The MSB-first binary text puts s(N-1) in the leading field of A, and
@@ -272,26 +300,25 @@ def _orbit_fields(n: int, value: int) -> bytes:
     a = decimal.Decimal(digits.decode())
     digits[k - 1::k] = text[::-1]
     b = decimal.Decimal(digits.decode())
-    raw = str(ctx.multiply(a, b)).zfill(2 * n * k).encode().translate(_DIGIT_VALUES)
-    # The counts, at most W, fit 2-byte fields while W < 2^16; where the
-    # packed spectrum needs wider fields, the folded counts are spread out.
-    cw, width = (2 if weight < 1 << 16 else 4), _field_width(n)
-    fields = bytearray(2 * cw * n)
-    total = 0
+    prod = ctx.subtract(ctx.multiply(a, b), decimal.Decimal(weight).scaleb((n - 1) * k, ctx))
+    hi = prod.scaleb(-n * k, ctx).to_integral_value(decimal.ROUND_FLOOR, ctx)
+    folded = str(ctx.add(hi, ctx.subtract(prod, ctx.scaleb(hi, n * k))))
+    if len(folded) > n * k:
+        return None
+    raw = folded.zfill(n * k).encode().translate(_DIGIT_VALUES)
+    del digits, a, b, prod, hi, folded  # the decode's peak then holds only its planes
+    width = _field_width(n)
+    fields = bytearray(width * n)
+    unit = int.from_bytes(b"\x01" * n, "little")  # 1 in every byte
+    total = field_sum = 0
     for j in range(k):
-        fields[::cw] = raw[j::k]
+        plane = raw[j::k]
+        fields[::width] = plane
         total = total * 10 + int.from_bytes(fields, "little")
-    shift = 8 * cw * n
-    counts = (total >> shift) + (total & ((1 << shift) - 1))
-    if cw < width:
-        narrow = counts.to_bytes(cw * n, "little")
-        fields = bytearray(width * n)
-        for j in range(cw):
-            fields[j::width] = narrow[j::cw]
-        counts = int.from_bytes(fields, "little")
-    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
-    packed = 4 * counts + (2 * n - 4 * weight) * ones
-    return packed.to_bytes(width * n, "little")
+        plane_int = int.from_bytes(plane, "little")
+        field_sum = field_sum * 10 + sum((plane_int >> bit & unit).bit_count() << bit
+                                         for bit in range(4))
+    return total if field_sum == weight * weight - weight else None
 
 
 def _eps(w: tuple[int, int, int, int]) -> int:

@@ -135,13 +135,54 @@ def eval_T_inv(s: BinarySequence) -> MersenneResidue:
     return MersenneResidue(n, -2 * s_inv % m)
 
 
+# Bits up to which one Decimal(n) renders an int; decimal_str splits larger
+# ones into halves until each fits. About even with one Decimal(n) at
+# 17-21k bits, 1.5 times faster at 37652 bits and 7-9 times at 392k bits,
+# and flat for a constant of 2048-6144 bits (CPython 3.11, libmpdec 2.5.1,
+# 2-vCPU x86-64 host).
+_DECIMAL_SPLIT_BITS = 4096
+
+
 def decimal_str(n: int) -> str:
     """Exact decimal text of any int.
 
     str() refuses ints past CPython's digit limit for int-to-decimal
     conversion (4300 digits by default), which S(2) and its cofactors cross
-    from period about 14300 on; decimal converts without that limit.
+    from period about 14300 on; decimal converts without that limit, and
+    the limit is never changed here. Both convert in quadratic time, so an
+    int of w > _DECIMAL_SPLIT_BITS bits is split as hi 2^h + lo with
+    h = w // 2, each half is converted the same way, and one Decimal
+    multiply by 2^h, which libmpdec runs as a number-theoretic transform,
+    joins them. The powers of 2 are made per call, each from two halves or
+    from its predecessor, and dropped on return.
     """
     import decimal  # deferred: only output formatting needs it
 
-    return str(decimal.Decimal(n))
+    if n.bit_length() <= _DECIMAL_SPLIT_BITS:
+        return str(decimal.Decimal(n))
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    powers = {}  # h -> 2^h as a Decimal
+
+    def power(h: int):
+        if (result := powers.get(h)) is None:
+            if h <= _DECIMAL_SPLIT_BITS:
+                result = decimal.Decimal(1 << h)
+            elif h - 1 in powers:
+                result = ctx.add(powers[h - 1], powers[h - 1])
+            else:
+                result = ctx.multiply(power(h // 2), power(h - h // 2))
+            powers[h] = result
+        return result
+
+    def convert(x: int, w: int):
+        """x < 2^w as a Decimal."""
+        if w <= _DECIMAL_SPLIT_BITS:
+            return decimal.Decimal(x)
+        h = w // 2
+        hi = x >> h
+        return ctx.add(ctx.multiply(convert(hi, w - h), power(h)),
+                       convert(x - (hi << h), h))
+
+    text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text

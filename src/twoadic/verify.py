@@ -239,10 +239,11 @@ def _product_closed_form(p: int, b: int, eps: int) -> bigmod.MersenneResidue:
     codes = residue_codes(p)[::-1]  # hex text puts i = p - 1 first
     character_sum = (int(codes.translate(_CLASS_TEXT[1]), 16)
                      - int(codes.translate(_CLASS_TEXT[2]), 16))
-    two_2p = 1 << (2 * p)
+    # the factors 2^p and 2^(2p) + 1 are sparse: multiply by them with shifts
+    sparse = (1 << 3 * p) + (1 << p) - eps * ((1 << 2 * p) + 1)
     inner = (m // 15
-             + eps * (two_2p + 1) * ((1 << p) - eps)
-             + eps * (1 << p) * (two_2p + 1) * b * character_sum
+             + eps * sparse
+             + eps * b * ((character_sum << 3 * p) + (character_sum << p))
              - p)
     return bigmod.add_signed(bigmod.reduce(0, n), 2 * inner)
 

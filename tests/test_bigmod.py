@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -232,3 +234,67 @@ def test_gcd_consistency_with_math_gcd():
         N = rng.randint(2, 128)
         v = rng.randrange((1 << N) - 1)
         assert bigmod.gcd_with_modulus(residue(v, N)) == math.gcd(v, (1 << N) - 1)
+
+
+# ------------------------------------------------------------ decimal_str
+#
+# decimal_str splits an int above _DECIMAL_SPLIT_BITS into halves and joins
+# their Decimals with a multiply by 2^h; the reference is the conversion it
+# replaced, one Decimal of the whole int.
+
+LEAF = bigmod._DECIMAL_SPLIT_BITS
+
+
+def ref_decimal_str(n):
+    return str(decimal.Decimal(n))
+
+
+def check_decimal_str(n):
+    for v in (n, -n):
+        assert bigmod.decimal_str(v) == ref_decimal_str(v)
+
+
+def test_decimal_str_small_and_negative():
+    for n in (0, 1, 2, 9, 10, 11, 12345, 2**63, 2**64 + 1, 10**30):
+        check_decimal_str(n)
+    assert bigmod.decimal_str(0) == "0"
+    assert bigmod.decimal_str(-1) == "-1"
+
+
+@pytest.mark.parametrize("bits", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1, 4 * LEAF + 3])
+def test_decimal_str_powers_of_two_at_the_leaf(bits):
+    for n in ((1 << bits) - 1, 1 << bits, (1 << bits) + 1):
+        check_decimal_str(n)
+
+
+@pytest.mark.parametrize("bits", [LEAF << i for i in range(6)])
+def test_decimal_str_powers_of_ten_around_each_split(bits):
+    # 10^j just below and just above 2^bits: runs of nines and of zeros
+    # in the decimal text where the halves meet
+    j = math.floor(bits * math.log10(2))
+    assert 10**j < 1 << bits < 10 ** (j + 1)
+    for k in (j - 1, j, j + 1, j + 2):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            check_decimal_str(n)
+
+
+def test_decimal_str_random_sizes():
+    rng = random.Random(22)
+    sizes = [rng.randrange(1, 20000) for _ in range(40)]
+    sizes += [rng.randrange(20000, 100000) for _ in range(6)] + [401000]
+    for bits in sizes:
+        check_decimal_str(rng.getrandbits(bits))
+
+
+def test_decimal_str_equals_str_within_the_digit_limit():
+    rng = random.Random(4300)
+    for digits in [1, 2, 19, 20, 1000, 1234, 1235, 4299, 4300] + rng.sample(range(1, 4301), 30):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        for v in (n, -n):
+            assert bigmod.decimal_str(v) == str(v)
+
+
+def test_decimal_str_leaves_the_digit_limit_alone():
+    limit = sys.get_int_max_str_digits()
+    bigmod.decimal_str(1 << 100000)
+    assert sys.get_int_max_str_digits() == limit

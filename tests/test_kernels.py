@@ -472,6 +472,45 @@ def test_orbit_field_width_switch(n):
         check_packed(spectrum, ref_kronecker_autocorrelation(member))
 
 
+def spy_field_digits(monkeypatch):
+    """The digit counts of the fields of each product _orbit_fields tries."""
+    tried = []
+    real = analysis._fold_counts
+
+    def spy(n, value, weight, k):
+        tried.append(k)
+        return real(n, value, weight, k)
+
+    monkeypatch.setattr(analysis, "_fold_counts", spy)
+    analysis._spectrum.cache_clear()
+    analysis._orbit_fields.cache_clear()
+    return tried
+
+
+def test_narrow_fields_redone_when_a_count_carries(monkeypatch):
+    # 001 repeated: W = 11 over N = 33 puts W^2 / N = 3 in one digit, but
+    # C(3) = 11 carries out of a one-digit field, so the field sum falls
+    # short and the product is redone with two-digit fields
+    tried = spy_field_digits(monkeypatch)
+    s = BinarySequence.from_bits([0, 0, 1] * 11)
+    want = ref_autocorrelation(s)
+    assert want[3] == 33  # AC = N - 4W + 4C(3) with C(3) = W
+    check_packed(analysis.autocorrelation(s), want)
+    assert tried == [1, 2]
+
+
+def test_narrow_fields_kept_when_no_count_carries(monkeypatch):
+    # a random odd-period sequence with s(0) = 0, which is its own orbit's
+    # representative, and W of three digits: W^2 / N and every count but
+    # C(0) have two
+    rng = random.Random(201)
+    s = next(seq for seq in (BinarySequence(201, rng.getrandbits(201)) for _ in range(100))
+             if seq.value & 1 == 0 and 100 <= seq.weight and seq.weight ** 2 // 201 < 100)
+    tried = spy_field_digits(monkeypatch)
+    check_packed(analysis.autocorrelation(s), ref_autocorrelation(s))
+    assert tried == [2]
+
+
 @pytest.mark.parametrize("p", eligible_primes(2213))
 def test_orbit_signs_on_the_ladder(p):
     # w adds w0 to the even and w1 to the odd positions of the w = 0000 sequence
@@ -598,8 +637,9 @@ def test_construction_ladder(params):
 
 
 def test_autocorrelation_on_transform_sized_construction():
-    # p = 9413 gives operands of 4p * 5 digits, far past the size from which
-    # libmpdec multiplies through its number-theoretic transform.
+    # p = 9413 gives operands of 4p * 4 digits (W has 5, but every other
+    # count is near p), far past the size from which libmpdec multiplies
+    # through its number-theoretic transform.
     params = construction_params(9413, 3, (0, 1, 0, 1))
     s = su_sequence(params)
     spectrum = analysis.autocorrelation(s)
