@@ -2,11 +2,11 @@
 
 Subcommands: construct | analyze | verify | survey. Each flag is declared
 once, in its subcommand or in one of three shared groups: the instance flags
---g, --w and --allow-any-w (construct, analyze), the grid flags --limit, --g,
---g-policy, --w, --w-policy and --jobs (verify, survey), and the output flags
---format and --out (analyze, verify, survey; construct takes --out alone).
-The parser is built once per process, and each subcommand's parser binds
-its handler, which main runs.
+--g, --w and --allow-any-w (construct; analyze with --p only), the grid flags
+--limit, --g, --g-policy, --w, --w-policy and --jobs (verify, survey), and the
+output flags --format and --out (analyze, verify, survey; construct takes --out
+alone). The parser is built once per process, and each subcommand's parser
+binds its handler, which main runs.
 
 Output is deterministic (no timestamps; fixed ordering), every emitted big
 integer is a decimal string, and CSV always carries a header row.
@@ -39,8 +39,8 @@ from .numtheory import (
 from .sequences import (
     ADMISSIBLE_W,
     BinarySequence,
+    _su_instance,
     construction_params,
-    generalized_interleaved,
     parse_sequence_literal,
     sequence_literal,
 )
@@ -92,11 +92,10 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _cell(value: object, render=decimal_str) -> str:
+def _cell(value: object) -> str:
+    """One CSV cell; every int that reaches it is small, big ones arrive rendered."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return render(value)
     return "" if value is None else str(value)
 
 
@@ -115,18 +114,15 @@ def _resolve_instance(args) -> tuple[dict[str, object], BinarySequence]:
                     EXIT_BAD_PRIME)
     g = args.g if args.g is not None else smallest_primitive_root(p)
     _require_root(g, p)
-    w = _parse_w(args.w)
+    w = _parse_w("0101" if args.w is None else args.w)
     if w not in ADMISSIBLE_W and not args.allow_any_w:
         raise _Exit(f"w={args.w} is not admissible (need w0=w2, w1=w3); "
                     "use --allow-any-w to force", EXIT_BAD_PRIME)
 
     params = construction_params(p, g)  # quartic data and d for the header
-    d = params.d
-    seq = generalized_interleaved(p, g, (3, 2, 1, 1), (0, d, 2 * d, 3 * d), w,
-                                  allow_any_w=args.allow_any_w)
     meta = {"p": p, "g": g, "w": identity_field(w),
-            "a": params.quartic.a, "b": params.quartic.b, "d": d}
-    return meta, seq
+            "a": params.quartic.a, "b": params.quartic.b, "d": params.d}
+    return meta, _su_instance(p, g, w)
 
 
 def _read_sequence_file(path: str) -> BinarySequence:
@@ -168,6 +164,9 @@ def _cmd_analyze(args) -> None:
     if args.sequence_file is not None and args.p is not None:
         raise _Exit("give either --p or --sequence-file, not both", EXIT_BAD_PRIME)
     if args.sequence_file is not None:
+        if (args.g, args.w, args.allow_any_w) != (None, None, False):
+            raise _Exit("--g, --w and --allow-any-w need --p, not --sequence-file",
+                        EXIT_BAD_PRIME)
         meta, seq = None, _read_sequence_file(args.sequence_file)
     elif args.p is None:
         raise _Exit("analyze needs --p or --sequence-file", EXIT_BAD_PRIME)
@@ -226,8 +225,8 @@ def _cmd_verify(args) -> None:
         # Most cells belong to other checks' witnesses: each row starts blank in
         # header order, and only the record's own witnesses go through _cell.
         blank = dict.fromkeys(witness_keys, "")
-        rows = [[_cell(rec[k], render) for k in identity]
-                + list({**blank, **{k: _cell(v, render)
+        rows = [[_cell(rec[k]) for k in identity]
+                + list({**blank, **{k: _cell(v)
                                     for k, v in rec["witnesses"].items()}}.values())
                 for rec in records]
         _emit(_csv_text(identity + witness_keys, rows), args.out)
@@ -239,7 +238,7 @@ def _cmd_verify(args) -> None:
     if summary["failed"]:
         i = next(i for i, r in enumerate(reports) if not r.passed)
         rec = reports[i].to_record(render) if records is None else records[i]
-        detail = " ".join(f"{k}={_cell(v, render)}" for k, v in rec["witnesses"].items())
+        detail = " ".join(f"{k}={_cell(v)}" for k, v in rec["witnesses"].items())
         raise _Exit(f"FAIL {rec['check']} p={rec['p']} g={rec['g']} w={rec['w']} {detail}",
                     EXIT_CHECK_FAILED)
 
@@ -253,7 +252,7 @@ def _cmd_survey(args) -> None:
     elif args.format == "csv":
         header = ["p", "g", "w", "gcd_full", "gcd_minus", "gcd_plus", "phi",
                   "lower_bound", "upper_bound", "gcd_plus_is_5"]
-        _emit(_csv_text(header, [[_cell(rec[k], render) for k in header]
+        _emit(_csv_text(header, [[_cell(rec[k]) for k in header]
                                  for rec in records]), args.out)
     else:
         lines = [f"p={rec['p']} g={rec['g']} w={rec['w']} "
@@ -269,7 +268,7 @@ def _cmd_survey(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--g", type=int, help="primitive root (default: smallest)")
-    instance.add_argument("--w", default="0101", help="offset bits w0w1w2w3")
+    instance.add_argument("--w", help="offset bits w0w1w2w3 (default: 0101)")
     instance.add_argument("--allow-any-w", action="store_true",
                           help="accept w with w0 != w2 or w1 != w3")
 

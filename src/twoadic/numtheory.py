@@ -4,14 +4,13 @@ Primality, primitive roots, Legendre symbols, the decomposition p = a^2 + 4b^2
 with b = +-1, and the order-4 cyclotomic classes of Z_p*. All arithmetic is
 exact on plain ints; nothing here is probabilistic.
 
-The cyclotomic classes depend on the primitive root g only through
-e = ind(g) mod 4, where ind is the discrete log to the smallest primitive
-root g0: every primitive root has e = 1 or e = 3, and
-D_j(g) = D_{e*j mod 4}(g0). One O(p) pass per prime therefore yields the
-class masks and zeta = g0^((p-1)/4) for every g; it is kept for the most
-recent prime only. The sign of b needs no pass: Jacobi's congruence reads it
-from g^((p-1)/4) mod p. The primitive roots are the g0^i with i coprime to
-p - 1, so enumerating them gives each root's e = i mod 4 as well.
+One O(p) walk over the powers g0^i of the smallest primitive root g0, kept
+for the most recent prime only, yields everything the grids read per prime:
+the class masks, e = ind_g0(x) mod 4 for every x, and the primitive roots,
+which are the g0^i with i coprime to p - 1. The cyclotomic classes depend on
+the primitive root g only through e = ind_g0(g) mod 4, which is 1 or 3, and
+D_j(g) = D_{e*j mod 4}(g0). The sign of b needs no walk: Jacobi's congruence
+reads it from g^((p-1)/4) mod p.
 """
 
 from __future__ import annotations
@@ -115,21 +114,8 @@ def all_primitive_roots(p: int) -> set[int]:
 
 def _roots_with_index(p: int) -> list[tuple[int, int]]:
     """(g, ind_g0(g) mod 4) for every primitive root g of the odd prime p,
-    ascending in g.
-
-    The roots are the g0^i with i coprime to p - 1, so one walk over the
-    powers of g0 yields each root with e = i mod 4, without a pow per root.
-    Such an i is odd, so e is 1 or 3 and a zero byte marks a non-root.
-    """
-    g0 = smallest_primitive_root(p)
-    n = p - 1
-    index = bytearray(p)
-    x = 1
-    for i in range(1, n):
-        x = x * g0 % p
-        if math.gcd(i, n) == 1:
-            index[x] = i & 3
-    return [(g, e) for g, e in enumerate(index) if e]
+    ascending in g, read from the walk of _cyclotomy."""
+    return [(g, code & 3) for g, code in enumerate(_cyclotomy(p).codes) if code & 8]
 
 
 def legendre_symbol(i: int, p: int) -> int:
@@ -237,50 +223,54 @@ class CyclotomicClasses:
 
 
 # _CLASS_TEXT[j] maps byte j to b"1" and every other byte to b"0": it reads
-# the class labels here and residue_codes' codes in verify.
+# the class labels here and residue_codes' codes in verify. _LABEL maps a code
+# of the walk to its label, ind_g0(x) mod 4 or 4 for x = 0, clearing the root bit.
 _CLASS_TEXT = tuple(bytes(0x31 if v == j else 0x30 for v in range(256)) for j in range(4))
+_LABEL = bytes(v & 7 for v in range(256))
 
 
 @dataclass(frozen=True)
 class _Cyclotomy:
-    """Order-4 cyclotomy of one prime p = 1 mod 4, relative to its smallest
-    primitive root g0.
+    """The walk over the powers of the smallest primitive root g0 of an odd prime.
 
-    zeta = g0^((p-1)/4); bit x of masks[j] is set iff x lies in D_j(g0).
+    Byte x of codes is ind_g0(x) mod 4, plus 8 iff x is a primitive root, and
+    4 for x = 0; bit x of masks[j] is set iff x is in D_j(g0).
     """
 
-    zeta: int
+    codes: bytes
     masks: tuple[int, int, int, int]
 
 
 @functools.lru_cache(maxsize=1)
 def _cyclotomy(p: int) -> _Cyclotomy:
-    """One pass over Z_p*; callers have checked that p is a prime = 1 mod 4.
+    """One pass over Z_p* for the odd prime p (smallest_primitive_root checks it).
 
-    The grids are p-major, so one cached prime serves all of its (g, w).
+    g0^i is a primitive root iff i is coprime to p - 1, so the code of each
+    exponent i is i mod 4 plus the root bit, cleared before the walk at each
+    multiple of a prime factor of p - 1. The grids are p-major, so one cached
+    prime serves all of its (g, w).
     """
     g0 = smallest_primitive_root(p)
-    labels = bytearray(b"\x04") * p  # ind_g0(x) mod 4; label 4 marks x = 0
+    by_exponent = bytearray(b"\x08\x09\x0a\x0b" * (p // 4 + 1))[:p - 1]
+    for q in _prime_factors(p - 1):
+        by_exponent[::q] = by_exponent[::q].translate(_LABEL)
+    codes = bytearray(b"\x04") * p
     x = 1
-    for e in range(p - 1):
-        labels[x] = e & 3
+    for code in by_exponent:
+        codes[x] = code
         x = x * g0 % p
 
-    text = bytes(labels[::-1])  # most significant first: x = p - 1 leads
+    text = codes.translate(_LABEL)[::-1]  # most significant first: x = p - 1 leads
     masks = tuple(int(text.translate(_CLASS_TEXT[j]), 2) for j in range(4))
-    return _Cyclotomy(zeta=pow(g0, (p - 1) // 4, p), masks=masks)
+    return _Cyclotomy(codes=bytes(codes), masks=masks)
 
 
 def index_mod4(p: int, g: int) -> int:
     """e = ind_g0(g) mod 4, 1 or 3, for a prime p = 1 mod 4 and a primitive
     root g that the caller has validated; the construction at (p, g) depends
-    on g only through e.
-
-    ind_g0(g) is odd, g^((p-1)/4) = zeta^e, and zeta^3 = zeta^-1 != zeta.
-    This is one pow per root; _roots_with_index reads e for every root of p
-    from the walk that finds them.
+    on g only through e. It is read from the walk of _cyclotomy.
     """
-    return 1 if pow(g, (p - 1) // 4, p) == _cyclotomy(p).zeta else 3
+    return _cyclotomy(p).codes[g % p] & 3
 
 
 def cyclotomic_masks(p: int, g: int) -> tuple[int, int, int, int]:

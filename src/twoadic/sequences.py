@@ -5,7 +5,9 @@ period tracked separately (leading zero bits would otherwise vanish). All
 operators work on logical indices, so the packed form is an implementation
 detail. Every operator here is O(N): shifts and complements are word-wide int
 operations, and conversions to and from bit strings, as well as interleaving,
-go through the binary text of the packed value.
+go through the binary text of the packed value. generalized_interleaved is the
+one interleaved constructor; every w of Su's construction, admissible or
+forced, is its w = 0000 interleave XOR a mask.
 """
 
 from __future__ import annotations
@@ -162,8 +164,7 @@ def _dhl_from_masks(p: int, masks: tuple[int, int, int, int], kind: int) -> Bina
 class ConstructionParams:
     """Everything defining one interleaved instance: the quartic (p, b, g) and w.
 
-    k, a and d all follow from p; d = (3p + 1) / 4 is the canonical solution
-    of 4d = 1 mod p. w is one of the four admissible offset vectors.
+    k, a and d follow from p; w is one of the four admissible offset vectors.
     """
 
     quartic: QuarticParams
@@ -179,7 +180,7 @@ class ConstructionParams:
 
     @property
     def d(self) -> int:
-        return (3 * self.quartic.p + 1) // 4
+        return _su_shift(self.quartic.p)
 
     @property
     def g(self) -> int:
@@ -188,6 +189,11 @@ class ConstructionParams:
     @property
     def b(self) -> int:
         return self.quartic.b
+
+
+def _su_shift(p: int) -> int:
+    """d = (3p + 1) / 4, the canonical solution of 4d = 1 mod p."""
+    return (3 * p + 1) // 4
 
 
 def construction_params(p: int, g: int | None = None,
@@ -207,19 +213,23 @@ def su_sequence(params: ConstructionParams) -> BinarySequence:
     """The interleaved sequence of period 4p built from DHL sequences.
 
     Columns are (s3 + w0, L^d s2 + w1, L^2d s1 + w2, L^3d s1 + w3); the last
-    two columns both come from the kind-1 sequence. Adding w_j to column j
-    flips bit 4t + j for every t, so the sequence is the w = 0000 interleave
-    of (p, g), kept for the last (p, g), XOR the mask whose bit 4t + j is w_j.
+    two columns both come from the kind-1 sequence.
     """
-    p, w = params.p, params.w
+    return _su_instance(params.p, params.g, params.w)
+
+
+def _su_instance(p: int, g: int, w: tuple[int, int, int, int]) -> BinarySequence:
+    """su_sequence at (p, g) for any bits w: adding w_j to column j flips bit
+    4t + j for every t, so it is the w = 0000 interleave XOR that mask."""
     # In most-significant-first text, each group of four bits reads w3 w2 w1 w0.
     mask = int("".join(map(str, w[::-1])) * p, 2)
-    return BinarySequence(4 * p, _su_base(p, params.g, params.d) ^ mask)
+    return BinarySequence(4 * p, _su_base(p, g) ^ mask)
 
 
 @functools.lru_cache(maxsize=1)
-def _su_base(p: int, g: int, d: int) -> int:
-    """Bits of the w = 0000 interleave of (p, g); d is ConstructionParams.d."""
+def _su_base(p: int, g: int) -> int:
+    """Bits of the w = 0000 interleave of (p, g), kept for the last (p, g)."""
+    d = _su_shift(p)
     return generalized_interleaved(p, g, (3, 2, 1, 1), (0, d, 2 * d, 3 * d),
                                    (0, 0, 0, 0)).value
 
@@ -228,7 +238,7 @@ def generalized_interleaved(p: int, g: int, kinds, shifts, w, *,
                             allow_any_w: bool = False) -> BinarySequence:
     """Interleave L^shifts[j](s^kinds[j]) + w[j] for arbitrary kind/shift picks.
 
-    The standard construction is kinds = (3, 2, 1, 1), shifts = (0, d, 2d, 3d).
+    su_sequence is one such pick, made once per (p, g) by _su_base.
     Offset vectors outside the admissible four need allow_any_w=True.
     """
     kinds = tuple(kinds)

@@ -14,10 +14,10 @@ depends on the primitive root g only through e = ind_g0(g) mod 4, which is 1
 or 3. One grid driver serves both run_all and the survey. Its unit of work is
 the prime: one task per p, run serially or in a process pool, evaluates each
 construction (p, e, w) once, at its first g, and hands its reports or row out
-to each g that shares it. An all-g grid reads each root's e from the
-enumeration that finds the roots as powers g0^i (e = i mod 4), with no pow per
-root, and the parent gives each g its own copy of the shared record without
-the dataclass __init__. Serially only the current prime's sequences are kept.
+to each g that shares it. Every root and its e are read from numtheory's one
+walk over the powers of g0, the walk that also yields the class masks, and
+the parent gives each g its own copy of the shared record without the
+dataclass __init__. Serially only the current prime's sequences are kept.
 A w and its complement share S(2) T(2^-1) and both closed forms, through
 two-entry caches here and in analysis, so each complement pair is evaluated
 once.
@@ -317,8 +317,8 @@ def check_complexity_bounds(params: ConstructionParams,
 
 def _roots_for(p: int, g_policy) -> list[tuple[int, int]]:
     """[(g, e), ...] of the policy's roots at p, ascending, with
-    e = ind_g0(g) mod 4: read from the enumeration for "all", 1 for the
-    smallest root g0 itself, and one pow for an explicit g.
+    e = ind_g0(g) mod 4 read from the walk of the cyclotomy; the smallest
+    root g0 itself has e = 1.
     """
     if isinstance(g_policy, int):
         if not is_primitive_root(g_policy, p):

@@ -796,10 +796,12 @@ def test_quartic_decomposition_both_classes_to_40000():
 
 
 def test_quartic_decomposition_skips_the_cyclotomy():
-    # b comes from Jacobi's congruence, one pow, not from a pass over Z_p*
+    # b comes from Jacobi's congruence, one pow, not from a pass over Z_p*;
+    # the roots are listed first, as listing them walks Z_p*
+    roots = {p: sorted(all_primitive_roots(p)) for p in ELIGIBLE_TO_1100}
     numtheory._cyclotomy.cache_clear()
     for p in ELIGIBLE_TO_1100:
-        for g in sorted(all_primitive_roots(p)):
+        for g in roots[p]:
             quartic_decomposition(p, g)
     assert numtheory._cyclotomy.cache_info().misses == 0
 

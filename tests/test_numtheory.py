@@ -88,12 +88,59 @@ def test_index_mod4_matches_discrete_log():
 
 
 def test_roots_with_index_matches_index_mod4():
-    # the enumeration reads e = i mod 4 off the exponent of g0^i; index_mod4
-    # takes one pow per root
+    # the walk reads e off the exponent of g0^i; the reference takes one pow per root
     for p in nt.eligible_primes(3000):
         pairs = nt._roots_with_index(p)
-        assert pairs == [(g, nt.index_mod4(p, g)) for g in sorted(nt.all_primitive_roots(p))]
+        assert pairs == [(g, ref_index_mod4(p, g)) for g in sorted(nt.all_primitive_roots(p))]
         assert [g for g, _ in pairs] == [g for g in range(2, p) if nt.is_primitive_root(g, p)]
+
+
+# The kernels that the one walk of numtheory._cyclotomy replaced: e by one pow
+# per root, and the roots by a second walk with one gcd per exponent.
+
+def ref_index_mod4(p: int, g: int) -> int:
+    g0 = nt.smallest_primitive_root(p)
+    return 1 if pow(g, (p - 1) // 4, p) == pow(g0, (p - 1) // 4, p) else 3
+
+
+def ref_roots_with_index(p: int) -> list[tuple[int, int]]:
+    g0 = nt.smallest_primitive_root(p)
+    index = bytearray(p)
+    x = 1
+    for i in range(1, p - 1):
+        x = x * g0 % p
+        if math.gcd(i, p - 1) == 1:
+            index[x] = i & 3
+    return [(g, e) for g, e in enumerate(index) if e]
+
+
+def ref_cyclotomic_masks(p: int, g: int) -> tuple[int, ...]:
+    # bit g^i of mask i mod 4, walking the powers of g itself
+    masks = [0] * 4
+    x = 1
+    for i in range(p - 1):
+        masks[i & 3] |= 1 << x
+        x = x * g % p
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("p", nt.eligible_primes(3000) + [17, 37, 41])
+def test_one_walk_matches_the_kernels_it_replaced(p):
+    pairs = ref_roots_with_index(p)
+    assert nt._roots_with_index(p) == pairs
+    assert nt.all_primitive_roots(p) == {g for g, _ in pairs}
+    first = {}
+    for g, e in pairs:
+        assert nt.index_mod4(p, g) == ref_index_mod4(p, g) == e
+        first.setdefault(e, g)
+    assert sorted(first) == [1, 3]
+    for g in first.values():
+        assert nt.cyclotomic_masks(p, g) == ref_cyclotomic_masks(p, g)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_one_walk_lists_the_roots_of_primes_3_mod_4(p):
+    assert nt.all_primitive_roots(p) == {g for g, _ in ref_roots_with_index(p)}
 
 
 @pytest.mark.parametrize("p,expected", [(5, {2, 3}), (13, {2, 6, 7, 11}), (3, {2})])

@@ -261,7 +261,7 @@ def test_all_g_grid_builds_two_sequences_per_p_and_w(monkeypatch, grid, pooled):
     use_in_process_pool(monkeypatch)
     grid()
     assert calls == {(p, w): 2 for p in eligible_primes(300) for w in ADMISSIBLE_W}
-    # e is read from the enumeration of the roots, never by a pow per root
+    # each root comes with its e from the walk, never through index_mod4 per root
     assert indexed == {}
     # the pool, where one starts, maps one task per prime
     assert InProcessPool.mapped == (eligible_primes(300) if pooled else [])
