@@ -3,10 +3,11 @@
 Subcommands: construct | analyze | verify | survey. Each flag is declared
 once, in its subcommand or in one of three shared groups: the instance flags
 --g, --w and --allow-any-w (construct; analyze with --p only), the grid flags
---limit, --g, --g-policy, --w, --w-policy and --jobs (verify, survey), and the
-output flags --format and --out (analyze, verify, survey; construct takes --out
-alone). The parser is built once per process, and each subcommand's parser
-binds its handler, which main runs.
+--limit, --g, --w and --jobs (verify, survey), and the output flags --format
+and --out (analyze, verify, survey; construct takes --out alone). A grid takes
+one flag per axis: --g is smallest, all or one root, and --w is default, all
+or four bits. The parser is built once per process, and each subcommand's
+parser binds its handler, which main runs.
 
 Output is deterministic (no timestamps; fixed ordering), every emitted big
 integer is a decimal string, and CSV always carries a header row.
@@ -143,15 +144,20 @@ def _require_root(g: int, p: int) -> None:
 
 
 def _grid_policies(args) -> dict[str, object]:
-    """--g and --w, where given, override --g-policy and --w-policy.
+    """--g and --w as the g_policy and w_policy of the grid.
 
-    An explicit --g must be a primitive root of every prime in the grid.
+    The words smallest and all (--g), default and all (--w) pass through.
+    Any other --g is one root in ASCII digits, which must be a primitive root
+    of every prime in the grid; any other --w is four bits.
     """
-    if args.g is not None:
+    g, w = args.g, args.w
+    if g not in ("smallest", "all"):
+        if not (g.isascii() and g.removeprefix("-").isdigit()):
+            raise ValueError(f"g must be smallest, all or an integer root, got {g!r}")
+        g = int(g)
         for p in eligible_primes(args.limit):
-            _require_root(args.g, p)
-    return {"g_policy": args.g if args.g is not None else args.g_policy,
-            "w_policy": _parse_w(args.w) if args.w is not None else args.w_policy}
+            _require_root(g, p)
+    return {"g_policy": g, "w_policy": w if w in ("default", "all") else _parse_w(w)}
 
 
 def _cmd_construct(args) -> None:
@@ -247,19 +253,16 @@ def _cmd_survey(args) -> None:
     rows = verify.survey_conjecture(args.limit, **_grid_policies(args), jobs=args.jobs)
     render = functools.cache(decimal_str)
     records = [r.to_record(render) for r in rows]
+    header = ["p", "g", "w", "gcd_full", "gcd_minus", "gcd_plus", "phi",
+              "lower_bound", "upper_bound", "gcd_plus_is_5"]
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        header = ["p", "g", "w", "gcd_full", "gcd_minus", "gcd_plus", "phi",
-                  "lower_bound", "upper_bound", "gcd_plus_is_5"]
         _emit(_csv_text(header, [[_cell(rec[k]) for k in header]
                                  for rec in records]), args.out)
-    else:
-        lines = [f"p={rec['p']} g={rec['g']} w={rec['w']} "
-                 f"gcd_full={rec['gcd_full']} gcd_minus={rec['gcd_minus']} "
-                 f"gcd_plus={rec['gcd_plus']} phi={rec['phi']} "
-                 f"bounds=[{rec['lower_bound']},{rec['upper_bound']}]"
-                 for rec in records]
+    else:  # the csv fields up to phi, then the bounds
+        lines = [" ".join(f"{k}={rec[k]}" for k in header[:7])
+                 + f" bounds=[{rec['lower_bound']},{rec['upper_bound']}]" for rec in records]
         lines.append(f"{len(records)} rows")
         _emit("\n".join(lines) + "\n", args.out)
 
@@ -274,10 +277,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--limit", type=int, required=True)
-    grid.add_argument("--g", type=int, help="explicit primitive root for every p")
-    grid.add_argument("--g-policy", choices=("smallest", "all"), default="smallest")
-    grid.add_argument("--w", help="explicit admissible w")
-    grid.add_argument("--w-policy", choices=("default", "all"), default="default")
+    grid.add_argument("--g", default="smallest", metavar="{smallest,all,ROOT}",
+                      help="smallest (the default) or all roots of each p, or one ROOT")
+    grid.add_argument("--w", default="default", metavar="{default,all,BITS}",
+                      help="default (0101) or all admissible w, or one admissible w as BITS")
     grid.add_argument("--jobs", type=int, default=1,
                       help="parallel grid workers, >= 1 (capped at cores and eligible primes)")
 

@@ -276,9 +276,10 @@ def parse_sequence_literal(text: str) -> BinarySequence:
     declared = None
     if ";" in payload:
         head, payload = payload.split(";", 1)
-        if not head.startswith("N="):
+        digits = head[2:]
+        if not (head.startswith("N=") and digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad sequence prefix {head!r}, expected 'N=<int>'")
-        declared = int(head[2:])
+        declared = int(digits)
     if not payload or set(payload) - {"0", "1"}:
         raise ValueError("sequence payload must be a nonempty string of 0/1")
     if declared is not None and declared != len(payload):

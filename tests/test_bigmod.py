@@ -226,6 +226,8 @@ def test_residue_validation():
         bigmod.MersenneResidue(1, 1)
     with pytest.raises(ValueError):
         bigmod.MersenneResidue(0, 0)
+    with pytest.raises(ValueError, match="exponent"):
+        bigmod.modulus(0)
 
 
 def test_gcd_consistency_with_math_gcd():

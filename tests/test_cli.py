@@ -239,7 +239,7 @@ def test_analyze_past_decimal_digit_limit(capsys):
 
 
 def test_verify_json_past_decimal_digit_limit(capsys):
-    code, out, err = run(capsys, "verify", "--limit", "5000", "--w-policy", "all",
+    code, out, err = run(capsys, "verify", "--limit", "5000", "--w", "all",
                          "--format", "json")
     assert code == 1  # only the documented w = 0000/1111 failures
     records = json.loads(out)
@@ -359,11 +359,46 @@ def test_grid_rejects_inadmissible_explicit_w(capsys):
 
 
 def test_verify_all_roots_policy(capsys):
-    code, out, _ = run(capsys, "verify", "--limit", "13", "--g-policy", "all")
+    code, out, _ = run(capsys, "verify", "--limit", "13", "--g", "all")
     assert code == 0
     # p=5 has 2 primitive roots, p=13 has 4; each (p,g) runs 4 checks,
     # plus one coprimality check per prime
     assert "passed 26 of 26 checks" in out
+
+
+# One flag per grid axis: each --g and --w value and the library policy it names.
+GRID_G = {"smallest": "smallest", "all": "all", "2": 2}
+GRID_W = {"default": "default", "all": "all", "1010": (1, 0, 1, 0)}
+SURVEY_ROWS_AT_30 = {("smallest", "default"): 3, ("all", "default"): 18, ("all", "all"): 72}
+
+
+@pytest.mark.parametrize("w", GRID_W)
+@pytest.mark.parametrize("g", GRID_G)
+def test_grid_flags_name_the_library_policies(capsys, g, w):
+    rows = verify.survey_conjecture(30, GRID_G[g], GRID_W[w])
+    code, out, err = run(capsys, "survey", "--limit", "30", "--g", g, "--w", w,
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps([r.to_record() for r in rows], indent=2) + "\n"
+    if (g, w) in SURVEY_ROWS_AT_30:
+        assert len(rows) == SURVEY_ROWS_AT_30[g, w]
+
+    reports, summary = verify.run_all(30, GRID_G[g], GRID_W[w])
+    code, out, _ = run(capsys, "verify", "--limit", "30", "--g", g, "--w", w,
+                       "--format", "json")
+    assert code == (1 if summary["failed"] else 0)
+    assert out == json.dumps([r.to_record() for r in reports], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("flags", [["--g-policy", "all"], ["--w-policy", "all"],
+                                   ["--g", "x"], ["--g", "+2"], ["--g", "all", "--g-policy", "all"]])
+@pytest.mark.parametrize("command", ["verify", "survey"])
+def test_grid_refuses_the_old_policy_flags_and_a_bad_g(capsys, command, flags):
+    try:
+        code = cli.main([command, "--limit", "30", *flags])
+    except SystemExit as exc:  # argparse: unrecognized arguments
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (2, "")
 
 
 # ------------------------------------------------------------------ survey
@@ -381,7 +416,7 @@ def test_survey_csv_full_range(capsys):
 
 
 def test_survey_json_and_policies(capsys):
-    code, out, _ = run(capsys, "survey", "--limit", "60", "--w-policy", "all",
+    code, out, _ = run(capsys, "survey", "--limit", "60", "--w", "all",
                        "--format", "json")
     assert code == 0
     rows = json.loads(out)
@@ -404,9 +439,9 @@ def test_survey_deterministic(tmp_path, capsys):
 
 def test_survey_parallel_matches_serial(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(capsys, "survey", "--limit", "300", "--g-policy", "all", "--w-policy", "all",
+    run(capsys, "survey", "--limit", "300", "--g", "all", "--w", "all",
         "--format", "csv", "--out", str(a))
-    run(capsys, "survey", "--limit", "300", "--g-policy", "all", "--w-policy", "all",
+    run(capsys, "survey", "--limit", "300", "--g", "all", "--w", "all",
         "--format", "csv", "--jobs", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
@@ -438,8 +473,8 @@ def renders(monkeypatch):
 def test_verify_renders_each_witness_once(renders, capsys, fmt):
     for g_policy in ("smallest", "all"):
         renders.clear()
-        code, out, err = run(capsys, "verify", "--limit", "300", "--g-policy", g_policy,
-                             "--w-policy", "all", "--format", fmt)
+        code, out, err = run(capsys, "verify", "--limit", "300", "--g", g_policy,
+                             "--w", "all", "--format", fmt)
         assert code == 1 and "FAIL" in err  # the stderr line reads the same records
         reports, _ = verify.run_all(300, g_policy=g_policy, w_policy="all")
         expected = [v for r in reports for v in r.witnesses.values()
@@ -454,8 +489,8 @@ def test_verify_renders_each_witness_once(renders, capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_all_g_survey_renders_each_gcd_once(renders, capsys, fmt):
-    code, out, err = run(capsys, "survey", "--limit", "300", "--g-policy", "all",
-                         "--w-policy", "all", "--format", fmt)
+    code, out, err = run(capsys, "survey", "--limit", "300", "--g", "all",
+                         "--w", "all", "--format", fmt)
     assert code == 0 and err == ""
     rows = verify.survey_conjecture(300, "all", "all")
     gcds = [v for r in rows for v in (r.gcd_full, r.gcd_minus, r.gcd_plus)]

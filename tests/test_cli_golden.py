@@ -12,7 +12,7 @@ import pytest
 
 from twoadic import cli
 
-ALL = ("--g-policy", "all", "--w-policy", "all")
+ALL = ("--g", "all", "--w", "all")
 
 CASES = {
     "verify-plain": ("verify", "--limit", "300", *ALL),

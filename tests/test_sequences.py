@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ def test_from_bits_round_trip():
     assert s.bits() == (0, 1, 1, 0, 0)
     assert str(s) == "01100"
     assert s.weight == 2
+    assert len(s) == s.period
 
 
 def test_bit_indexing_is_cyclic():
@@ -228,6 +230,10 @@ def test_generalized_validation():
         sq.generalized_interleaved(5, 2, (0, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0))
     with pytest.raises(ValueError):
         sq.generalized_interleaved(5, 2, (1, 1, 1, 1), (0, 0, 0, 0), (0, 1, 1, 0))
+    with pytest.raises(ValueError, match="four entries"):
+        sq.generalized_interleaved(5, 2, (1, 1, 1), (0, 0, 0, 0), (0, 1, 0, 1))
+    with pytest.raises(ValueError, match="bits"):
+        sq.generalized_interleaved(5, 2, (1, 1, 1, 1), (0, 0, 0, 0), (0, 2, 0, 2))
     out = sq.generalized_interleaved(5, 2, (1, 1, 1, 1), (0, 0, 0, 0), (0, 1, 1, 0),
                                      allow_any_w=True)
     assert out.period == 20
@@ -253,6 +259,10 @@ def test_literal_errors():
         sq.parse_sequence_literal("")
     with pytest.raises(ValueError):
         sq.parse_sequence_literal("M=5;01100")
+    # N= takes ASCII digits only, not what int() would also read
+    for head in ("N=x", "N=+2", "N= 2", "N=\uff12", "N="):
+        with pytest.raises(ValueError, match=re.escape(f"bad sequence prefix {head!r}, ")):
+            sq.parse_sequence_literal(f"{head};01")
 
 
 # Lines the parser skips: blank, whitespace-only and '#' comments, which may

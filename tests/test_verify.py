@@ -198,6 +198,34 @@ def test_run_all_rejects_jobs_below_one():
                 grid(60, jobs=jobs)
 
 
+def test_grids_reject_unknown_policies():
+    for grid in (verify.run_all, verify.survey_conjecture):
+        with pytest.raises(ValueError, match="unknown g policy 'every'"):
+            grid(60, g_policy="every")
+        with pytest.raises(ValueError, match="unknown w policy 'none'"):
+            grid(60, w_policy="none")
+
+
+def test_run_all_reports_a_construction_that_raises(monkeypatch):
+    real = verify.construction_params
+
+    def construction_params(p, g=None, w=(0, 1, 0, 1)):
+        if p == 13:
+            raise RuntimeError("no construction at p=13")
+        return real(p, g, w)
+
+    expected, _ = verify.run_all(30)
+    monkeypatch.setattr(verify, "construction_params", construction_params)
+    reports, summary = verify.run_all(30)
+    failed = [r for r in reports if r.p == 13 and r.check == "construction"]
+    assert len(failed) == 1 and not failed[0].passed
+    assert failed[0].witnesses == {"error": "RuntimeError: no construction at p=13"}
+    # the coprimality check needs no construction; p = 5 and p = 29 are unchanged
+    assert ([r for r in reports if r.p != 13 or r.check == verify.COPRIMALITY_CHECK]
+            == [r for r in expected if r.p != 13 or r.check == verify.COPRIMALITY_CHECK])
+    assert summary["failed"] == 1
+
+
 def test_run_all_builds_each_sequence_once(monkeypatch):
     calls = []
 
