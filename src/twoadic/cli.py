@@ -6,8 +6,9 @@ once, in its subcommand or in one of three shared groups: the instance flags
 --limit, --g, --w and --jobs (verify, survey), and the output flags --format
 and --out (analyze, verify, survey; construct takes --out alone). A grid takes
 one flag per axis: --g is smallest, all or one root, and --w is default, all
-or four bits. The parser is built once per process, and each subcommand's
-parser binds its handler, which main runs.
+or four bits. Every integer flag takes ASCII digits with an optional leading
+'-'. The parser is built once per process, and each subcommand's parser binds
+its handler, which main runs.
 
 Output is deterministic (no timestamps; fixed ordering), every emitted big
 integer is a decimal string, and CSV always carries a header row.
@@ -66,6 +67,15 @@ class _Exit(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _integer(text: str) -> int:
+    """The argparse type of every integer flag: ASCII digits with an optional
+    leading '-'. int() alone would also take a '+', surrounding spaces,
+    underscores and non-ASCII digits such as full-width ones."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_w(text: str) -> tuple[int, int, int, int]:
@@ -152,9 +162,10 @@ def _grid_policies(args) -> dict[str, object]:
     """
     g, w = args.g, args.w
     if g not in ("smallest", "all"):
-        if not (g.isascii() and g.removeprefix("-").isdigit()):
-            raise ValueError(f"g must be smallest, all or an integer root, got {g!r}")
-        g = int(g)
+        try:
+            g = _integer(g)
+        except argparse.ArgumentTypeError:
+            raise ValueError(f"g must be smallest, all or an integer root, got {g!r}") from None
         for p in eligible_primes(args.limit):
             _require_root(g, p)
     return {"g_policy": g, "w_policy": w if w in ("default", "all") else _parse_w(w)}
@@ -270,18 +281,18 @@ def _cmd_survey(args) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     instance = argparse.ArgumentParser(add_help=False)
-    instance.add_argument("--g", type=int, help="primitive root (default: smallest)")
+    instance.add_argument("--g", type=_integer, help="primitive root (default: smallest)")
     instance.add_argument("--w", help="offset bits w0w1w2w3 (default: 0101)")
     instance.add_argument("--allow-any-w", action="store_true",
                           help="accept w with w0 != w2 or w1 != w3")
 
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--limit", type=int, required=True)
+    grid.add_argument("--limit", type=_integer, required=True)
     grid.add_argument("--g", default="smallest", metavar="{smallest,all,ROOT}",
                       help="smallest (the default) or all roots of each p, or one ROOT")
     grid.add_argument("--w", default="default", metavar="{default,all,BITS}",
                       help="default (0101) or all admissible w, or one admissible w as BITS")
-    grid.add_argument("--jobs", type=int, default=1,
+    grid.add_argument("--jobs", type=_integer, default=1,
                       help="parallel grid workers, >= 1 (capped at cores and eligible primes)")
 
     out = argparse.ArgumentParser(add_help=False)
@@ -300,12 +311,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", parents=[instance, out],
                        help="emit one sequence with its parameters")
-    c.add_argument("--p", type=int, required=True, help="eligible prime (a^2 + 4)")
+    c.add_argument("--p", type=_integer, required=True, help="eligible prime (a^2 + 4)")
     c.set_defaults(run=_cmd_construct)
 
     a = sub.add_parser("analyze", parents=[instance, output],
                        help="autocorrelation, 2-adic and linear complexity")
-    a.add_argument("--p", type=int)
+    a.add_argument("--p", type=_integer)
     a.add_argument("--sequence-file", help="fixture literal instead of --p")
     a.set_defaults(run=_cmd_analyze)
 

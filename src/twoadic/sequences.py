@@ -201,12 +201,20 @@ def construction_params(p: int, g: int | None = None,
     """Resolve (p, g, w) into full construction parameters.
 
     g defaults to the smallest primitive root; b comes from Jacobi's
-    congruence in quartic_decomposition, and k, a and d follow from p.
+    congruence in quartic_decomposition, and k, a and d follow from p. The
+    quartic data is kept for the last (p, g), which the grids resolve once
+    for all four w.
     """
     if g is None:
         g = smallest_primitive_root(p)
-    quartic = quartic_decomposition(p, g)
-    return ConstructionParams(quartic=quartic, w=tuple(w))
+    return ConstructionParams(quartic=_quartic(p, g), w=tuple(w))
+
+
+@functools.lru_cache(maxsize=1)
+def _quartic(p: int, g: int) -> QuarticParams:
+    # Called through the module global, so a patched or wrapped
+    # quartic_decomposition sees every miss.
+    return quartic_decomposition(p, g)
 
 
 def su_sequence(params: ConstructionParams) -> BinarySequence:
@@ -220,10 +228,16 @@ def su_sequence(params: ConstructionParams) -> BinarySequence:
 
 def _su_instance(p: int, g: int, w: tuple[int, int, int, int]) -> BinarySequence:
     """su_sequence at (p, g) for any bits w: adding w_j to column j flips bit
-    4t + j for every t, so it is the w = 0000 interleave XOR that mask."""
+    4t + j for every t, so it is the w = 0000 interleave XOR that mask. The
+    masks of the last four (p, w) are kept, so every root of one p reuses its
+    prime's masks."""
+    return BinarySequence(4 * p, _su_base(p, g) ^ _w_mask(p, w))
+
+
+@functools.lru_cache(maxsize=4)
+def _w_mask(p: int, w: tuple[int, int, int, int]) -> int:
     # In most-significant-first text, each group of four bits reads w3 w2 w1 w0.
-    mask = int("".join(map(str, w[::-1])) * p, 2)
-    return BinarySequence(4 * p, _su_base(p, g) ^ mask)
+    return int("".join(map(str, w[::-1])) * p, 2)
 
 
 @functools.lru_cache(maxsize=1)

@@ -13,14 +13,14 @@ builds the parameters' own sequence when none is given. The construction
 depends on the primitive root g only through e = ind_g0(g) mod 4, which is 1
 or 3. One grid driver serves both run_all and the survey. Its unit of work is
 the prime: one task per p, run serially or in a process pool, evaluates each
-construction (p, e, w) once, at its first g, and hands its reports or row out
-to each g that shares it. Every root and its e are read from numtheory's one
-walk over the powers of g0, the walk that also yields the class masks, and
-the parent gives each g its own copy of the shared record without the
-dataclass __init__. Serially only the current prime's sequences are kept.
-A w and its complement share S(2) T(2^-1) and both closed forms, through
-two-entry caches here and in analysis, so each complement pair is evaluated
-once.
+construction (p, e, w) once, at the first g of class e, and gives every g of
+that class one shared list of the class's results in w order. Every root and
+its e are read from numtheory's one walk over the powers of g0, the walk that
+also yields the class masks, and the parent gives each g its own copy of
+every record in its class's list without the dataclass __init__. Serially
+only the current prime's sequences are kept. A w and its complement share
+S(2) T(2^-1) and both closed forms, through two-entry caches here and in
+analysis, so each complement pair is evaluated once.
 
 No check uses a tolerance anywhere; everything is exact integer equality.
 """
@@ -345,19 +345,22 @@ def _w_vectors(w_policy) -> list[tuple[int, int, int, int]]:
 
 
 def _prime_points(p: int, g_policy, ws, evaluate) -> list:
-    """[(g, result), ...] of one eligible p, in (g, w) order.
+    """[(g, results), ...] of one eligible p in g order, results in w order.
 
-    Each construction (e, w), e = ind_g0(g) mod 4, is evaluated once, at its
-    first g, and its result is shared by every g with that e.
+    Each construction (e, w), e = ind_g0(g) mod 4, is evaluated once, at the
+    first g of class e, and every g of that class gets the class's one
+    results list, the same object.
     """
-    first_g: dict = {}
-    roots = [(g, first_g.setdefault(e, g)) for g, e in _roots_for(p, g_policy)]
-    built = {(g, w): evaluate((p, g, w)) for g in first_g.values() for w in ws}
-    return [(g, built[first, w]) for g, first in roots for w in ws]
+    roots = _roots_for(p, g_policy)
+    classes: dict = {}
+    for g, e in roots:
+        if e not in classes:
+            classes[e] = [evaluate((p, g, w)) for w in ws]
+    return [(g, classes[e]) for g, e in roots]
 
 
 def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
-    """Each eligible p with its [(g, result), ...] from _prime_points.
+    """Each eligible p with its [(g, results), ...] from _prime_points.
 
     The prime is the one unit of work, so its cyclotomy is computed once, by
     whichever process evaluates it. Serially one prime at a time is resolved
@@ -396,12 +399,12 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default",
     Reporting only: whether gcd_plus equals 5 is a column, never an
     assertion. Rows are ordered by (p, g, w), so identical grids produce
     identical tables for every jobs >= 1, which caps the workers as in
-    run_all. Each construction (p, e, w) is checked once, and every g that
-    shares it gets a copy of its row from _root_copy.
+    run_all. Each construction (p, e, w) is checked once, and every g of its
+    class gets a copy of each row of the class's list from _root_copy.
     """
     return [_root_copy(r, g)
             for _, points in _grid(limit, g_policy, w_policy, _survey_point, jobs)
-            for g, r in points]
+            for g, rows in points for r in rows]
 
 
 def _root_copy(record, g: int):
@@ -410,11 +413,12 @@ def _root_copy(record, g: int):
     An all-g grid makes one copy per record and root, so the copy skips the
     dataclass __init__. A frozen __init__ sets each field through
     object.__setattr__, so a row's copy fills its __dict__ from the record's
-    in one update instead. A report's copy gets its own witnesses dict and
-    keeps its fields in plain attribute stores: a filled __dict__ would be one
-    more container for the garbage collector per report, and with it the
-    copies of run_all(20000, "all", "all") took about 1.4 times as long as
-    through __init__.
+    in one update and then sets g, with no keyword dict built per row. A
+    report's copy gets its own witnesses dict and keeps its fields in plain
+    attribute stores: a filled __dict__ would be one more container for the
+    garbage collector per report, and with it the copies of
+    run_all(20000, "all", "all") took about 1.4 times as long as through
+    __init__.
     """
     copy = object.__new__(type(record))
     if isinstance(record, CheckReport):
@@ -422,7 +426,9 @@ def _root_copy(record, g: int):
             record.check, record.p, record.passed, g, record.w, record.b,
             dict(record.witnesses))
     else:
-        copy.__dict__.update(record.__dict__, g=g)
+        fields = copy.__dict__
+        fields.update(record.__dict__)
+        fields["g"] = g
     return copy
 
 
@@ -479,16 +485,17 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
     them. The summary's ``failed`` count doubles as the exit status source;
     ``failures_by_kind`` counts the failures per ``"<check> w=<wwww>"`` (the
     check name alone for checks without a w), in sorted key order.
-    The grid driver checks each construction (p, e, w) once, at its first
-    g, and each g that shares it gets a copy of its reports from _root_copy,
-    with its own witnesses dict. jobs >= 1 is a ceiling: at most one worker
-    per core and per eligible prime is started, and each worker gets whole
-    primes.
+    The grid driver checks each construction (p, e, w) once, at the first g
+    of its class, and each g of the class gets a copy of every report in the
+    class's list from _root_copy, with its own witnesses dict. jobs >= 1 is
+    a ceiling: at most one worker per core and per eligible prime is
+    started, and each worker gets whole primes.
     """
     ordered: list[CheckReport] = []
     for p, points in _grid(limit, g_policy, w_policy, _evaluate_point, jobs):
         ordered.append(check_coprimality_facts(p))
-        ordered += [_root_copy(r, g) for g, reports in points for r in reports]
+        ordered += [_root_copy(r, g) for g, results in points
+                    for reports in results for r in reports]
 
     # An all-g grid can fail at hundreds of thousands of points with at most
     # four distinct w, so the text of each distinct g and w is built once.

@@ -60,6 +60,8 @@ def test_construct_rejects_bad_primes(capsys):
     assert code == 2 and "eligible" in err
     code, _, err = run(capsys, "construct", "--p", "17")
     assert code == 2  # 17 - 4 is not a perfect square
+    code, out, err = run(capsys, "construct", "--p", "-13")
+    assert (code, out) == (2, "") and "p=-13 is not an eligible prime" in err
 
 
 @pytest.mark.parametrize("command", ["construct", "analyze"])
@@ -399,6 +401,23 @@ def test_grid_refuses_the_old_policy_flags_and_a_bad_g(capsys, command, flags):
     except SystemExit as exc:  # argparse: unrecognized arguments
         code = exc.code
     assert (code, capsys.readouterr().out) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--p", "\uff11\uff13"],  # full-width 13
+    ["construct", "--p", "+13"],
+    ["analyze", "--p", "13", "--g", " 2"],
+    ["survey", "--limit", "\uff13\uff10"],
+    ["survey", "--limit", "1_0_0"],
+    ["survey", "--limit", "30", "--jobs", "\uff12"],
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    # --p, --limit, --jobs and the instance --g, as the grid --g does
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"invalid int value: {argv[-1]!r}" in captured.err
 
 
 # ------------------------------------------------------------------ survey

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import inspect
 import math
 import os
 import subprocess
@@ -293,6 +294,53 @@ def test_all_g_grid_builds_two_sequences_per_p_and_w(monkeypatch, grid, pooled):
     assert indexed == {}
     # the pool, where one starts, maps one task per prime
     assert InProcessPool.mapped == (eligible_primes(300) if pooled else [])
+
+
+@pytest.mark.parametrize("grid,points", [
+    (lambda: verify.survey_conjecture(1100, "all", "all"), 18),  # 9 primes x 2 classes
+    (lambda: verify.run_all(1100, "all", "all"), 18),
+    (lambda: verify.run_all(6000, "smallest", "all"), 17),  # 17 primes x 1 root
+])
+def test_grid_resolves_the_quartic_data_once_per_p_and_g(monkeypatch, grid, points):
+    # the four w of one evaluated (p, g) share its quartic data
+    calls = Counter()
+    quartic_decomposition = sequences.quartic_decomposition
+
+    def counting(p, g):
+        calls[p, g] += 1
+        return quartic_decomposition(p, g)
+
+    monkeypatch.setattr(sequences, "quartic_decomposition", counting)
+    sequences._quartic.cache_clear()
+    grid()
+    assert len(calls) == points and set(calls.values()) == {1}
+
+
+def test_survey_builds_each_w_mask_once_per_prime():
+    # both root classes of a prime read the same four masks
+    sequences._w_mask.cache_clear()
+    verify.survey_conjecture(1100, "all", "all")
+    assert sequences._w_mask.cache_info().misses == 4 * len(eligible_primes(1100)) == 36
+
+
+def test_pooled_all_g_grid_matches_the_serial_one(monkeypatch):
+    # the class lists cross a real pool shared; each report is still its own copy
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    serial = verify.run_all(300, "all", "all")
+    reports, summary = verify.run_all(300, "all", "all", jobs=2)
+    assert (reports, summary) == serial
+    assert len({id(r) for r in reports}) == len(reports)
+    assert len({id(r.witnesses) for r in reports}) == len(reports)
+
+
+@pytest.mark.parametrize("module", [numtheory, sequences, bigmod, analysis, verify])
+def test_public_functions_stay_plain_functions(module):
+    # The benchmark's tracer wraps only plain functions defined in their module,
+    # so a cache or other wrapper belongs on a private helper.
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj) and not isinstance(obj, type):
+            assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name
 
 
 def test_pooled_grid_computes_each_primes_cyclotomy_once(monkeypatch):
