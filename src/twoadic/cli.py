@@ -228,15 +228,12 @@ def _cmd_analyze(args) -> None:
 def _cmd_verify(args) -> None:
     reports, summary = verify.run_all(args.limit, **_grid_policies(args), jobs=args.jobs)
     # Each distinct witness int is rendered once, into every record that holds
-    # it: grid points that share a construction share its witness ints. Plain
-    # text shows no witness, so it renders at most the first failure, for the
-    # FAIL line.
+    # it: grid points that share a construction share its witness ints.
     render = functools.cache(decimal_str)
-    records = (None if args.format == "plain"
-               else [r.to_record(render) for r in reports])
     if args.format == "json":
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
+        _emit(json.dumps([r.to_record(render) for r in reports], indent=2) + "\n", args.out)
     elif args.format == "csv":
+        records = [r.to_record(render) for r in reports]
         identity = ["p", "g", "w", "b", "check", "pass"]
         witness_keys = sorted({k for rec in records for k in rec["witnesses"]})
         # Most cells belong to other checks' witnesses: each row starts blank in
@@ -253,8 +250,7 @@ def _cmd_verify(args) -> None:
         lines.append(f"passed {summary['passed']} of {summary['total']} checks")
         _emit("\n".join(lines) + "\n", args.out)
     if summary["failed"]:
-        i = next(i for i, r in enumerate(reports) if not r.passed)
-        rec = reports[i].to_record(render) if records is None else records[i]
+        rec = next(r for r in reports if not r.passed).to_record(render)
         detail = " ".join(f"{k}={_cell(v)}" for k, v in rec["witnesses"].items())
         raise _Exit(f"FAIL {rec['check']} p={rec['p']} g={rec['g']} w={rec['w']} {detail}",
                     EXIT_CHECK_FAILED)

@@ -4,25 +4,32 @@ Each check re-derives one claimed property from scratch and compares exactly,
 with the raw integers kept as witnesses: the closed-form autocorrelation
 against the spectrum computed from the bits, the S(2)T(2^-1) product against
 its closed form, the small-factor gcd facts, the coprimality facts behind the
-complexity bound, and the bound itself. A survey mode tabulates the bounds
-check's gcd split across the eligible primes; its cofactor gcd(S(2), 2^(2p)+1)
-is conjectured (not known) to always be 5, so the survey only reports.
+complexity bound, and the bound itself. No check uses a tolerance.
+
+A survey mode tabulates the bounds check's gcd split across the eligible
+primes. Given the closed form that check_product_congruence checks, its
+cofactor gcd_plus = gcd(S(2), 2^(2p)+1) is 5 for p > 5. Modulo
+Q = (2^(2p)+1)/5 every term of product_closed_form but -p vanishes, so
+S(2) T(2^-1) = -2p (mod Q): a prime dividing S(2) and Q divides 2p. Q is odd
+and 2^(2p)+1 = 5 (mod p) by Fermat, so gcd(S(2), Q) = 1. 25 does not divide
+2^(2p)+1, as ord_25(2) = 20 does not divide 4p, so gcd_plus = gcd(S(2), 5).
+Column j (bits 4t + j) has (p-1)/2 + w_j ones and 2^4 = 1 (mod 5), so
+S(2) = sum_j 2^j ((p-1)/2 + w_j) = 0 (mod 5) for all four admissible w. The
+minus part gcd(S(2), 2^(2p)-1) is not derived here.
 
 Each check takes the parameters and, optionally, the sequence to check; it
 builds the parameters' own sequence when none is given. The construction
-depends on the primitive root g only through e = ind_g0(g) mod 4, which is 1
-or 3. One grid driver serves both run_all and the survey. Its unit of work is
-the prime: one task per p, run serially or in a process pool, evaluates each
-construction (p, e, w) once, at the first g of class e, and gives every g of
-that class one shared list of the class's results in w order. Every root and
-its e are read from numtheory's one walk over the powers of g0, the walk that
-also yields the class masks, and the parent gives each g its own copy of
-every record in its class's list without the dataclass __init__. Serially
-only the current prime's sequences are kept. A w and its complement share
-S(2) T(2^-1) and both closed forms, through two-entry caches here and in
-analysis, so each complement pair is evaluated once.
-
-No check uses a tolerance anywhere; everything is exact integer equality.
+depends on the primitive root g only through e = ind_g0(g) mod 4, 1 or 3,
+read for every root from numtheory's one walk over the powers of g0. One grid
+driver serves run_all and the survey. Its unit of work is the prime: one task
+per p, run serially or in a process pool, evaluates each construction
+(p, e, w) once, at the first g of class e, and gives every g of that class
+one shared list of the class's results in w order. The parent gives each g
+its own record of each result: run_all builds a CheckReport through its
+constructor, and the survey copies the SurveyRow past its frozen __init__.
+Serially only the current prime's sequences are kept. A w and its complement
+share S(2) T(2^-1) and both closed forms, through two-entry caches here and
+in analysis, so each complement pair is evaluated once.
 """
 
 from __future__ import annotations
@@ -100,7 +107,8 @@ class CheckReport:
             "w": identity_field(self.w),
             "b": identity_field(self.b),
             "pass": self.passed,
-            "witnesses": {k: _jsonable(v, render) for k, v in self.witnesses.items()},
+            "witnesses": {k: render(v) if type(v) is int else v
+                          for k, v in self.witnesses.items()},
         }
 
 
@@ -159,12 +167,6 @@ def identity_field(value: int | tuple[int, ...] | None) -> object:
     if isinstance(value, tuple):
         return "".join(str(bit) for bit in value)
     return "" if value is None else value
-
-
-def _jsonable(v: object, render) -> object:
-    if isinstance(v, bool) or not isinstance(v, int):
-        return v
-    return render(v)
 
 
 def _flip_b(params: ConstructionParams) -> ConstructionParams:
@@ -373,7 +375,9 @@ def _grid(limit: int, g_policy, w_policy, evaluate, jobs: int = 1):
     task = functools.partial(_prime_points, g_policy=g_policy, ws=_w_vectors(w_policy),
                              evaluate=evaluate)
     primes = eligible_primes(limit)
-    workers = _worker_count(jobs, os.cpu_count(), len(primes))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())  # the cores this process may run on
+    workers = _worker_count(jobs, cpus, len(primes))
     if workers == 1:
         yield from zip(primes, map(task, primes))
     else:
@@ -393,42 +397,31 @@ def survey_conjecture(limit: int, g_policy="smallest", w_policy="default",
                       jobs: int = 1) -> list[SurveyRow]:
     """Tabulate the gcd split of S(2) for every grid point.
 
-    Each row is read from the witnesses of check_complexity_bounds: phi,
-    gcd_full and gcd_minus; the row derives gcd_plus = gcd_full / gcd_minus
-    and the bounds.
-    Reporting only: whether gcd_plus equals 5 is a column, never an
-    assertion. Rows are ordered by (p, g, w), so identical grids produce
-    identical tables for every jobs >= 1, which caps the workers as in
-    run_all. Each construction (p, e, w) is checked once, and every g of its
-    class gets a copy of each row of the class's list from _root_copy.
+    Each row reads phi, gcd_full and gcd_minus from the witnesses of
+    check_complexity_bounds, and derives gcd_plus = gcd_full / gcd_minus and
+    the bounds. gcd_plus_is_5 is a column, never an assertion: the computed
+    gcd_plus cross-checks the module docstring's argument that it is 5 for
+    p > 5. Rows are ordered by (p, g, w) for every jobs >= 1, which caps the
+    workers as in run_all. Every g of a class gets a copy of each row of the
+    class's list from _root_copy.
     """
     return [_root_copy(r, g)
             for _, points in _grid(limit, g_policy, w_policy, _survey_point, jobs)
             for g, rows in points for r in rows]
 
 
-def _root_copy(record, g: int):
-    """The shared SurveyRow or CheckReport record as root g's own copy.
+def _root_copy(row: SurveyRow, g: int) -> SurveyRow:
+    """The shared row as root g's own copy.
 
-    An all-g grid makes one copy per record and root, so the copy skips the
-    dataclass __init__. A frozen __init__ sets each field through
-    object.__setattr__, so a row's copy fills its __dict__ from the record's
-    in one update and then sets g, with no keyword dict built per row. A
-    report's copy gets its own witnesses dict and keeps its fields in plain
-    attribute stores: a filled __dict__ would be one more container for the
-    garbage collector per report, and with it the copies of
-    run_all(20000, "all", "all") took about 1.4 times as long as through
-    __init__.
+    An all-g survey makes one copy per row and root, so the copy skips the
+    frozen dataclass __init__, which sets each field through
+    object.__setattr__: it fills its __dict__ from the row's in one update
+    and then sets g, with no keyword dict built per row.
     """
-    copy = object.__new__(type(record))
-    if isinstance(record, CheckReport):
-        copy.check, copy.p, copy.passed, copy.g, copy.w, copy.b, copy.witnesses = (
-            record.check, record.p, record.passed, g, record.w, record.b,
-            dict(record.witnesses))
-    else:
-        fields = copy.__dict__
-        fields.update(record.__dict__)
-        fields["g"] = g
+    copy = object.__new__(SurveyRow)
+    fields = copy.__dict__
+    fields.update(row.__dict__)
+    fields["g"] = g
     return copy
 
 
@@ -482,33 +475,24 @@ def run_all(limit: int, g_policy="smallest", w_policy="default",
 
     Results come back grouped by p (coprimality first, then the per-(g, w)
     checks) in (p, g, w) order regardless of how many workers evaluated
-    them. The summary's ``failed`` count doubles as the exit status source;
-    ``failures_by_kind`` counts the failures per ``"<check> w=<wwww>"`` (the
-    check name alone for checks without a w), in sorted key order.
-    The grid driver checks each construction (p, e, w) once, at the first g
-    of its class, and each g of the class gets a copy of every report in the
-    class's list from _root_copy, with its own witnesses dict. jobs >= 1 is
-    a ceiling: at most one worker per core and per eligible prime is
-    started, and each worker gets whole primes.
+    them. The summary's keys are ``limit``, ``total``, ``passed``, ``failed``
+    (the exit status source) and ``failures_by_kind``, which counts the
+    failing reports per ``"<check> w=<wwww>"`` (the check name alone for
+    checks without a w), in sorted key order. Each construction (p, e, w) is
+    checked once, at the first g of its class, and each g of the class gets
+    its own CheckReport of every report in the class's list, with its own
+    witnesses dict. jobs >= 1 is a ceiling: at most one worker per usable
+    core and per eligible prime is started, and each worker gets whole primes.
     """
     ordered: list[CheckReport] = []
     for p, points in _grid(limit, g_policy, w_policy, _evaluate_point, jobs):
         ordered.append(check_coprimality_facts(p))
-        ordered += [_root_copy(r, g) for g, results in points
-                    for reports in results for r in reports]
+        ordered += [CheckReport(r.check, r.p, r.passed, g, r.w, r.b, dict(r.witnesses))
+                    for g, results in points for reports in results for r in reports]
 
-    # An all-g grid can fail at hundreds of thousands of points with at most
-    # four distinct w, so the text of each distinct g and w is built once.
-    text = functools.cache(identity_field)
-    failures = [{"check": r.check, "p": r.p, "g": text(r.g), "w": text(r.w)}
-                for r in ordered if not r.passed]
-    kinds = Counter(f"{f['check']} w={f['w']}" if f["w"] else f["check"] for f in failures)
-    summary = {
-        "limit": limit,
-        "total": len(ordered),
-        "passed": len(ordered) - len(failures),
-        "failed": len(failures),
-        "failures": failures,
-        "failures_by_kind": dict(sorted(kinds.items())),
-    }
-    return ordered, summary
+    kinds = Counter((r.check, r.w) for r in ordered if not r.passed)
+    failed = sum(kinds.values())
+    by_kind = sorted((f"{check} w={identity_field(w)}" if w else check, n)
+                     for (check, w), n in kinds.items())
+    return ordered, {"limit": limit, "total": len(ordered), "passed": len(ordered) - failed,
+                     "failed": failed, "failures_by_kind": dict(by_kind)}

@@ -259,11 +259,34 @@ class InProcessPool:
         return map(fn, items)
 
 
+def on_cores(monkeypatch, cpus, usable):
+    """Pretend the host has cpus cores, of which this process may run on usable."""
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                        raising=False)
+
+
 def use_in_process_pool(monkeypatch):
     """Route run_all's pool through InProcessPool on two cores, with an empty log."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    on_cores(monkeypatch, 2, 2)
     monkeypatch.setattr(InProcessPool, "mapped", [])
+
+
+def test_jobs_stay_within_the_cpu_affinity_mask(monkeypatch):
+    # eight cores, but this process may run on one of them: no pool is started
+    serial = verify.run_all(300, "all", "all")
+    use_in_process_pool(monkeypatch)
+    on_cores(monkeypatch, 8, 1)
+    assert verify.run_all(300, "all", "all", jobs=4) == serial
+    assert InProcessPool.mapped == []
+
+
+def test_jobs_fall_back_to_the_core_count_without_an_affinity_mask(monkeypatch):
+    use_in_process_pool(monkeypatch)
+    monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+    verify.run_all(60, jobs=4)
+    assert InProcessPool.mapped == eligible_primes(60)
 
 
 @pytest.mark.parametrize("grid,pooled", [
@@ -325,7 +348,7 @@ def test_survey_builds_each_w_mask_once_per_prime():
 
 def test_pooled_all_g_grid_matches_the_serial_one(monkeypatch):
     # the class lists cross a real pool shared; each report is still its own copy
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    on_cores(monkeypatch, 2, 2)
     serial = verify.run_all(300, "all", "all")
     reports, summary = verify.run_all(300, "all", "all", jobs=2)
     assert (reports, summary) == serial
@@ -401,32 +424,44 @@ def test_all_g_grid_evaluates_each_complement_pair_once_per_construction_class()
     assert misses == ([2 * len(classes)] * len(PAIR_CACHES), len(classes))
 
 
-def test_root_copies_equal_the_records_the_constructor_builds():
-    # every per-root record of the all-g grids, copied at its own g and at 6
-    reports, _ = verify.run_all(13, "all", "all")
-    rows = verify.survey_conjecture(13, "all", "all")
-    copied = [r for r in reports if r.g is not None] + rows
-    assert {(r.p, r.g) for r in copied} == {(p, g) for p in (5, 13)
-                                             for g in all_primitive_roots(p)}
-    for record in copied:
-        for g in (record.g, 6):
-            copy = verify._root_copy(record, g)
-            built = dataclasses.replace(record, g=g)
-            assert type(copy) is type(built)
-            assert copy == built and vars(copy) == vars(built)
-            assert copy.to_record() == built.to_record()
-            if isinstance(record, verify.SurveyRow):
+def test_root_copies_equal_the_records_the_constructor_builds(monkeypatch):
+    # each root's report is its class's report at that g; each row copy is the
+    # class's row at that g, and at 6
+    use_in_process_pool(monkeypatch)
+    for jobs in (1, 2):
+        reports, _ = verify.run_all(13, "all", "all", jobs=jobs)
+        expected = []
+        for p in eligible_primes(13):
+            expected.append(verify.check_coprimality_facts(p))
+            for g, results in verify._prime_points(p, "all", ADMISSIBLE_W,
+                                                   verify._evaluate_point):
+                expected += [dataclasses.replace(r, g=g)
+                             for class_reports in results for r in class_reports]
+        assert reports == expected
+        assert {(r.p, r.g) for r in reports if r.g is not None} == {
+            (p, g) for p in (5, 13) for g in all_primitive_roots(p)}
+        assert len({id(r.witnesses) for r in reports}) == len(reports)
+        for row in verify.survey_conjecture(13, "all", "all", jobs=jobs):
+            for g in (row.g, 6):
+                copy = verify._root_copy(row, g)
+                built = dataclasses.replace(row, g=g)
+                assert type(copy) is type(built)
+                assert copy == built and vars(copy) == vars(built)
+                assert copy.to_record() == built.to_record()
                 assert hash(copy) == hash(built)
+    assert InProcessPool.mapped == [5, 13] * 2
 
 
-def test_survey_row_copies_stay_frozen():
-    row = verify.survey_conjecture(13, "all", "all")[-1]
-    copy = verify._root_copy(row, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        copy.g = 6
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        copy.phi = 0
-    assert (copy.g, copy.phi) == (2, row.phi)
+def test_survey_row_copies_stay_frozen(monkeypatch):
+    use_in_process_pool(monkeypatch)
+    for jobs in (1, 2):
+        row = verify.survey_conjecture(13, "all", "all", jobs=jobs)[-1]
+        copy = verify._root_copy(row, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.g = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.phi = 0
+        assert (copy.g, copy.phi) == (2, row.phi)
 
 
 def test_copied_reports_do_not_share_witnesses():
@@ -646,14 +681,26 @@ def test_run_all_surfaces_corrupted_fixture(monkeypatch):
     assert any(r.p == 53 and r.passed for r in reports)
 
 
-def test_run_all_failures_by_kind():
+def test_run_all_failures_by_kind(monkeypatch):
     _, summary = verify.run_all(300, w_policy="all")
     kinds = summary["failures_by_kind"]
     assert list(kinds) == ["complexity-bounds w=0000", "complexity-bounds w=1111",
                            "small-factor-gcds w=0000", "small-factor-gcds w=1111"]
-    assert sum(kinds.values()) == summary["failed"] == len(summary["failures"])
+    assert sum(kinds.values()) == summary["failed"]
     _, green = verify.run_all(60)
     assert green["failures_by_kind"] == {}
+    # every failing report of an all-g grid is counted under its kind
+    use_in_process_pool(monkeypatch)
+    for jobs in (1, 2):
+        reports, summary = verify.run_all(1100, "all", "all", jobs=jobs)
+        failing = [r for r in reports if not r.passed]
+        assert set(summary) == {"limit", "total", "passed", "failed", "failures_by_kind"}
+        assert summary["failures_by_kind"] == Counter(
+            f"{r.check} w={''.join(map(str, r.w))}" for r in failing)
+        assert list(summary["failures_by_kind"]) == sorted(summary["failures_by_kind"])
+        assert (summary["total"], summary["failed"]) == (len(reports), len(failing))
+        assert summary["passed"] == len(reports) - len(failing)
+    assert InProcessPool.mapped == eligible_primes(1100)
 
 
 def test_failures_by_kind_keys_checks_without_w_by_name(monkeypatch):
@@ -713,6 +760,44 @@ def test_survey_gcd_split_matches_direct_gcds():
         s2 = bigmod.eval_S(su_sequence(construction_params(row.p, row.g, row.w))).value
         assert row.gcd_minus == math.gcd(s2, (1 << (2 * row.p)) - 1)
         assert row.gcd_plus == math.gcd(s2, (1 << (2 * row.p)) + 1)
+
+
+def inverse_power_sum(s: BinarySequence) -> int:
+    """sum_t s(t) 2^((N - t) mod N), which is S(2^-1) mod 2^N - 1, from the bits."""
+    n = s.period
+    bits = format(s.value, f"0{n}b")[::-1]  # bits[t] is s(t)
+    # bit k of the sum is s(t) with k = (N - t) mod N; the text leads with k = N - 1
+    return int("".join(bits[(n - k) % n] for k in reversed(range(n))), 2)
+
+
+def test_gcd_plus_is_5_follows_from_the_product_congruence():
+    # the premises of the argument in verify's docstring, at the first root of
+    # each class and all four w; Q = (2^(2p) + 1)/5 divides 2^(4p) - 1
+    points = 0
+    for p in eligible_primes(2213):
+        if p == 5:
+            continue
+        plus = (1 << 2 * p) + 1
+        q = plus // 5
+        firsts = {}
+        for g, e in numtheory._roots_with_index(p):
+            firsts.setdefault(e, g)
+        assert sorted(firsts) == [1, 3]
+        for g in firsts.values():
+            for w in ADMISSIBLE_W:
+                params = construction_params(p, g, w)
+                s = su_sequence(params)
+                assert verify.product_closed_form(params).value % q == -2 * p % q
+                # T(2^-1) = sum_t (1 - 2 s(t)) 2^(-t) = -2 S(2^-1) mod 2^N - 1
+                assert s.value * -2 * inverse_power_sum(s) % q == -2 * p % q
+                bits = format(s.value, f"0{4 * p}b")[::-1]
+                weights = [(p - 1) // 2 + w_j for w_j in w]
+                assert [bits[j::4].count("1") for j in range(4)] == weights
+                s2 = bigmod.eval_S(s).value
+                assert s2 % 5 == sum(wt << j for j, wt in enumerate(weights)) % 5 == 0
+                assert math.gcd(s2, plus) == 5
+                points += 1
+    assert points == 96  # 12 primes, 2 classes, 4 w
 
 
 def test_survey_row_derives_gcd_plus_and_bounds():
