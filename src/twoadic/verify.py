@@ -18,18 +18,20 @@ S(2) = sum_j 2^j ((p-1)/2 + w_j) = 0 (mod 5) for all four admissible w. The
 minus part gcd(S(2), 2^(2p)-1) is not derived here.
 
 Each check takes the parameters and, optionally, the sequence to check; it
-builds the parameters' own sequence when none is given. The construction
-depends on the primitive root g only through e = ind_g0(g) mod 4, 1 or 3,
-read for every root from numtheory's one walk over the powers of g0. One grid
-driver serves run_all and the survey. Its unit of work is the prime: one task
-per p, run serially or in a process pool, evaluates each construction
-(p, e, w) once, at the first g of class e, and gives every g of that class
-one shared list of the class's results in w order. The parent gives each g
-its own record of each result: run_all builds a CheckReport through its
-constructor, and the survey copies the SurveyRow past its frozen __init__.
-Serially only the current prime's sequences are kept. A w and its complement
-share S(2) T(2^-1) and both closed forms, through two-entry caches here and
-in analysis, so each complement pair is evaluated once.
+builds the parameters' own sequence when none is given. No check reads
+another's result or corrects b, so a wrong sign of b fails the spectrum and
+product checks. The construction depends on the primitive root g only
+through e = ind_g0(g) mod 4, 1 or 3, read for every root from numtheory's
+one walk over the powers of g0. One grid driver serves run_all and the
+survey. Its unit of work is the prime: one task per p, run serially or in a
+process pool, evaluates each construction (p, e, w) once, at the first g of
+class e, and gives every g of that class one shared list of the class's
+results in w order. The parent gives each g its own record of each result:
+run_all builds a CheckReport through its constructor, and the survey copies
+the SurveyRow past its frozen __init__. Serially only the current prime's
+sequences are kept. A w and its complement share S(2) T(2^-1) and both
+closed forms, through two-entry caches here and in analysis, so each
+complement pair is evaluated once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import functools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import analysis, bigmod
 from .bigmod import decimal_str
@@ -169,39 +171,31 @@ def identity_field(value: int | tuple[int, ...] | None) -> object:
     return "" if value is None else value
 
 
-def _flip_b(params: ConstructionParams) -> ConstructionParams:
-    return replace(params, quartic=replace(params.quartic, b=-params.quartic.b))
-
-
 def _report(check: str, params: ConstructionParams, passed: bool,
-            witnesses: dict[str, object], b: int | None = None) -> CheckReport:
-    """check's report on params: p, g, w and, unless given, b from params."""
+            witnesses: dict[str, object]) -> CheckReport:
+    """check's report on params: p, g, w and b from params."""
     return CheckReport(check=check, p=params.p, passed=passed, g=params.g, w=params.w,
-                       b=params.b if b is None else b, witnesses=witnesses)
+                       b=params.b, witnesses=witnesses)
 
 
 def check_autocorrelation_spectrum(params: ConstructionParams,
                                    sequence: BinarySequence | None = None) -> CheckReport:
     """Brute-force autocorrelation versus the closed form, at every shift.
 
-    This is also the sign gate for b: if the closed form matches only after
-    negating the b that quartic_decomposition read from Jacobi's congruence
-    (the b_jacobi witness), the flip is recorded and the flipped value is
-    what downstream congruence checks should use. Independently re-asserts
-    that the out-of-phase values lie in {0, 4, -4}.
+    The closed form is taken with the b that quartic_decomposition reads from
+    Jacobi's congruence (the b_jacobi witness), so a wrong sign of b fails
+    here; on a mismatch the first differing shift is recorded. On a match
+    sign_flipped is always False and b_used is b: both are kept so records
+    keep their keys. Independently re-asserts that the out-of-phase values lie
+    in {0, 4, -4}.
     """
     s = su_sequence(params) if sequence is None else sequence
     brute = analysis.autocorrelation(s)
-    witnesses: dict[str, object] = {"b_jacobi": params.b}
-
-    b_used: int | None = None
     claimed = analysis.closed_form_spectrum(params)
-    if brute == claimed:
-        b_used = params.b
+    witnesses: dict[str, object] = {"b_jacobi": params.b}
+    matched = brute == claimed
+    if matched:
         witnesses["sign_flipped"] = False
-    elif brute == analysis.closed_form_spectrum(_flip_b(params)):
-        b_used = -params.b
-        witnesses["sign_flipped"] = True
     else:
         tau = next(t for t in range(brute.period)
                    if brute.values[t] != claimed.values[t])
@@ -210,10 +204,9 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
                          claimed_value=claimed.values[tau])
 
     magnitude_ok = brute.out_of_phase() <= {0, 4, -4}
-    witnesses["b_used"] = b_used
+    witnesses["b_used"] = params.b if matched else None
     witnesses["magnitude_ok"] = magnitude_ok
-    return _report(SPECTRUM_CHECK, params, b_used is not None and magnitude_ok,
-                   witnesses, b=b_used)
+    return _report(SPECTRUM_CHECK, params, matched and magnitude_ok, witnesses)
 
 
 def product_closed_form(params: ConstructionParams) -> bigmod.MersenneResidue:
@@ -431,13 +424,11 @@ def _error_report(check: str, p: int, g, w, exc: Exception) -> CheckReport:
 
 
 def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[CheckReport]:
-    """All per-(p, g, w) checks, gate first so downstream checks see the
-    resolved sign of b.
+    """All per-(p, g, w) checks on one sequence, in report order.
 
-    Every check reads one sequence; b does not enter the construction, so
-    flipping it after the gate leaves the sequence valid. A check that raises
-    becomes a failed report under its check name, and the others still run; a
-    gate that raises leaves b as it is.
+    The checks are independent: each reads the parameters and the sequence
+    and nothing another check found. A check that raises becomes a failed
+    report under its check name, and the others still run.
     """
     p, g, w = point
     try:
@@ -446,15 +437,9 @@ def _evaluate_point(point: tuple[int, int, tuple[int, int, int, int]]) -> list[C
     except Exception as exc:  # noqa: BLE001 - the batch must not abort
         return [_error_report("construction", p, g, w, exc)]
 
-    try:
-        gate = check_autocorrelation_spectrum(params, s)
-    except Exception as exc:  # noqa: BLE001
-        gate = _error_report(SPECTRUM_CHECK, p, g, w, exc)
-    out = [gate]
-    b_used = gate.witnesses.get("b_used")
-    if isinstance(b_used, int) and b_used != params.b:
-        params = _flip_b(params)
-    for name, check in ((PRODUCT_CHECK, check_product_congruence),
+    out = []
+    for name, check in ((SPECTRUM_CHECK, check_autocorrelation_spectrum),
+                        (PRODUCT_CHECK, check_product_congruence),
                         (SMALL_FACTOR_CHECK, check_small_factor_gcds),
                         (BOUNDS_CHECK, check_complexity_bounds)):
         try:

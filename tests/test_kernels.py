@@ -259,6 +259,11 @@ sequences_up_to_300 = st.integers(1, 300).flatmap(
     lambda n: st.integers(0, (1 << n) - 1).map(lambda v: BinarySequence(n, v)))
 
 
+def negate_b(params):
+    return dataclasses.replace(
+        params, quartic=dataclasses.replace(params.quartic, b=-params.quartic.b))
+
+
 def ladder_params():
     """All w and up to three primitive roots per eligible p <= 2213."""
     out = []
@@ -398,7 +403,7 @@ def test_packed_kernels_on_the_ladder(params):
     s = su_sequence(params)
     brute = analysis.autocorrelation(s)
     check_packed(brute, ref_autocorrelation(s))
-    flipped = verify._flip_b(params)
+    flipped = negate_b(params)
     for q in (params, flipped):
         check_packed(analysis.closed_form_spectrum(q), ref_closed_form_spectrum(q))
     # the construction's b matches, the flipped one does not
@@ -631,7 +636,7 @@ def test_construction_ladder(params):
     assert bigmod.eval_T_inv(s).value == ref_eval_T_inv(s)
     assert deinterleave(s) == ref_deinterleave(s)
     assert analysis.hu_identity_check(s) == ref_hu_identity_check(s)
-    for q in (params, verify._flip_b(params)):
+    for q in (params, negate_b(params)):
         assert analysis.closed_form_spectrum(q).values == ref_closed_form_spectrum(q)
         assert verify.product_closed_form(q).value == ref_product_closed_form(q)
 

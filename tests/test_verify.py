@@ -31,7 +31,7 @@ def negate_b(params):
         params, quartic=dataclasses.replace(params.quartic, b=-params.quartic.b))
 
 
-# ----------------------------------------------------- spectrum check/gate
+# ----------------------------------------------------------- spectrum check
 
 def test_spectrum_check_passes_and_records_sign():
     report = verify.check_autocorrelation_spectrum(construction_params(13, 2))
@@ -49,13 +49,16 @@ def test_spectrum_check_all_small_grid():
                 construction_params(p, 2, w)).passed
 
 
-def test_spectrum_gate_flips_when_b_is_wrong():
-    # feed parameters with the negated b; the gate should recover the truth
+def test_spectrum_check_fails_when_b_is_negated():
+    # the closed form is taken with the b it is given, so a wrong sign fails
     params = negate_b(construction_params(13, 2))
     report = verify.check_autocorrelation_spectrum(params)
-    assert report.passed
-    assert report.witnesses["sign_flipped"] is True
-    assert report.witnesses["b_used"] == 1
+    assert not report.passed
+    assert report.b == report.witnesses["b_jacobi"] == -1
+    assert "first_mismatch_tau" in report.witnesses
+    assert report.witnesses["b_used"] is None
+    assert "sign_flipped" not in report.witnesses
+    assert report.witnesses["magnitude_ok"] is True
 
 
 def test_spectrum_check_fails_on_corrupted_sequence():
@@ -588,42 +591,33 @@ def test_run_all_calls_each_public_check_once_per_construction(monkeypatch, jobs
     assert reports == verify.run_all(60, w_policy="all")[0]
 
 
+POINT_CHECKS = (("check_autocorrelation_spectrum", verify.SPECTRUM_CHECK),
+                ("check_product_congruence", verify.PRODUCT_CHECK),
+                ("check_small_factor_gcds", verify.SMALL_FACTOR_CHECK),
+                ("check_complexity_bounds", verify.BOUNDS_CHECK))
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_all_isolates_a_check_that_raises(monkeypatch, jobs):
-    def check_small_factor_gcds(params, sequence=None):
-        raise RuntimeError(f"no gcds at p={params.p}")
+    # the per-point checks are independent: whichever of them raises, the
+    # error is reported under its name and every other report is unchanged
+    def raising(params, sequence=None):
+        raise RuntimeError(f"raised at p={params.p}")
 
     expected, _ = verify.run_all(60, w_policy="all")
-    monkeypatch.setattr(verify, "check_small_factor_gcds", check_small_factor_gcds)
-    reports, summary = pooled_run_all(monkeypatch, jobs)
-    # an error is reported under the name the check's verdicts carry
-    errors = [r for r in reports if r.check == "small-factor-gcds"]
-    assert len(errors) == 16 and not any(r.passed for r in errors)
-    assert all(r.witnesses == {"error": f"RuntimeError: no gcds at p={r.p}"}
-               for r in errors)
-    # every other check still reports, unchanged
-    assert ([r for r in reports if r.check != "small-factor-gcds"]
-            == [r for r in expected if r.check != "small-factor-gcds"])
-    assert summary["failures_by_kind"]["small-factor-gcds w=0101"] == 4
-    assert all(kind.split()[0] in {r.check for r in expected}
-               for kind in summary["failures_by_kind"])
-
-
-def test_run_all_isolates_a_gate_that_raises(monkeypatch):
-    def check_autocorrelation_spectrum(params, sequence=None):
-        raise RuntimeError("no spectrum")
-
-    expected, _ = verify.run_all(60, w_policy="all")
-    monkeypatch.setattr(verify, "check_autocorrelation_spectrum",
-                        check_autocorrelation_spectrum)
-    reports, summary = verify.run_all(60, w_policy="all")
-    gates = [r for r in reports if r.check == verify.SPECTRUM_CHECK]
-    assert len(gates) == 16 and not any(r.passed for r in gates)
-    assert all(r.witnesses == {"error": "RuntimeError: no spectrum"} for r in gates)
-    # b stays as the Jacobi sum gives it, which the downstream checks accept
-    assert ([r for r in reports if r.check != verify.SPECTRUM_CHECK]
-            == [r for r in expected if r.check != verify.SPECTRUM_CHECK])
-    assert summary["failures_by_kind"]["autocorrelation-spectrum w=0101"] == 4
+    for function, name in POINT_CHECKS:
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, function, raising)
+            reports, summary = pooled_run_all(patched, jobs)
+        errors = [r for r in reports if r.check == name]
+        assert len(errors) == 16 and not any(r.passed for r in errors), name
+        assert all(r.witnesses == {"error": f"RuntimeError: raised at p={r.p}"}
+                   for r in errors), name
+        assert ([r for r in reports if r.check != name]
+                == [r for r in expected if r.check != name]), name
+        assert summary["failures_by_kind"][f"{name} w=0101"] == 4, name
+        assert all(kind.split()[0] in {r.check for r in expected}
+                   for kind in summary["failures_by_kind"]), name
 
 
 def test_each_check_reports_under_its_name_constant():
@@ -650,16 +644,23 @@ def test_importing_the_package_loads_no_pool_or_decimal():
     assert proc.stdout == "[]\n"
 
 
-def test_run_all_checks_downstream_with_the_gated_sign(monkeypatch):
+def test_run_all_fails_the_b_checks_when_b_is_negated(monkeypatch):
+    # no check corrects b: the two closed forms in b fail, and the checks
+    # that do not read b report as they do with the true b
+    expected, _ = verify.run_all(60, "all", "all")
     real = verify.construction_params
     monkeypatch.setattr(verify, "construction_params",
                         lambda p, g, w: negate_b(real(p, g, w)))
     reports, _ = verify.run_all(60, "all", "all")
-    gates = [r for r in reports if r.check == "autocorrelation-spectrum"]
-    assert gates and all(r.passed and r.witnesses["sign_flipped"] for r in gates)
-    products = [r for r in reports if r.check == "st-product-congruence"]
-    assert len(products) == len(gates) and all(r.passed for r in products)
-    assert all(r.b == real(r.p, r.g, r.w).b for r in products)
+    b_checks = {verify.SPECTRUM_CHECK, verify.PRODUCT_CHECK}
+    failed = [r for r in reports if r.check in b_checks]
+    assert len(failed) == sum(r.check in b_checks for r in expected) > 0
+    assert not any(r.passed for r in failed)
+    assert all(r.witnesses["b_used"] is None and "first_mismatch_tau" in r.witnesses
+               for r in failed if r.check == verify.SPECTRUM_CHECK)
+    others = {verify.SMALL_FACTOR_CHECK, verify.BOUNDS_CHECK}
+    unchanged = [dataclasses.replace(r, b=-r.b) for r in reports if r.check in others]
+    assert unchanged and unchanged == [r for r in expected if r.check in others]
 
 
 def test_run_all_surfaces_corrupted_fixture(monkeypatch):
@@ -770,6 +771,21 @@ def inverse_power_sum(s: BinarySequence) -> int:
     return int("".join(bits[(n - k) % n] for k in reversed(range(n))), 2)
 
 
+def class_points(p: int) -> list:
+    """The construction at the first root of each class, e = 1 and 3, for all four w."""
+    firsts = {}
+    for g, e in numtheory._roots_with_index(p):
+        firsts.setdefault(e, g)
+    assert sorted(firsts) == [1, 3]
+    return [construction_params(p, g, w) for g in firsts.values() for w in ADMISSIBLE_W]
+
+
+def column_weights(s: BinarySequence) -> list[int]:
+    """The number of ones in column j, bits 4t + j, for j = 0..3."""
+    bits = format(s.value, f"0{s.period}b")[::-1]
+    return [bits[j::4].count("1") for j in range(4)]
+
+
 def test_gcd_plus_is_5_follows_from_the_product_congruence():
     # the premises of the argument in verify's docstring, at the first root of
     # each class and all four w; Q = (2^(2p) + 1)/5 divides 2^(4p) - 1
@@ -779,25 +795,49 @@ def test_gcd_plus_is_5_follows_from_the_product_congruence():
             continue
         plus = (1 << 2 * p) + 1
         q = plus // 5
-        firsts = {}
-        for g, e in numtheory._roots_with_index(p):
-            firsts.setdefault(e, g)
-        assert sorted(firsts) == [1, 3]
-        for g in firsts.values():
-            for w in ADMISSIBLE_W:
-                params = construction_params(p, g, w)
-                s = su_sequence(params)
-                assert verify.product_closed_form(params).value % q == -2 * p % q
-                # T(2^-1) = sum_t (1 - 2 s(t)) 2^(-t) = -2 S(2^-1) mod 2^N - 1
-                assert s.value * -2 * inverse_power_sum(s) % q == -2 * p % q
-                bits = format(s.value, f"0{4 * p}b")[::-1]
-                weights = [(p - 1) // 2 + w_j for w_j in w]
-                assert [bits[j::4].count("1") for j in range(4)] == weights
-                s2 = bigmod.eval_S(s).value
-                assert s2 % 5 == sum(wt << j for j, wt in enumerate(weights)) % 5 == 0
-                assert math.gcd(s2, plus) == 5
-                points += 1
+        for params in class_points(p):
+            s = su_sequence(params)
+            assert verify.product_closed_form(params).value % q == -2 * p % q
+            # T(2^-1) = sum_t (1 - 2 s(t)) 2^(-t) = -2 S(2^-1) mod 2^N - 1
+            assert s.value * -2 * inverse_power_sum(s) % q == -2 * p % q
+            weights = column_weights(s)
+            assert weights == [(p - 1) // 2 + w_j for w_j in params.w]
+            s2 = bigmod.eval_S(s).value
+            assert s2 % 5 == sum(wt << j for j, wt in enumerate(weights)) % 5 == 0
+            assert math.gcd(s2, plus) == 5
+            points += 1
     assert points == 96  # 12 primes, 2 classes, 4 w
+
+
+def test_character_sum_squares_to_p_minus_the_repunit():
+    # the Gauss-sum step of the minus part: K = sum over i in Z_p* of
+    # (i/p) 2^(4i) has K^2 = p - (2^(4p) - 1)/15 (mod 2^(4p) - 1)
+    primes = eligible_primes(2213)
+    for p in primes:
+        m = (1 << 4 * p) - 1
+        codes = numtheory.residue_codes(p)[::-1]  # packed as product_closed_form packs it
+        packed = (int(codes.translate(numtheory._CLASS_TEXT[1]), 16)
+                  - int(codes.translate(numtheory._CLASS_TEXT[2]), 16))
+        k = sum(numtheory.legendre_symbol(i, p) << 4 * i for i in range(1, p))
+        assert packed == k
+        assert k * k % m == (p - m // 15) % m
+    assert len(primes) == 13
+
+
+def test_s2_mod_3_is_the_alternating_column_weight_sum():
+    # 2 = -1 (mod 3), so bit 4t + j adds (-1)^j: S(2) mod 3 is 0 exactly for
+    # w = 0000 and 1111, where gcd_minus = 3
+    points = 0
+    for p in eligible_primes(2213):
+        for params in class_points(p):
+            s = su_sequence(params)
+            weights = column_weights(s)
+            assert weights == [(p - 1) // 2 + w_j for w_j in params.w]
+            s2 = bigmod.eval_S(s).value
+            assert s2 % 3 == sum((-1) ** j * wt for j, wt in enumerate(weights)) % 3
+            assert (s2 % 3 == 0) == (params.w in {(0, 0, 0, 0), (1, 1, 1, 1)})
+            points += 1
+    assert points == 104  # 13 primes, 2 classes, 4 w
 
 
 def test_survey_row_derives_gcd_plus_and_bounds():
