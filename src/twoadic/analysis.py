@@ -4,17 +4,23 @@ spectral product identity, and linear complexity.
 All results are exact integers. The brute-force spectrum comes from the bits
 alone through one big-number product (Kronecker substitution), so a full
 spectrum costs one decimal multiplication of two kN-digit numbers rather
-than N rotations, k the digit count of W^2 / N for weight W where every
-count but the known C(0) = W fits it (checked), else of W; libmpdec runs it
-as a number-theoretic transform. libmpdec also folds the two halves of the
-product onto each other, and the spectrum comes out packed: AC(tau) + N in
-fixed-width fields of bytes, read from the folded digits by digit planes,
-with no int per shift. Complementing leaves AC unchanged and, for even N,
-adding 0101... negates AC at odd tau, so the transform runs once per orbit
-of these masks: the four admissible w of one construction share one
-multiply. The closed form writes the same fields from one length-p table of
-quadratic-residue codes, so the spectrum check compares two byte strings,
-and the product identity folds its right side from the fields' bit planes.
+than N rotations; libmpdec runs it as a number-theoretic transform. The
+coincidence counts sit in fields of about log10(2N) / 2 digits, centered on
+their mean. The decoded fields differ from the true ones by cyclic carries
+below half a field: the mirror C(tau) = C(N - tau) makes the carries
+2-periodic, the field sum W^2 - W makes them sum to 0, and then odd N or,
+for even N, the alternating sum (W_even - W_odd)^2 makes them 0. So the
+fields are kept when the three hold (proof at _fold_counts), and else the
+product is redone with fields of the digits of W, which no count
+overflows. libmpdec also folds the two halves of the product onto each
+other, and the spectrum comes out packed: AC(tau) + N in fixed-width fields
+of bytes, read from the folded digits by digit planes, with no int per
+shift. Complementing leaves AC unchanged and, for even N, adding 0101...
+negates AC at odd tau, so the transform runs once per orbit of these masks:
+the four admissible w of one construction share one multiply. The closed
+form writes the same fields from one length-p table of quadratic-residue
+codes, so the spectrum check compares two byte strings, and the product
+identity folds its right side from the fields' bit planes.
 A sequence and its complement share every result here but S(2) itself: the
 spectrum, and, as both S(2) and T(2^-1) change sign mod 2^N - 1, the gcd
 with 2^N - 1, phi and S(2) T(2^-1). Each is kept in a two-entry cache keyed
@@ -243,82 +249,128 @@ def _orbit_fields(n: int, value: int) -> bytes:
     A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient j of A * B is
     sum_t s(t) s(t + N-1-j), and folding X^N = 1 adds coefficient N + j onto
     coefficient j, which leaves C((N-1-j) mod N) there. Evaluated at
-    X = 10^k, each count below 10^k fits its own k-digit field and never
-    carries. The product is one decimal multiplication, which libmpdec runs
-    as a number-theoretic transform in O(N log N).
+    X = 10^k, the fold is the product mod 10^(Nk) - 1 and its k-digit fields
+    are the counts, if none carries. The product is one decimal
+    multiplication, which libmpdec runs as a number-theoretic transform in
+    O(N log N), so fewer digits per field make a shorter transform.
 
-    C(0) = W is known, so _fold_counts takes it out of coefficient N - 1
-    and the other counts set k. They sum to W^2 - W and lie near their mean,
-    at most W^2 / N; where W^2 / N has fewer digits than W, fields of its
-    digit count are tried first, a smaller transform (at N = 37652, 4 digits
-    in place of 5 took the multiply from about 14 ms to 8). Were a count
-    too big for them, its field would carry, and a carry turns 10^k in one
-    field into 1 in the next, so the decoded fields sum to W^2 - W exactly
-    when none carried. If they do not, the product is redone with fields of
-    the digits of W, which every count fits. The cache holds the last orbit
-    only, as numtheory's one-prime caches do.
+    The counts for tau >= 1 sum to W^2 - W and lie in [0, W]; with their
+    floored mean m = floor((W^2 - W) / (N - 1)), the first try centers them
+    at the offset m - 10^k / 2, the tau = 0 field at 10^k / 2, for the least
+    k with 2 floor((max(m, W - m) + 10^k / 2) / (10^k - 1)) < 10^k, which
+    keeps every carry below half a field. If the certificate of _fold_counts
+    fails, the product is redone with the digits of W and no offset, which
+    every count fits. Su sequences, whose counts sit within 1 of m, always
+    pass: 2 digits in place of 4 for 1093 <= p <= 4493, 3 in place of 5 near
+    p = 10^5. The cache holds the last orbit only, as numtheory's one-prime
+    caches do.
     """
     weight = value.bit_count()
-    full, narrow = len(str(weight)), len(str(weight * weight // n))
+    tries = [(len(str(weight)), 0)]  # (digits per field, offset)
+    if n > 1:
+        mean = (weight * weight - weight) // (n - 1)
+        spread, k = max(mean, weight - mean), 1
+        while 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) >= 10 ** k:
+            k += 1
+        if k < tries[0][0]:
+            tries.insert(0, (k, mean - 10 ** k // 2))
+    for k, offset in tries:
+        decoded = _fold_counts(n, value, weight, k, offset)
+        if decoded is not None:
+            break
     width = _field_width(n)
     ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")  # 1 in every field
-    for k in (narrow, full)[narrow == full:]:
-        counts = _fold_counts(n, value, weight, k)
-        if counts is not None:
-            break
-    packed = 4 * (counts + weight) + (2 * n - 4 * weight) * ones
+    # decoded holds C(tau) - offset for tau >= 1, where AC + N = 2N - 4W + 4C,
+    # and 10^k / 2 at tau = 0, where AC + N = 2N
+    packed = (4 * (decoded + weight - offset - 10 ** k // 2)
+              + (2 * n - 4 * weight + 4 * offset) * ones)
     return packed.to_bytes(width * n, "little")
 
 
-def _fold_counts(n: int, value: int, weight: int, k: int) -> int | None:
-    """C(tau) for tau >= 1, from the product with k-digit fields, as
-    little-endian fields of _field_width(n), tau = 0 first and left 0; None
-    if a field carried, which the sum of the decoded fields shows.
+def _fold_counts(n: int, value: int, weight: int, k: int, offset: int) -> int | None:
+    """The decoded k-digit fields of the folded product as little-endian
+    fields of _field_width(n), tau = 0 first, if the certificate proves them
+    to be C(tau) - offset for tau >= 1 and B/2 at tau = 0, B = 10^k; else None.
 
-    W 10^(k (N - 1)), the C(0) term, is subtracted from the product, which
-    then splits at 10^(N k) inside libmpdec, by exponent shifts and no
-    division: hi = floor(prod 10^(-N k)), and hi + (prod - hi 10^(N k))
-    adds coefficient N + j onto coefficient j. Its text is plain digits, as
-    the exponent stays 0: field i, most significant first, holds C(i).
-    Digit plane j, digit j of every field, is spread into N binary fields,
-    and the planes accumulate as total = 10 total + plane. Every partial
-    value is at most W <= N, which fits the field: on narrower fields than
-    the digits of W it is below 10^k <= W, and on those it is a prefix of a
-    count. So no binary field carries, and no int is made per shift. The
-    field sum accumulates the same way from the digit sum of each plane,
-    read from the plane's bytes by the popcounts of their four low bits.
+    With M = B^N - 1 and ones = M / (B - 1): the product, less
+    (W - B/2 - offset) B^(N-1) and plus ((-offset) mod (B - 1)) ones, lies
+    in [0, B^(2N-1)); libmpdec folds it at B^N by exponent shifts, hi + lo,
+    and once more if a leading 1 is left (B^N = 1 mod M), into [0, M]. Its
+    plain digits (the exponent stays 0) hold the field of tau = i at field
+    i, most significant first. Digit plane j, digit j of every field, is
+    spread into N binary fields, and total = 10 total + plane; each partial
+    value is a prefix of a field, below B <= W when centered (fewer digits
+    than W) and at most max(W, B/2) < 2^16 at full width while 2N < 2^16, so
+    no binary field carries and no int is made per shift. Digit sums, of
+    all fields and of the even-tau ones, come from the popcounts of each
+    plane's four low bits.
+
+    Certificate. Let v be the true fields and u the decoded ones, in
+    [0, B - 1]; with j = N - 1 - tau the power of B, x = v - u has
+    x_j = B c_j - c_(j-1) (indices mod N) for unique cyclic carries c, as
+    both are one number mod M. (1) For the offset m - B/2, m the mean count,
+    |x| <= max(m, W - m) + B/2, so |c| <= max|x| / (B - 1) and 2|c| < B by
+    the choice of k; at full width every v is below B and nothing carries.
+    (2) The mirror C(tau) = C(N - tau), one digit plane at a time, gives
+    x_j = x_(r-j), r = N - 2, so B (c_j - c_(r-j)) = c_(j-1) - c_(r-j-1),
+    whose right side is below B in size: both sides are 0, and
+    c_(j+1) = c_(r-j-1) = c_(j-1), c has period 2. (3) The field sum
+    sum_(tau>=1) C(tau) = W^2 - W gives 0 = sum x = (B - 1) sum c; for odd N
+    c is constant, so 0. (4) For even N, the alternating sum
+    sum_tau (-1)^tau C(tau) = (W_even - W_odd)^2, the popcounts of the even
+    and odd bits (it is (sum_t (-1)^t s(t))^2), gives
+    (B + 1) sum (-1)^j c_j = 0, and with sum c = 0 c vanishes on both
+    parities. So when all three hold, u = v.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
+    base, shift = 10 ** k, n * k
     # The MSB-first binary text puts s(N-1) in the leading field of A, and
     # its reversal puts s(0) in the leading field of B.
     text = format(value, f"0{n}b").encode()
-    digits = bytearray(b"0") * (n * k)
+    digits = bytearray(b"0") * shift
     digits[k - 1::k] = text
     a = decimal.Decimal(digits.decode())
     digits[k - 1::k] = text[::-1]
     b = decimal.Decimal(digits.decode())
-    prod = ctx.subtract(ctx.multiply(a, b), decimal.Decimal(weight).scaleb((n - 1) * k, ctx))
-    hi = prod.scaleb(-n * k, ctx).to_integral_value(decimal.ROUND_FLOOR, ctx)
-    folded = str(ctx.add(hi, ctx.subtract(prod, ctx.scaleb(hi, n * k))))
-    if len(folded) > n * k:
-        return None
-    raw = folded.zfill(n * k).encode().translate(_DIGIT_VALUES)
+    prod = ctx.subtract(ctx.multiply(a, b), decimal.Decimal(weight - base // 2 - offset)
+                        .scaleb((n - 1) * k, ctx))
+    if lift := -offset % (base - 1):
+        prod = ctx.add(prod, decimal.Decimal(str(lift).zfill(k) * n))
+    hi = prod.scaleb(-shift, ctx).to_integral_value(decimal.ROUND_FLOOR, ctx)
+    folded = ctx.add(hi, ctx.subtract(prod, ctx.scaleb(hi, shift)))
+    if folded.adjusted() >= shift:
+        folded = ctx.add(ctx.subtract(folded, decimal.Decimal(1).scaleb(shift, ctx)), 1)
+    raw = str(folded).zfill(shift).encode().translate(_DIGIT_VALUES)
     del digits, a, b, prod, hi, folded  # the decode's peak then holds only its planes
     width = _field_width(n)
     fields = bytearray(width * n)
     unit = int.from_bytes(b"\x01" * n, "little")  # 1 in every byte
-    total = field_sum = 0
+    even_unit = int.from_bytes(b"\x01\x00" * (n // 2 + 1), "little")  # 1 at even tau
+    total = field_sum = even_sum = 0
     for j in range(k):
         plane = raw[j::k]
+        if plane[1:] != plane[:0:-1]:
+            return None
         fields[::width] = plane
         total = total * 10 + int.from_bytes(fields, "little")
         plane_int = int.from_bytes(plane, "little")
-        field_sum = field_sum * 10 + sum((plane_int >> bit & unit).bit_count() << bit
-                                         for bit in range(4))
-    return total if field_sum == weight * weight - weight else None
+        field_sum *= 10
+        even_sum *= 10
+        for bit in range(4):
+            low = plane_int >> bit
+            field_sum += (low & unit).bit_count() << bit
+            even_sum += (low & even_unit).bit_count() << bit
+    # the true fields: C(tau) - offset for tau >= 1, base / 2 at tau = 0
+    if field_sum != weight * weight - weight - (n - 1) * offset + base // 2:
+        return None
+    if n % 2 == 0:  # sum_(tau>=1) (-1)^tau = -1
+        alternate = ((value & int("01" * (n // 2), 2)).bit_count() * 2 - weight) ** 2
+        if 2 * even_sum - field_sum != alternate - weight + offset + base // 2:
+            return None
+    return total
 
 
 def _eps(w: tuple[int, int, int, int]) -> int:

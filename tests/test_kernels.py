@@ -11,7 +11,10 @@ Kronecker product on libmpdec, is also checked against the 16-bit int
 Kronecker product it replaced, and both spectrum kernels' packed fields
 against those references packed one field at a time; every member of an
 orbit under the complement and alternating masks, which share one transform,
-is checked the same way. The linear complexity, which folds S mod x^m + 1
+is checked the same way, and so are its certified centered fields, with
+the full-width product redone when a count carries, at the digit-count
+thresholds, on periodic blocks, at the field-width switch and on random
+sequences. The linear complexity, which folds S mod x^m + 1
 for N = 2^v m, is checked against the one GF(2) Euclid
 over the whole period and the public Berlekamp-Massey over two periods, and
 its reduction of U_r mod G1 by halving against the remainder loop _gf2_mod.
@@ -30,7 +33,7 @@ import random
 import sys
 from array import array
 from collections import Counter
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -379,7 +382,7 @@ def check_packed_brute(s):
     check_packed(analysis.autocorrelation(s), want)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_packed_brute_every_tiny_sequence(n):
     for s in every_sequence(n):
         check_packed_brute(s)
@@ -477,14 +480,36 @@ def test_orbit_field_width_switch(n):
         check_packed(spectrum, ref_kronecker_autocorrelation(member))
 
 
-def spy_field_digits(monkeypatch):
-    """The digit counts of the fields of each product _orbit_fields tries."""
+# --------------------------------------------------- certified centered fields
+#
+# _orbit_fields first tries k-digit fields centered on the mean count, and
+# keeps them only when the decoded counts pass the certificate of
+# _fold_counts (the mirror, the field sum and, for even N, the alternating
+# sum); otherwise it redoes the product at the digit count of W with no
+# offset. The spy records each try's (k, offset).
+
+def centered_try(n, weight):
+    """The first (k, offset) that _orbit_fields tries for a representative of
+    period n and weight W: the least k with 2 floor((S + 10^k / 2) / (10^k - 1))
+    < 10^k, S = max(m, W - m) for the mean count m, and offset m - 10^k / 2,
+    or the full width, offset 0, where that is no narrower."""
+    full = len(str(weight))
+    if n == 1:
+        return full, 0
+    mean = (weight * weight - weight) // (n - 1)
+    spread = max(mean, weight - mean)
+    k = next(k for k in count(1) if 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) < 10 ** k)
+    return (k, mean - 10 ** k // 2) if k < full else (full, 0)
+
+
+def spy_field_tries(monkeypatch):
+    """The (k, offset) of each product _orbit_fields tries, with its (n, W)."""
     tried = []
     real = analysis._fold_counts
 
-    def spy(n, value, weight, k):
-        tried.append(k)
-        return real(n, value, weight, k)
+    def spy(n, value, weight, k, offset):
+        tried.append((n, weight, k, offset))
+        return real(n, value, weight, k, offset)
 
     monkeypatch.setattr(analysis, "_fold_counts", spy)
     analysis._spectrum.cache_clear()
@@ -492,28 +517,124 @@ def spy_field_digits(monkeypatch):
     return tried
 
 
-def test_narrow_fields_redone_when_a_count_carries(monkeypatch):
-    # 001 repeated: W = 11 over N = 33 puts W^2 / N = 3 in one digit, but
-    # C(3) = 11 carries out of a one-digit field, so the field sum falls
-    # short and the product is redone with two-digit fields
-    tried = spy_field_digits(monkeypatch)
+def check_certified(s):
+    """The spectrum, computed cold, against both references."""
+    analysis._spectrum.cache_clear()
+    analysis._orbit_fields.cache_clear()
+    want = ref_autocorrelation(s)
+    assert want == ref_kronecker_autocorrelation(s)
+    check_packed(analysis.autocorrelation(s), want)
+
+
+def test_centered_fields_redone_when_a_count_carries(monkeypatch):
+    # 001 repeated: W = 11 over N = 33, mean count 3 and spread 8 give one
+    # digit, offset 3 - 5; C(3) = 11 lands at 13 and carries, the certificate
+    # fails, and the product is redone with the two digits of W
+    tried = spy_field_tries(monkeypatch)
     s = BinarySequence.from_bits([0, 0, 1] * 11)
     want = ref_autocorrelation(s)
     assert want[3] == 33  # AC = N - 4W + 4C(3) with C(3) = W
     check_packed(analysis.autocorrelation(s), want)
-    assert tried == [1, 2]
+    assert tried == [(33, 11, 1, -2), (33, 11, 2, 0)]
 
 
-def test_narrow_fields_kept_when_no_count_carries(monkeypatch):
-    # a random odd-period sequence with s(0) = 0, which is its own orbit's
-    # representative, and W of three digits: W^2 / N and every count but
-    # C(0) have two
+def test_centered_fields_kept_on_a_random_odd_period(monkeypatch):
+    # an odd-period random sequence with s(0) = 0, its own orbit's
+    # representative, and W of three digits: the centered two-digit try passes
     rng = random.Random(201)
     s = next(seq for seq in (BinarySequence(201, rng.getrandbits(201)) for _ in range(100))
-             if seq.value & 1 == 0 and 100 <= seq.weight and seq.weight ** 2 // 201 < 100)
-    tried = spy_field_digits(monkeypatch)
+             if seq.value & 1 == 0 and seq.weight >= 100)
+    tried = spy_field_tries(monkeypatch)
     check_packed(analysis.autocorrelation(s), ref_autocorrelation(s))
-    assert tried == [2]
+    k, offset = centered_try(201, s.weight)
+    assert k < 3 and offset != 0
+    assert tried == [(201, s.weight, k, offset)]
+
+
+def test_su_sequences_never_fall_back(monkeypatch):
+    # every out-of-phase count of a Su sequence is within 1 of the mean, so
+    # each orbit of the ladder takes one product, at the centered width
+    tried = spy_field_tries(monkeypatch)
+    orbits = 0
+    for params in LADDER:
+        before = len(tried)
+        spectrum = analysis.autocorrelation(su_sequence(params))
+        assert spectrum == analysis.closed_form_spectrum(params)
+        if len(tried) > before:
+            orbits += 1
+            (n, weight, k, offset), = tried[before:]
+            assert (k, offset) == centered_try(n, weight)
+    assert orbits >= len({q.p for q in LADDER})  # one transform serves all four w
+    # narrower than W from p = 13 on; W = 8 at p = 5 has one digit
+    assert all(k < len(str(weight)) for n, weight, k, _ in tried if n > 20)
+
+
+def sequence_of_weight(n, weight, seed):
+    """A random period-n sequence of the given weight with s(0) = s(1) = 0,
+    so that it is its own orbit's representative and keeps that weight."""
+    ones = random.Random(seed).sample(range(2, n), weight)
+    return BinarySequence(n, sum(1 << t for t in ones))
+
+
+@pytest.mark.parametrize("n,weight,spread,k", (
+    (155, 78, 39, 1),           # the last one-digit centered width
+    (157, 80, 40, 2),           # two digits, those of W: full width only
+    (19595, 9798, 4899, 2),     # the last two-digit centered width
+    (19599, 9800, 4900, 3),     # three
+))
+def test_certified_fields_at_the_digit_thresholds(monkeypatch, n, weight, spread, k):
+    mean = (weight * weight - weight) // (n - 1)
+    assert max(mean, weight - mean) == spread
+    for seed in range(2 if n < 1000 else 1):
+        s = sequence_of_weight(n, weight, seed)
+        tried = spy_field_tries(monkeypatch)
+        check_certified(s)
+        assert tried[0][2:] == centered_try(n, weight)
+        assert tried[0][2] == k
+        # a fallback, if any, is the full width with no offset
+        assert tried[1:] in ([], [(n, weight, len(str(weight)), 0)])
+
+
+@pytest.mark.parametrize("block", ("0011", "000111", "011", "0111", "01101", "0101101"))
+def test_certified_fields_periodic_blocks_fall_back(monkeypatch, block):
+    # a periodic block puts the count at its period's multiples at W, far
+    # above the mean: the centered fields carry and the product is redone
+    n = 12 * len(block) * 11  # a multiple of every block's length, W >= 10
+    s = BinarySequence.from_bits([int(c) for c in block] * (n // len(block)))
+    tried = spy_field_tries(monkeypatch)
+    check_certified(s)
+    n, weight, k, offset = tried[0]
+    assert offset != 0 and k < len(str(weight))
+    assert tried[1:] == [(n, weight, len(str(weight)), 0)]
+
+
+@pytest.mark.parametrize("n", ((1 << 15) - 1, 1 << 15, (1 << 15) + 1))
+def test_certified_fields_at_the_field_width_switch(monkeypatch, n):
+    # random sequences here take three centered digits in place of five,
+    # read into 2-byte fields below N = 2^15 and 4-byte ones from it
+    s = BinarySequence(n, random.Random(n).getrandbits(n) & ~3)
+    tried = spy_field_tries(monkeypatch)
+    check_certified(s)
+    assert tried[0][2] == 3 and tried[0][2:] == centered_try(n, s.weight)
+    assert len(analysis.autocorrelation(s)._fields) == n * (2 if n < 1 << 15 else 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences_up_to_300)
+def test_certified_fields_random_sequences(s):
+    check_certified(s)
+
+
+def test_certified_fields_small_random_periods():
+    # below N = 160 the centered fields have a digit or two, and a biased
+    # draw pushes some counts past both ends: carries up and down that
+    # cancel pass the field sum (and may pass the alternating sum), and the
+    # mirror must find them
+    rng = random.Random(160)
+    for _ in range(1500):
+        n = rng.randrange(20, 160)
+        density = rng.choice((0.3, 0.5, 0.7))
+        check_certified(BinarySequence(n, sum(1 << t for t in range(n) if rng.random() < density)))
 
 
 @pytest.mark.parametrize("p", eligible_primes(2213))
@@ -642,9 +763,9 @@ def test_construction_ladder(params):
 
 
 def test_autocorrelation_on_transform_sized_construction():
-    # p = 9413 gives operands of 4p * 4 digits (W has 5, but every other
-    # count is near p), far past the size from which libmpdec multiplies
-    # through its number-theoretic transform.
+    # p = 9413 gives operands of 4p * 3 digits (W has 5, but the centered
+    # fields need 3 for counts near p), far past the size from which
+    # libmpdec multiplies through its number-theoretic transform.
     params = construction_params(9413, 3, (0, 1, 0, 1))
     s = su_sequence(params)
     spectrum = analysis.autocorrelation(s)
