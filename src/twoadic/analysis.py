@@ -8,16 +8,17 @@ than N rotations; libmpdec runs it as a number-theoretic transform. The
 coincidence counts sit in fields of about log10(2N) / 2 digits, centered on
 their mean. The decoded fields differ from the true ones by cyclic carries
 below half a field: the mirror C(tau) = C(N - tau) makes the carries
-2-periodic, the field sum W^2 - W makes them sum to 0, and then odd N or,
-for even N, the alternating sum (W_even - W_odd)^2 makes them 0. So the
-fields are kept when the three hold (proof at _fold_counts), and else the
-product is redone with fields of the digits of W, which no count
-overflows. libmpdec also folds the two halves of the product onto each
-other, and the spectrum comes out packed: AC(tau) + N in fixed-width fields
-of bytes, read from the folded digits by digit planes, with no int per
-shift. Complementing leaves AC unchanged and, for even N, adding 0101...
-negates AC at odd tau, so the transform runs once per orbit of these masks:
-the four admissible w of one construction share one multiply. The closed
+2-periodic, the tau = 0 field, pinned at half a field, makes those of its
+own parity 0 (all of them for odd N), and for even N the field sum W^2 - W
+makes the other parity 0. So the fields are kept when the mirror and the
+field sum hold (proof at _fold_counts), and else the product is redone with
+fields of the digits of W, which no count overflows. libmpdec also folds
+the two halves of the product onto each other, and the spectrum comes out
+packed: AC(tau) + N in fixed-width fields of bytes, read from the folded
+digits by digit planes, with no int per shift. Complementing leaves AC
+unchanged and, for even N, adding 0101... negates AC at odd tau, so the
+transform runs once per orbit of these masks: the four admissible w of one
+construction share one multiply. The closed
 form writes the same fields from one length-p table of quadratic-residue
 codes, so the spectrum check compares two byte strings, and the product
 identity folds its right side from the fields' bit planes.
@@ -30,9 +31,10 @@ each. The closed form depends on w only through eps, and keeps a two-entry
 cache keyed on (p, b, eps).
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
-2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, and
-the last gcd runs on degree 2^v deg gcd(x^m + 1, S). Berlekamp-Massey stays
-for callers that hold a bit list rather than a periodic sequence.
+2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, S is
+reduced by halving mod G1(x^(2^v)), G1 = gcd(x^m + 1, S), and the last gcd
+runs on degree 2^v deg G1. Berlekamp-Massey stays for callers that hold a
+bit list rather than a periodic sequence.
 """
 
 from __future__ import annotations
@@ -259,11 +261,11 @@ def _orbit_fields(n: int, value: int) -> bytes:
     at the offset m - 10^k / 2, the tau = 0 field at 10^k / 2, for the least
     k with 2 floor((max(m, W - m) + 10^k / 2) / (10^k - 1)) < 10^k, which
     keeps every carry below half a field. If the certificate of _fold_counts
-    fails, the product is redone with the digits of W and no offset, which
-    every count fits. Su sequences, whose counts sit within 1 of m, always
-    pass: 2 digits in place of 4 for 1093 <= p <= 4493, 3 in place of 5 near
-    p = 10^5. The cache holds the last orbit only, as numtheory's one-prime
-    caches do.
+    (the mirror and the field sum) fails, the product is redone with the
+    digits of W and no offset, which every count fits. Su sequences, whose
+    counts sit within 1 of m, always pass: 2 digits in place of 4 for
+    1093 <= p <= 4493, 3 in place of 5 near p = 10^5. The cache holds the
+    last orbit only, as numtheory's one-prime caches do.
     """
     weight = value.bit_count()
     tries = [(len(str(weight)), 0)]  # (digits per field, offset)
@@ -301,9 +303,8 @@ def _fold_counts(n: int, value: int, weight: int, k: int, offset: int) -> int | 
     spread into N binary fields, and total = 10 total + plane; each partial
     value is a prefix of a field, below B <= W when centered (fewer digits
     than W) and at most max(W, B/2) < 2^16 at full width while 2N < 2^16, so
-    no binary field carries and no int is made per shift. Digit sums, of
-    all fields and of the even-tau ones, come from the popcounts of each
-    plane's four low bits.
+    no binary field carries and no int is made per shift. The digit sum of
+    all fields comes from the popcounts of each plane's four low bits.
 
     Certificate. Let v be the true fields and u the decoded ones, in
     [0, B - 1]; with j = N - 1 - tau the power of B, x = v - u has
@@ -314,13 +315,14 @@ def _fold_counts(n: int, value: int, weight: int, k: int, offset: int) -> int | 
     (2) The mirror C(tau) = C(N - tau), one digit plane at a time, gives
     x_j = x_(r-j), r = N - 2, so B (c_j - c_(r-j)) = c_(j-1) - c_(r-j-1),
     whose right side is below B in size: both sides are 0, and
-    c_(j+1) = c_(r-j-1) = c_(j-1), c has period 2. (3) The field sum
-    sum_(tau>=1) C(tau) = W^2 - W gives 0 = sum x = (B - 1) sum c; for odd N
-    c is constant, so 0. (4) For even N, the alternating sum
-    sum_tau (-1)^tau C(tau) = (W_even - W_odd)^2, the popcounts of the even
-    and odd bits (it is (sum_t (-1)^t s(t))^2), gives
-    (B + 1) sum (-1)^j c_j = 0, and with sum c = 0 c vanishes on both
-    parities. So when all three hold, u = v.
+    c_(j+1) = c_(r-j-1) = c_(j-1), c has period 2 (and is constant for odd
+    N). (3) The tau = 0 field, j = N - 1, is B/2 in truth and in [0, B - 1]
+    once decoded, so |B c_(N-1) - c_(N-2)| = |x_(N-1)| <= B/2; with
+    |c_(N-2)| < B/2 that leaves |B c_(N-1)| < B, and c_(N-1) = 0: the carries
+    of its parity vanish, which for odd N are all of them. (4) For even N
+    the field sum sum_(tau>=1) C(tau) = W^2 - W gives
+    0 = sum x = (B - 1) sum c = (B - 1) (N/2) c_(N-2), so the other parity
+    vanishes too. So when the mirror and the field sum hold, u = v.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
@@ -348,8 +350,7 @@ def _fold_counts(n: int, value: int, weight: int, k: int, offset: int) -> int | 
     width = _field_width(n)
     fields = bytearray(width * n)
     unit = int.from_bytes(b"\x01" * n, "little")  # 1 in every byte
-    even_unit = int.from_bytes(b"\x01\x00" * (n // 2 + 1), "little")  # 1 at even tau
-    total = field_sum = even_sum = 0
+    total = field_sum = 0
     for j in range(k):
         plane = raw[j::k]
         if plane[1:] != plane[:0:-1]:
@@ -357,19 +358,11 @@ def _fold_counts(n: int, value: int, weight: int, k: int, offset: int) -> int | 
         fields[::width] = plane
         total = total * 10 + int.from_bytes(fields, "little")
         plane_int = int.from_bytes(plane, "little")
-        field_sum *= 10
-        even_sum *= 10
-        for bit in range(4):
-            low = plane_int >> bit
-            field_sum += (low & unit).bit_count() << bit
-            even_sum += (low & even_unit).bit_count() << bit
+        field_sum = field_sum * 10 + sum((plane_int >> bit & unit).bit_count() << bit
+                                         for bit in range(4))
     # the true fields: C(tau) - offset for tau >= 1, base / 2 at tau = 0
     if field_sum != weight * weight - weight - (n - 1) * offset + base // 2:
         return None
-    if n % 2 == 0:  # sum_(tau>=1) (-1)^tau = -1
-        alternate = ((value & int("01" * (n // 2), 2)).bit_count() * 2 - weight) ** 2
-        if 2 * even_sum - field_sum != alternate - weight + offset + base // 2:
-            return None
     return total
 
 
@@ -527,20 +520,18 @@ def linear_complexity(s: BinarySequence) -> int:
 
     Write N = 2^v m with m odd, so x^N + 1 = (x^m + 1)^(2^v) over GF(2)
     (Games and Chan 1983; Chen 2005). With G1 = gcd(x^m + 1, S), the gcd
-    equals gcd(h, S) for h = G1^(2^v), and the quadratic work runs on
-    degree m:
+    equals gcd(h, S) for h = G1^(2^v) = G1(x^(2^v)) (Frobenius), and the
+    quadratic work runs on degree m:
 
       1. v halvings fold S mod x^m + 1, and a Euclid of degree m gives G1;
          for odd N (v = 0) that is the answer;
-      2. over GF(2), h(x) = G1(x^(2^v)) (Frobenius); S decimates into
-         sum_r x^r U_r(x^(2^v)) with deg U_r < m, so S mod h is
-         sum_r x^r (U_r mod G1)(x^(2^v)), each U_r reduced by halving
-         (_gf2_mod_halving) in O(m deg G1);
+      2. S is reduced mod h by halving (_gf2_mod_halving). For
+         H = 2^v a + b, b < 2^v, x^H mod h = x^b (x^a mod G1)(x^(2^v)) has
+         at most deg G1 terms, so a round costs O(N deg G1);
       3. N - deg gcd(h, S mod h), a Euclid of degree 2^v deg G1.
 
-    The fold, the decimation and the stretch are O(N) slices of binary
-    text. Only G1 = x^m + 1 leaves the last Euclid at full degree N, after
-    O(N) extra work.
+    Only G1 = x^m + 1 leaves the last Euclid at full degree N, after O(N)
+    extra work.
     """
     n = s.period
     q = n & -n  # 2^v
@@ -552,17 +543,9 @@ def linear_complexity(s: BinarySequence) -> int:
     g1 = _gf2_gcd((1 << m) | 1, folded)
     if q == 1 or g1 == 1:  # g1 = 1 leaves h = 1: S is prime to x^N + 1
         return n - (g1.bit_length() - 1)
-    d = g1.bit_length() - 1
-    # Binary text reads MSB first: bit r + k q of S sits at index n - 1 - r - k q,
-    # so text[q - 1 - r::q] is U_r, and so is rem[q - 1 - r::q] for its remainder.
-    text = format(s.value, f"0{n}b")
-    rem = [""] * (q * d)
-    rounds = _gf2_halvings(g1, m)
-    for r in range(q):
-        u = int(text[q - 1 - r::q], 2)
-        rem[q - 1 - r::q] = format(_gf2_mod_halving(u, g1, rounds), f"0{d}b")
     h = int(("0" * (q - 1)).join(format(g1, "b")), 2)
-    return n - (_gf2_gcd(h, int("".join(rem), 2)).bit_length() - 1)
+    rem = _gf2_mod_halving(s.value, h, _gf2_halvings(h, n))
+    return n - (_gf2_gcd(h, rem).bit_length() - 1)
 
 
 def _gf2_mod(a: int, b: int) -> int:
@@ -592,18 +575,16 @@ def _gf2_halvings(g: int, size: int) -> list[tuple[int, int]]:
 def _gf2_mod_halving(u: int, g: int, rounds: list[tuple[int, int]]) -> int:
     """u mod g over GF(2) through the rounds of _gf2_halvings(g, len u).
 
-    Each round multiplies the high half by x^h mod g, at most deg g shifts of
-    it, so a reduction costs O(len u deg g) where _gf2_mod costs
-    O(len u^2); for g = x + 1, where x^h mod g = 1, the rounds fold u to its
-    parity.
+    Each round multiplies the high half by x^h mod g, one shift per term,
+    so a reduction costs O(len u terms) where _gf2_mod costs O(len u^2); for
+    g = x + 1, where x^h mod g = 1, the rounds fold u to its parity.
     """
     for h, xh in rounds:
         hi, lo = u >> h, u & ((1 << h) - 1)
-        k = 0
-        while xh >> k:
-            if xh >> k & 1:
-                lo ^= hi << k
-            k += 1
+        while xh:
+            low = xh & -xh
+            lo ^= hi << (low.bit_length() - 1)
+            xh ^= low
         u = lo
     return _gf2_mod(u, g)
 

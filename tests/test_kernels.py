@@ -484,9 +484,9 @@ def test_orbit_field_width_switch(n):
 #
 # _orbit_fields first tries k-digit fields centered on the mean count, and
 # keeps them only when the decoded counts pass the certificate of
-# _fold_counts (the mirror, the field sum and, for even N, the alternating
-# sum); otherwise it redoes the product at the digit count of W with no
-# offset. The spy records each try's (k, offset).
+# _fold_counts (the mirror and the field sum, with the tau = 0 field pinned
+# at half a field); otherwise it redoes the product at the digit count of W
+# with no offset. The spy records each try's (k, offset).
 
 def centered_try(n, weight):
     """The first (k, offset) that _orbit_fields tries for a representative of
@@ -628,13 +628,20 @@ def test_certified_fields_random_sequences(s):
 def test_certified_fields_small_random_periods():
     # below N = 160 the centered fields have a digit or two, and a biased
     # draw pushes some counts past both ends: carries up and down that
-    # cancel pass the field sum (and may pass the alternating sum), and the
-    # mirror must find them
+    # cancel pass the field sum, and the mirror must find them
     rng = random.Random(160)
     for _ in range(1500):
         n = rng.randrange(20, 160)
         density = rng.choice((0.3, 0.5, 0.7))
         check_certified(BinarySequence(n, sum(1 << t for t in range(n) if rng.random() < density)))
+    # at even N, different densities on even and odd t put the carries on
+    # one parity; the pinned tau = 0 field clears its own parity and the
+    # field sum the other
+    for _ in range(1000):
+        n = 2 * rng.randrange(10, 80)
+        densities = rng.sample((0.1, 0.3, 0.5, 0.7, 0.9), 2)
+        check_certified(BinarySequence(n, sum(1 << t for t in range(n)
+                                              if rng.random() < densities[t % 2])))
 
 
 @pytest.mark.parametrize("p", eligible_primes(2213))
@@ -1082,6 +1089,16 @@ def reduction_cases(v, m):
     for div in (2, 4):  # true period N/2 or N/4
         if n % div == 0:
             cases.append(repeated(rng, n, n // div))
+    # S = f^j T for a proper factor f of x^m + 1 of degree 2 or 3 and
+    # j <= 2^v, T of odd weight, so x + 1 does not divide S: G1 is a proper
+    # factor of degree >= 2, and the halving rounds mod G1(x^(2^v)) multiply
+    # by x^H mod G1(x^(2^v)) of several terms
+    for f in [f for f, period in ((0b111, 3), (0b1011, 7)) if m % period == 0]:
+        deg = f.bit_length() - 1
+        for j in sorted({1, q // 2, q} - {0}):
+            t = rng.getrandbits(n - j * deg)
+            t ^= 1 - t.bit_count() % 2
+            cases.append(BinarySequence(n, clmul(gf2_power(f, j), t)))
     return cases
 
 
