@@ -8,20 +8,21 @@ than N rotations; libmpdec runs it as a number-theoretic transform. The
 coincidence counts sit in fields of about log10(2N) / 2 digits, centered on
 their mean. The decoded fields differ from the true ones by cyclic carries
 below half a field: the mirror C(tau) = C(N - tau) makes the carries
-2-periodic, the tau = 0 field, pinned at half a field, makes those of its
-own parity 0 (all of them for odd N), and for even N the field sum W^2 - W
-makes the other parity 0. So the fields are kept when the mirror and the
-field sum hold (proof at _fold_counts), and else the product is redone with
-fields of the digits of W, which no count overflows. libmpdec also folds
-the two halves of the product onto each other, and the spectrum comes out
-packed: AC(tau) + N in fixed-width fields of bytes, read from the folded
-digits by digit planes, with no int per shift. Complementing leaves AC
-unchanged and, for even N, adding 0101... negates AC at odd tau, so the
-transform runs once per orbit of these masks: the four admissible w of one
-construction share one multiply. The closed
-form writes the same fields from one length-p table of quadratic-residue
-codes, so the spectrum check compares two byte strings, and the product
-identity folds its right side from the fields' bit planes.
+2-periodic, and the tau = 0 field, read back at exactly half a field, makes
+both parities 0. So the fields are kept when the mirror holds and the tau = 0
+field reads half a field (proof at _fold_counts), and else the product is
+redone with fields of the digits of W, which no count overflows. libmpdec
+also folds the two halves of the product onto each other, and the decode
+reads the folded digit text by digit planes into the packed spectrum:
+AC(tau) + N in fixed-width fields of bytes, with no int per shift.
+Complementing leaves AC unchanged and, for even N, adding 0101... negates
+AC at odd tau, so the transform runs once per orbit of these masks: the four
+admissible w of one construction share one multiply. The closed form is one
+length-4p table of codes built from the quadratic-residue codes; it writes
+the packed fields, and it writes the digit text the folded product must
+have, so the spectrum check compares two digit texts and decodes only to
+report a mismatch. The product identity folds its right side from the
+packed fields' bit planes.
 A sequence and its complement share every result here but S(2) itself: the
 spectrum, and, as both S(2) and T(2^-1) change sign mod 2^N - 1, the gcd
 with 2^N - 1, phi and S(2) T(2^-1). Each is kept in a two-entry cache keyed
@@ -227,10 +228,8 @@ def _complement_key(s: BinarySequence) -> tuple[int, int]:
 @functools.lru_cache(maxsize=2)
 def _spectrum(key: tuple[int, int]) -> AutocorrSpectrum:
     """The spectrum of the complement pair with this _complement_key."""
-    n, value = key
-    alternate = n % 2 == 0 and value & 2
-    if alternate:
-        value ^= int("10" * (n // 2), 2)  # bits at the odd positions
+    n = key[0]
+    value, alternate = _orbit_representative(key)
     fields = _orbit_fields(n, value)
     if alternate:
         width = _field_width(n)
@@ -240,6 +239,30 @@ def _spectrum(key: tuple[int, int]) -> AutocorrSpectrum:
         packed += 2 * (n * ones - (packed & ones * ((1 << 8 * width) - 1)))
         fields = packed.to_bytes(width * n, "little")
     return AutocorrSpectrum._packed(n, fields)
+
+
+def _orbit_representative(key: tuple[int, int]) -> tuple[int, bool]:
+    """(bits, alternate): the orbit representative of the complement pair
+    with this key, given the alternating mask (bits at the odd positions)
+    when N is even and s(1) = 1, and whether it was."""
+    n, value = key
+    if n % 2 or not value & 2:
+        return value, False
+    return value ^ int("10" * (n // 2), 2), True
+
+
+def _first_try(n: int, weight: int) -> tuple[int, int]:
+    """(digits per field, offset) of the first product _orbit_fields tries:
+    fields centered on the mean count where that is narrower than W, else
+    the digits of W and no offset."""
+    full = len(str(weight))
+    if n == 1:
+        return full, 0
+    mean = (weight * weight - weight) // (n - 1)
+    spread, k = max(mean, weight - mean), 1
+    while 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) >= 10 ** k:
+        k += 1
+    return (k, mean - 10 ** k // 2) if k < full else (full, 0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -257,27 +280,20 @@ def _orbit_fields(n: int, value: int) -> bytes:
     O(N log N), so fewer digits per field make a shorter transform.
 
     The counts for tau >= 1 sum to W^2 - W and lie in [0, W]; with their
-    floored mean m = floor((W^2 - W) / (N - 1)), the first try centers them
-    at the offset m - 10^k / 2, the tau = 0 field at 10^k / 2, for the least
-    k with 2 floor((max(m, W - m) + 10^k / 2) / (10^k - 1)) < 10^k, which
-    keeps every carry below half a field. If the certificate of _fold_counts
-    (the mirror and the field sum) fails, the product is redone with the
-    digits of W and no offset, which every count fits. Su sequences, whose
-    counts sit within 1 of m, always pass: 2 digits in place of 4 for
-    1093 <= p <= 4493, 3 in place of 5 near p = 10^5. The cache holds the
-    last orbit only, as numtheory's one-prime caches do.
+    floored mean m = floor((W^2 - W) / (N - 1)), the first try (_first_try)
+    centers them at the offset m - 10^k / 2, the tau = 0 field at 10^k / 2,
+    for the least k with 2 floor((max(m, W - m) + 10^k / 2) / (10^k - 1))
+    < 10^k, which keeps every carry below half a field. If the certificate
+    of _fold_counts (the mirror and the pinned tau = 0 field) fails, the
+    product is redone with the digits of W and no offset, which every count
+    fits. Su sequences, whose counts sit within 1 of m, always pass: 2
+    digits in place of 4 for 1093 <= p <= 4493, 3 in place of 5 near
+    p = 10^5. The cache holds the last orbit only, as numtheory's one-prime
+    caches do.
     """
     weight = value.bit_count()
-    tries = [(len(str(weight)), 0)]  # (digits per field, offset)
-    if n > 1:
-        mean = (weight * weight - weight) // (n - 1)
-        spread, k = max(mean, weight - mean), 1
-        while 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) >= 10 ** k:
-            k += 1
-        if k < tries[0][0]:
-            tries.insert(0, (k, mean - 10 ** k // 2))
-    for k, offset in tries:
-        decoded = _fold_counts(n, value, weight, k, offset)
+    for k, offset in dict.fromkeys((_first_try(n, weight), (len(str(weight)), 0))):
+        decoded = _fold_counts(n, value, k, offset)
         if decoded is not None:
             break
     width = _field_width(n)
@@ -289,40 +305,21 @@ def _orbit_fields(n: int, value: int) -> bytes:
     return packed.to_bytes(width * n, "little")
 
 
-def _fold_counts(n: int, value: int, weight: int, k: int, offset: int) -> int | None:
-    """The decoded k-digit fields of the folded product as little-endian
-    fields of _field_width(n), tau = 0 first, if the certificate proves them
-    to be C(tau) - offset for tau >= 1 and B/2 at tau = 0, B = 10^k; else None.
+@functools.lru_cache(maxsize=1)
+def _folded_digits(n: int, value: int, k: int, offset: int) -> bytes:
+    """The ASCII digit text, N k digits, of the folded product that
+    _fold_counts decodes: its k-digit field i holds C(i) - offset for
+    i >= 1 and 10^k / 2 at i = 0 when nothing carries.
 
-    With M = B^N - 1 and ones = M / (B - 1): the product, less
+    With B = 10^k, M = B^N - 1 and ones = M / (B - 1): the product, less
     (W - B/2 - offset) B^(N-1) and plus ((-offset) mod (B - 1)) ones, lies
     in [0, B^(2N-1)); libmpdec folds it at B^N by exponent shifts, hi + lo,
     and once more if a leading 1 is left (B^N = 1 mod M), into [0, M]. Its
     plain digits (the exponent stays 0) hold the field of tau = i at field
-    i, most significant first. Digit plane j, digit j of every field, is
-    spread into N binary fields, and total = 10 total + plane; each partial
-    value is a prefix of a field, below B <= W when centered (fewer digits
-    than W) and at most max(W, B/2) < 2^16 at full width while 2N < 2^16, so
-    no binary field carries and no int is made per shift. The digit sum of
-    all fields comes from the popcounts of each plane's four low bits.
-
-    Certificate. Let v be the true fields and u the decoded ones, in
-    [0, B - 1]; with j = N - 1 - tau the power of B, x = v - u has
-    x_j = B c_j - c_(j-1) (indices mod N) for unique cyclic carries c, as
-    both are one number mod M. (1) For the offset m - B/2, m the mean count,
-    |x| <= max(m, W - m) + B/2, so |c| <= max|x| / (B - 1) and 2|c| < B by
-    the choice of k; at full width every v is below B and nothing carries.
-    (2) The mirror C(tau) = C(N - tau), one digit plane at a time, gives
-    x_j = x_(r-j), r = N - 2, so B (c_j - c_(r-j)) = c_(j-1) - c_(r-j-1),
-    whose right side is below B in size: both sides are 0, and
-    c_(j+1) = c_(r-j-1) = c_(j-1), c has period 2 (and is constant for odd
-    N). (3) The tau = 0 field, j = N - 1, is B/2 in truth and in [0, B - 1]
-    once decoded, so |B c_(N-1) - c_(N-2)| = |x_(N-1)| <= B/2; with
-    |c_(N-2)| < B/2 that leaves |B c_(N-1)| < B, and c_(N-1) = 0: the carries
-    of its parity vanish, which for odd N are all of them. (4) For even N
-    the field sum sum_(tau>=1) C(tau) = W^2 - W gives
-    0 = sum x = (B - 1) sum c = (B - 1) (N/2) c_(N-2), so the other parity
-    vanishes too. So when the mirror and the field sum hold, u = v.
+    i, most significant first. The lift term is built by libmpdec too, as
+    lift M / (B - 1), an exact division by one word, not parsed from text.
+    The text of the last product is kept, so the spectrum check and a decode
+    after it share one multiply.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
@@ -337,32 +334,62 @@ def _fold_counts(n: int, value: int, weight: int, k: int, offset: int) -> int | 
     a = decimal.Decimal(digits.decode())
     digits[k - 1::k] = text[::-1]
     b = decimal.Decimal(digits.decode())
-    prod = ctx.subtract(ctx.multiply(a, b), decimal.Decimal(weight - base // 2 - offset)
+    prod = ctx.subtract(ctx.multiply(a, b),
+                        decimal.Decimal(value.bit_count() - base // 2 - offset)
                         .scaleb((n - 1) * k, ctx))
     if lift := -offset % (base - 1):
-        prod = ctx.add(prod, decimal.Decimal(str(lift).zfill(k) * n))
+        lifted = ctx.subtract(decimal.Decimal(lift).scaleb(shift, ctx), lift)  # lift M
+        prod = ctx.add(prod, ctx.divide_int(lifted, base - 1))
     hi = prod.scaleb(-shift, ctx).to_integral_value(decimal.ROUND_FLOOR, ctx)
     folded = ctx.add(hi, ctx.subtract(prod, ctx.scaleb(hi, shift)))
     if folded.adjusted() >= shift:
         folded = ctx.add(ctx.subtract(folded, decimal.Decimal(1).scaleb(shift, ctx)), 1)
-    raw = str(folded).zfill(shift).encode().translate(_DIGIT_VALUES)
-    del digits, a, b, prod, hi, folded  # the decode's peak then holds only its planes
+    return str(folded).zfill(shift).encode()
+
+
+def _fold_counts(n: int, value: int, k: int, offset: int) -> int | None:
+    """The decoded k-digit fields of _folded_digits(n, value, k, offset) as
+    little-endian fields of _field_width(n), tau = 0 first, if the
+    certificate proves them to be C(tau) - offset for tau >= 1 and B/2 at
+    tau = 0, B = 10^k; else None.
+
+    Digit plane j, digit j of every field, is spread into N binary fields,
+    and total = 10 total + plane; each partial value is a prefix of a field,
+    below B <= W when centered (fewer digits than W) and at most
+    max(W, B/2) < 2^16 at full width while 2N < 2^16, so no binary field
+    carries and no int is made per shift.
+
+    Certificate. Let v be the true fields and u the decoded ones, in
+    [0, B - 1]; with j = N - 1 - tau the power of B, x = v - u has
+    x_j = B c_j - c_(j-1) (indices mod N) for unique cyclic carries c, as
+    both are one number mod M. (1) For the offset m - B/2, m the mean count,
+    |x| <= max(m, W - m) + B/2, so |c| <= max|x| / (B - 1) and 2|c| < B by
+    the choice of k; at full width every v is below B and nothing carries.
+    (2) The mirror C(tau) = C(N - tau), one digit plane at a time, gives
+    x_j = x_(r-j), r = N - 2, so B (c_j - c_(r-j)) = c_(j-1) - c_(r-j-1),
+    whose right side is below B in size: both sides are 0, and
+    c_(j+1) = c_(r-j-1) = c_(j-1), c has period 2 (and is constant for odd
+    N). (3) The tau = 0 field, j = N - 1, is B/2 in truth; pinned at B/2
+    once decoded too, it gives 0 = x_(N-1) = B c_(N-1) - c_(N-2), so B
+    divides c_(N-2), which |c_(N-2)| < B/2 makes 0, and then c_(N-1) = 0:
+    both parities vanish. So when the mirror holds and the tau = 0 field
+    reads B/2, u = v; no field sum is needed. (On true counts the pin never
+    fails alone: their sum and alternating sum already rule out a carry on
+    one parity only. Checking k digits keeps the proof to these steps.)
+    """
+    digits = _folded_digits(n, value, k, offset)
+    if digits[:k] != b"5".ljust(k, b"0"):  # the tau = 0 field, pinned at B/2
+        return None
+    raw = digits.translate(_DIGIT_VALUES)
     width = _field_width(n)
     fields = bytearray(width * n)
-    unit = int.from_bytes(b"\x01" * n, "little")  # 1 in every byte
-    total = field_sum = 0
+    total = 0
     for j in range(k):
         plane = raw[j::k]
         if plane[1:] != plane[:0:-1]:
             return None
         fields[::width] = plane
         total = total * 10 + int.from_bytes(fields, "little")
-        plane_int = int.from_bytes(plane, "little")
-        field_sum = field_sum * 10 + sum((plane_int >> bit & unit).bit_count() << bit
-                                         for bit in range(4))
-    # the true fields: C(tau) - offset for tau >= 1, base / 2 at tau = 0
-    if field_sum != weight * weight - weight - (n - 1) * offset + base // 2:
-        return None
     return total
 
 
@@ -392,7 +419,7 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     The residues D0 u D2 are the nonzero squares mod p whatever g is, so the
     odd-tau1 blocks read one table of residue codes (0 for r = 0, 1 for a
     residue, 2 for a non-residue, built from the squares) rotated by
-    tau1 * d. Every shift gets a code by stride-slice assignment, and one
+    tau1 * d. Every shift gets a code in _closed_form_codes, and one
     translation per byte of the packed fields turns the codes into the
     fields of AutocorrSpectrum. The result depends on (p, b, eps) only and
     is kept for the last two of them.
@@ -403,9 +430,24 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
 @functools.lru_cache(maxsize=2)
 def _closed_form_spectrum(p: int, d: int, b: int, eps: int) -> AutocorrSpectrum:
     n = 4 * p
-    # the value of each code: residue codes 0..2 for odd tau1, then -4 for
-    # tau1 = 0, AC(0), 0 for tau1 = 2 and its one +4
-    values = (-4 * eps, -4 * eps * b, 4 * eps * b, -4, n, 0, 4)
+    codes = _closed_form_codes(p, d)
+    values = _code_values(n, b, eps)
+    width = _field_width(n)
+    fields = bytearray(width * n)
+    for j in range(width):
+        byte_j = bytes((v + n) >> (8 * j) & 0xFF for v in values)
+        fields[j::width] = codes.translate(byte_j.ljust(256, b"\x00"))
+    return AutocorrSpectrum._packed(n, bytes(fields))
+
+
+@functools.lru_cache(maxsize=1)
+def _closed_form_codes(p: int, d: int) -> bytes:
+    """The closed form's code of each shift tau = 0..4p-1, valued by _code_values.
+
+    Codes 0..2 are the residue codes of (tau2 + tau1 d) mod p for odd tau1,
+    read from one table rotated by tau1 d; 3 is tau1 = 0, 4 is tau = 0, 5 is
+    tau1 = 2 and 6 its one +4. Every code but 4 occurs at some tau >= 1.
+    """
     codes = bytearray(bytes((3, 0, 5, 0)) * p)
     residues = residue_codes(p)
     for tau1 in (1, 3):
@@ -413,12 +455,70 @@ def _closed_form_spectrum(p: int, d: int, b: int, eps: int) -> AutocorrSpectrum:
         codes[tau1::4] = residues[k:] + residues[:k]
     codes[0] = 4
     codes[4 * ((-2 * d) % p) + 2] = 6
-    width = _field_width(n)
-    fields = bytearray(width * n)
-    for j in range(width):
-        byte_j = bytes((v + n) >> (8 * j) & 0xFF for v in values)
-        fields[j::width] = codes.translate(byte_j.ljust(256, b"\x00"))
-    return AutocorrSpectrum._packed(n, bytes(fields))
+    return bytes(codes)
+
+
+def _code_values(n: int, b: int, eps: int) -> tuple[int, ...]:
+    """AC(tau) of each code of _closed_form_codes: the residue codes 0..2 for
+    odd tau1, then -4 for tau1 = 0, AC(0), 0 for tau1 = 2 and its one +4."""
+    return (-4 * eps, -4 * eps * b, 4 * eps * b, -4, n, 0, 4)
+
+
+@functools.lru_cache(maxsize=1)
+def _expected_digits(p: int, d: int, b: int, eps: int, weight: int) -> bytes | None:
+    """The digit text _folded_digits gives for an orbit representative of
+    weight W whose spectrum is the closed form (p, d, b, eps), at the
+    (k, offset) of _first_try; None unless those fields meet the premises of
+    the certificate at _fold_counts.
+
+    Code c's field is C - offset, C = (AC - N + 4W) / 4 its count, and the
+    tau = 0 field is pinned at 10^k / 2, as in the folded product. The
+    fields must lie in [0, 10^k) and mirror, C(tau) = C(N - tau), which the
+    code table does when codes[1:] reads the same reversed. One translate
+    per digit plane writes digit j of every field.
+    """
+    n = 4 * p
+    codes = _closed_form_codes(p, d)
+    k, offset = _first_try(n, weight)
+    fields = [(v - n) // 4 + weight - offset for v in _code_values(n, b, eps)]
+    fields[4] = 10 ** k // 2
+    if not all(0 <= f < 10 ** k for f in fields) or codes[1:] != codes[:0:-1]:
+        return None
+    texts = [b"%0*d" % (k, f) for f in fields]
+    digits = bytearray(n * k)
+    for j in range(k):
+        digits[j::k] = codes.translate(bytes(t[j] for t in texts).ljust(256, b"\x00"))
+    return bytes(digits)
+
+
+def _matches_closed_form(s: BinarySequence, params: ConstructionParams) -> bool:
+    """True when s's brute spectrum is the closed form of params at every
+    shift, shown by one comparison of digit texts; False if it is not or
+    the digits cannot show it, so the caller decodes to find out.
+
+    The folded product of s's orbit representative is compared with the
+    digits _expected_digits writes for it. Equal texts decode to fields that
+    mirror with the tau = 0 field at 10^k / 2, so the certificate at
+    _fold_counts makes them the true counts, and those are the closed
+    form's. The alternating mask negates AC at odd tau, as negating eps does
+    the closed form's odd-tau1 block, so all four admissible w of one (p, g)
+    compare one product with one expected text.
+    """
+    key = _complement_key(s)
+    n = key[0]
+    if n != 4 * params.p:  # equal texts prove nothing for another (N, k, offset)
+        return False
+    value, alternate = _orbit_representative(key)
+    weight = value.bit_count()
+    eps = -_eps(params.w) if alternate else _eps(params.w)
+    expected = _expected_digits(params.p, params.d, params.b, eps, weight)
+    return expected is not None and expected == _folded_digits(n, value, *_first_try(n, weight))
+
+
+def _closed_form_out_of_phase(params: ConstructionParams) -> set[int]:
+    """The closed form's out-of-phase values, read from its code values."""
+    values = _code_values(4 * params.p, params.b, _eps(params.w))
+    return set(values[:4] + values[5:])
 
 
 def two_adic_complexity(s: BinarySequence) -> TwoAdicReport:

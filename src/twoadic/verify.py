@@ -4,7 +4,11 @@ Each check re-derives one claimed property from scratch and compares exactly,
 with the raw integers kept as witnesses: the closed-form autocorrelation
 against the spectrum computed from the bits, the S(2)T(2^-1) product against
 its closed form, the small-factor gcd facts, the coprimality facts behind the
-complexity bound, and the bound itself. No check uses a tolerance.
+complexity bound, and the bound itself. No check uses a tolerance. The
+spectrum check compares digits: the folded product of the sequence's orbit
+representative against the digit text the closed form writes for it, which
+by the certificate at analysis._fold_counts proves every shift equal, and it
+decodes the spectrum from the same product only to report a mismatch.
 
 A survey mode tabulates the bounds check's gcd split across the eligible
 primes. Given the closed form that check_product_congruence checks, its
@@ -31,7 +35,8 @@ run_all builds a CheckReport through its constructor, and the survey copies
 the SurveyRow past its frozen __init__. Serially only the current prime's
 sequences are kept. A w and its complement share S(2) T(2^-1) and both
 closed forms, through two-entry caches here and in analysis, so each
-complement pair is evaluated once.
+complement pair is evaluated once; all four admissible w of one (p, g)
+compare one product with one expected digit text.
 """
 
 from __future__ import annotations
@@ -184,26 +189,32 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
 
     The closed form is taken with the b that quartic_decomposition reads from
     Jacobi's congruence (the b_jacobi witness), so a wrong sign of b fails
-    here; on a mismatch the first differing shift is recorded. On a match
-    sign_flipped is always False and b_used is b: both are kept so records
-    keep their keys. Independently re-asserts that the out-of-phase values lie
-    in {0, 4, -4}.
+    here. The check passes when the digits of the brute spectrum's folded
+    product equal those the closed form gives (analysis._matches_closed_form),
+    with nothing decoded; anything else decodes the brute spectrum from the
+    same product and compares it with the packed closed form, recording the
+    first differing shift on a mismatch. On a match sign_flipped is always
+    False and b_used is b: both are kept so records keep their keys.
+    Independently re-asserts that the out-of-phase values lie in {0, 4, -4}.
     """
     s = su_sequence(params) if sequence is None else sequence
-    brute = analysis.autocorrelation(s)
-    claimed = analysis.closed_form_spectrum(params)
     witnesses: dict[str, object] = {"b_jacobi": params.b}
-    matched = brute == claimed
+    if analysis._matches_closed_form(s, params):
+        matched, out_of_phase = True, analysis._closed_form_out_of_phase(params)
+    else:
+        brute = analysis.autocorrelation(s)
+        claimed = analysis.closed_form_spectrum(params)
+        matched, out_of_phase = brute == claimed, brute.out_of_phase()
+        if not matched:
+            tau = next(t for t in range(brute.period)
+                       if brute.values[t] != claimed.values[t])
+            witnesses.update(first_mismatch_tau=tau,
+                             brute_value=brute.values[tau],
+                             claimed_value=claimed.values[tau])
     if matched:
         witnesses["sign_flipped"] = False
-    else:
-        tau = next(t for t in range(brute.period)
-                   if brute.values[t] != claimed.values[t])
-        witnesses.update(first_mismatch_tau=tau,
-                         brute_value=brute.values[tau],
-                         claimed_value=claimed.values[tau])
 
-    magnitude_ok = brute.out_of_phase() <= {0, 4, -4}
+    magnitude_ok = out_of_phase <= {0, 4, -4}
     witnesses["b_used"] = params.b if matched else None
     witnesses["magnitude_ok"] = magnitude_ok
     return _report(SPECTRUM_CHECK, params, matched and magnitude_ok, witnesses)

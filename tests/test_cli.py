@@ -327,13 +327,18 @@ def test_verify_exit_one_on_corrupted_fixture(monkeypatch, capsys):
 
 
 def test_verify_shows_a_missing_b_used_as_empty(monkeypatch, capsys):
-    # a closed form matching at neither sign of b leaves the witness b_used None
-    def mismatched(params):
-        n = 4 * params.p
-        return analysis.AutocorrSpectrum(n, [n] + [0] * (n - 1))
-
-    monkeypatch.setattr(analysis, "closed_form_spectrum", mismatched)
-    code, out, err = run(capsys, "verify", "--limit", "5", "--format", "csv")
+    # a closed form matching at neither sign of b leaves the witness b_used None;
+    # its values are patched at their one source, which both the digit
+    # comparison and the packed closed form read
+    caches = (analysis._closed_form_spectrum, analysis._expected_digits)
+    monkeypatch.setattr(analysis, "_code_values", lambda n, b, eps: (0, 0, 0, 0, n, 0, 0))
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--limit", "5", "--format", "csv")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(out)))
     gate = next(row for row in rows if row["check"] == verify.SPECTRUM_CHECK)

@@ -14,7 +14,9 @@ orbit under the complement and alternating masks, which share one transform,
 is checked the same way, and so are its certified centered fields, with
 the full-width product redone when a count carries, at the digit-count
 thresholds, on periodic blocks, at the field-width switch and on random
-sequences. The linear complexity, which folds S mod x^m + 1
+sequences; the folded product's lift term, built by libmpdec arithmetic,
+against the lift parsed from its text, and the closed form's expected digit
+text against the product it must equal. The linear complexity, which folds S mod x^m + 1
 for N = 2^v m, is checked against the one GF(2) Euclid
 over the whole period and the public Berlekamp-Massey over two periods, and
 its reduction of U_r mod G1 by halving against the remainder loop _gf2_mod.
@@ -484,9 +486,9 @@ def test_orbit_field_width_switch(n):
 #
 # _orbit_fields first tries k-digit fields centered on the mean count, and
 # keeps them only when the decoded counts pass the certificate of
-# _fold_counts (the mirror and the field sum, with the tau = 0 field pinned
-# at half a field); otherwise it redoes the product at the digit count of W
-# with no offset. The spy records each try's (k, offset).
+# _fold_counts (the mirror, with the tau = 0 field pinned at half a field);
+# otherwise it redoes the product at the digit count of W with no offset.
+# The spy records each try's (k, offset).
 
 def centered_try(n, weight):
     """The first (k, offset) that _orbit_fields tries for a representative of
@@ -507,20 +509,23 @@ def spy_field_tries(monkeypatch):
     tried = []
     real = analysis._fold_counts
 
-    def spy(n, value, weight, k, offset):
-        tried.append((n, weight, k, offset))
-        return real(n, value, weight, k, offset)
+    def spy(n, value, k, offset):
+        tried.append((n, value.bit_count(), k, offset))
+        return real(n, value, k, offset)
 
     monkeypatch.setattr(analysis, "_fold_counts", spy)
-    analysis._spectrum.cache_clear()
-    analysis._orbit_fields.cache_clear()
+    clear_spectrum_caches()
     return tried
+
+
+def clear_spectrum_caches():
+    for cache in (analysis._spectrum, analysis._orbit_fields, analysis._folded_digits):
+        cache.cache_clear()
 
 
 def check_certified(s):
     """The spectrum, computed cold, against both references."""
-    analysis._spectrum.cache_clear()
-    analysis._orbit_fields.cache_clear()
+    clear_spectrum_caches()
     want = ref_autocorrelation(s)
     assert want == ref_kronecker_autocorrelation(s)
     check_packed(analysis.autocorrelation(s), want)
@@ -628,15 +633,15 @@ def test_certified_fields_random_sequences(s):
 def test_certified_fields_small_random_periods():
     # below N = 160 the centered fields have a digit or two, and a biased
     # draw pushes some counts past both ends: carries up and down that
-    # cancel pass the field sum, and the mirror must find them
+    # cancel in the field sum, which the mirror must find
     rng = random.Random(160)
     for _ in range(1500):
         n = rng.randrange(20, 160)
         density = rng.choice((0.3, 0.5, 0.7))
         check_certified(BinarySequence(n, sum(1 << t for t in range(n) if rng.random() < density)))
     # at even N, different densities on even and odd t put the carries on
-    # one parity; the pinned tau = 0 field clears its own parity and the
-    # field sum the other
+    # one parity; the mirror makes them 2-periodic and the tau = 0 field,
+    # pinned at half a field, clears both parities
     for _ in range(1000):
         n = 2 * rng.randrange(10, 80)
         densities = rng.sample((0.1, 0.3, 0.5, 0.7, 0.9), 2)
@@ -691,20 +696,145 @@ def test_spectrum_pickle_and_deepcopy_round_trip():
                 copied.period = 1
 
 
+def wrong_d(monkeypatch, d):
+    """Every ConstructionParams reads d as the given wrong value."""
+    monkeypatch.setattr(sequences.ConstructionParams, "d", property(lambda self: d))
+
+
 @pytest.mark.parametrize("p,bit", [(13, 0), (29, 57), (173, 400), (1373, 5000)])
-def test_spectrum_mismatch_witnesses(p, bit):
+def test_spectrum_mismatch_witnesses(p, bit, monkeypatch):
+    # a flipped bit, a negated b, a wrong eps (w0 = w1 for a w0 != w1
+    # sequence) and a wrong d: the digit comparison refuses each, and the
+    # decode gives the witnesses the per-shift references give
     params = construction_params(p, None, (0, 1, 0, 1))
     s = su_sequence(params)
     corrupted = BinarySequence(s.period, s.value ^ (1 << bit))
-    brute = ref_autocorrelation(corrupted)
-    claimed = ref_closed_form_spectrum(params)
-    tau = next(t for t in range(s.period) if brute[t] != claimed[t])
-    report = verify.check_autocorrelation_spectrum(params, corrupted)
-    assert not report.passed
-    assert report.witnesses["first_mismatch_tau"] == tau
-    assert report.witnesses["brute_value"] == brute[tau]
-    assert report.witnesses["claimed_value"] == claimed[tau]
-    assert report.witnesses["magnitude_ok"] == (set(brute[1:]) <= {0, 4, -4})
+    negated = dataclasses.replace(
+        params, quartic=dataclasses.replace(params.quartic, b=-params.quartic.b))
+    mutants = [(corrupted, params), (s, negated),
+               (s, construction_params(p, params.g, (0, 0, 0, 0))), (s, None)]
+    digits = []
+    real = analysis._matches_closed_form
+    monkeypatch.setattr(analysis, "_matches_closed_form",
+                        lambda *args: digits.append(real(*args)) or digits[-1])
+    for sequence, claimed_params in mutants:
+        if claimed_params is None:
+            wrong_d(monkeypatch, (params.d + 1) % p)
+            claimed_params = params
+        brute = ref_autocorrelation(sequence)
+        claimed = ref_closed_form_spectrum(claimed_params)
+        tau = next(t for t in range(s.period) if brute[t] != claimed[t])
+        report = verify.check_autocorrelation_spectrum(claimed_params, sequence)
+        assert not report.passed
+        assert report.witnesses["first_mismatch_tau"] == tau
+        assert report.witnesses["brute_value"] == brute[tau]
+        assert report.witnesses["claimed_value"] == claimed[tau]
+        assert report.witnesses["magnitude_ok"] == (set(brute[1:]) <= {0, 4, -4})
+        assert report.witnesses["b_used"] is None
+    assert digits == [False] * 4
+
+
+def ref_parsed_lift_digits(n, value, k, offset):
+    """The folded product's digit text with the lift ones parsed from text,
+    in Python ints: (A B - (W - B/2 - offset) B^(N-1) + lift ones) folded at
+    B^N as hi + lo, and once more if that reaches B^N."""
+    base = 10 ** k
+    bits = format(value, f"0{n}b")
+    a = int("".join(b.rjust(k, "0") for b in bits))
+    b = int("".join(b.rjust(k, "0") for b in bits[::-1]))
+    prod = a * b - (value.bit_count() - base // 2 - offset) * base ** (n - 1)
+    prod += int(str(-offset % (base - 1)).zfill(k) * n)
+    hi, lo = divmod(prod, base ** n)
+    folded = hi + lo
+    if folded >= base ** n:
+        folded -= base ** n - 1
+    return str(folded).zfill(n * k).encode()
+
+
+def test_folded_digits_lift_equals_the_parsed_lift():
+    # the lift ones built by libmpdec arithmetic against the lift parsed from
+    # its text, at random (N, k, offset), at lift 0 and at N = 1 and 2
+    rng = random.Random(30)
+    zero_lift = [(1, 1, 0), (2, 1, 9), (12, 2, -99), (40, 3, 999)]
+    assert all(-offset % (10 ** k - 1) == 0 for _, k, offset in zero_lift)
+    short = [(1, 1, 3), (1, 2, -3), (2, 1, 1), (2, 3, -499)]
+    drawn = []
+    for _ in range(60):
+        k = rng.randrange(1, 5)
+        drawn.append((rng.randrange(1, 900), k, rng.randrange(-10 ** k, 10 ** k)))
+    for n, k, offset in zero_lift + short + drawn:
+        for value in (rng.getrandbits(n), 0, (1 << n) - 1):
+            analysis._folded_digits.cache_clear()
+            got = analysis._folded_digits(n, value, k, offset)
+            assert got == ref_parsed_lift_digits(n, value, k, offset), (n, k, offset)
+
+
+def su_representative(params):
+    """(value, eps, W) of the Su sequence's orbit representative, eps as
+    the representative's closed form reads it."""
+    value, alternate = analysis._orbit_representative(analysis._complement_key(su_sequence(params)))
+    eps = analysis._eps(params.w)
+    return value, -eps if alternate else eps, value.bit_count()
+
+
+@pytest.mark.parametrize("p", (5, 13, 293, 1373))
+def test_expected_digits_are_the_su_product(p):
+    # the text the closed form writes is the folded product, digit for digit
+    params = construction_params(p, None, (0, 1, 0, 1))
+    value, eps, weight = su_representative(params)
+    n = 4 * p
+    for cache in (analysis._expected_digits, analysis._folded_digits):
+        cache.cache_clear()
+    expected = analysis._expected_digits(p, params.d, params.b, eps, weight)
+    assert expected == analysis._folded_digits(n, value, *analysis._first_try(n, weight))
+    assert analysis._fold_counts(n, value, *analysis._first_try(n, weight)) is not None
+
+
+def test_fold_counts_refuses_an_unpinned_or_unmirrored_text(monkeypatch):
+    # the certificate on crafted texts: the Su product decodes; the same text
+    # with the tau = 0 field off 10^k / 2, or one field off the mirror, does not
+    params = construction_params(293, None, (0, 0, 0, 0))
+    value, _, weight = su_representative(params)
+    n = 4 * 293
+    k, offset = analysis._first_try(n, weight)
+    analysis._folded_digits.cache_clear()
+    text = analysis._folded_digits(n, value, k, offset)
+    assert analysis._fold_counts(n, value, k, offset) is not None
+    unpinned = b"%0*d" % (k, 10 ** k // 2 - 1) + text[k:]
+    unmirrored = text[:k] + b"%0*d" % (k, (int(text[k:2 * k]) + 1) % 10 ** k) + text[2 * k:]
+    for crafted in (unpinned, unmirrored):
+        monkeypatch.setattr(analysis, "_folded_digits", lambda *args, crafted=crafted: crafted)
+        assert analysis._fold_counts(n, value, k, offset) is None
+
+
+def test_expected_digits_refuse_broken_premises(monkeypatch):
+    p = 293
+    params = construction_params(p, None, (0, 0, 0, 0))
+    _, eps, weight = su_representative(params)
+    args = (p, params.d, params.b, eps, weight)
+    analysis._expected_digits.cache_clear()
+    assert analysis._expected_digits(*args) is not None
+    # an out-of-range centered field: weight 1 puts the counts far below the fields
+    assert analysis._expected_digits(p, params.d, params.b, eps, 1) is None
+    # b = 60 moves the residue codes' counts 60 off the mean, past a 2-digit field
+    k, offset = analysis._first_try(4 * p, weight)
+    values = analysis._code_values(4 * p, 60, eps)
+    fields = [(v - 4 * p) // 4 + weight - offset for v in values[:4] + values[5:]]
+    assert k == 2 and min(fields) < 0 and max(fields) >= 10 ** k
+    assert analysis._expected_digits(p, params.d, 60, eps, weight) is None
+    # a wrong d writes a table that does not mirror
+    codes = analysis._closed_form_codes(p, params.d + 1)
+    assert codes[1:] != codes[:0:-1]
+    assert analysis._expected_digits(p, params.d + 1, params.b, eps, weight) is None
+    # one code moved off the mirror
+    real = analysis._closed_form_codes(p, params.d)
+    assert real[1:] == real[:0:-1]
+    broken = bytearray(real)
+    broken[5] = 6 if broken[5] != 6 else 5
+    monkeypatch.setattr(analysis, "_closed_form_codes", lambda p, d: bytes(broken))
+    analysis._expected_digits.cache_clear()
+    assert analysis._expected_digits(*args) is None
+    analysis._expected_digits.cache_clear()
 
 
 @settings(max_examples=100, deadline=None)
@@ -785,7 +915,8 @@ def test_autocorrelation_on_transform_sized_construction():
 # Every cache that shares a result between the w of one (p, g).
 PAIR_CACHES = (analysis._spectrum, analysis._orbit_fields, analysis._two_adic,
                analysis._st_product, analysis._closed_form_spectrum,
-               verify._product_closed_form, sequences._su_base)
+               verify._product_closed_form, sequences._su_base,
+               analysis._folded_digits, analysis._expected_digits)
 COMPLEMENT_PAIRS = (((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 1, 0, 1), (1, 0, 1, 0)))
 
 
@@ -802,7 +933,8 @@ def pair_results(params):
             "st": analysis._st_product(analysis._complement_key(s)),
             "identity": analysis.hu_identity_check(s),
             "closed": analysis.closed_form_spectrum(params)._fields,
-            "product": verify.product_closed_form(params)}
+            "product": verify.product_closed_form(params),
+            "digits": analysis._matches_closed_form(s, params)}
 
 
 PAIR_POINTS = sorted({(q.p, q.g) for q in LADDER})

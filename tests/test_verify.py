@@ -4,6 +4,7 @@ import functools
 import inspect
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -67,6 +68,54 @@ def test_spectrum_check_fails_on_corrupted_sequence():
     report = verify.check_autocorrelation_spectrum(params, sequence=corrupted)
     assert not report.passed
     assert "first_mismatch_tau" in report.witnesses
+
+
+def spectrum_reports(params, s, monkeypatch):
+    """The check's report through the digit comparison and through the
+    decode, forced by refusing the comparison, with whether the digits matched."""
+    real = analysis._matches_closed_form
+    matched = []
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_matches_closed_form",
+                      lambda *args: matched.append(real(*args)) or matched[-1])
+        digit = verify.check_autocorrelation_spectrum(params, s)
+        patch.setattr(analysis, "_matches_closed_form", lambda *args: False)
+        decoded = verify.check_autocorrelation_spectrum(params, s)
+    return dataclasses.asdict(digit), dataclasses.asdict(decoded), matched == [True]
+
+
+LADDER_CLASSES = [(p, g) for p in eligible_primes(2213)
+                  for g in {e: g for g, e in reversed(numtheory._roots_with_index(p))}.values()]
+
+
+@pytest.mark.parametrize("p,g", LADDER_CLASSES, ids=[f"p{p}-g{g}" for p, g in LADDER_CLASSES])
+def test_digit_comparison_equals_the_decode_on_the_ladder(p, g, monkeypatch):
+    # the first root of each class, all four w; at p = 5 the first try is full width
+    for w in ADMISSIBLE_W:
+        params = construction_params(p, g, w)
+        digit, decoded, matched = spectrum_reports(params, su_sequence(params), monkeypatch)
+        assert matched and digit == decoded and digit["passed"]
+    assert len({g for q, g in LADDER_CLASSES if q == p}) == 2
+    if p == 5:
+        weight = su_sequence(construction_params(5, g, (0, 0, 0, 0))).weight
+        assert analysis._first_try(20, weight) == (len(str(weight)), 0)
+
+
+def test_digit_comparison_equals_the_decode_on_random_sequences(monkeypatch):
+    # random sequences of period 4p, most of weight near 2p, where the
+    # expected digits exist, against random ladder parameters
+    rng = random.Random(2213)
+    primes = eligible_primes(2213)
+    for _ in range(150):
+        p = rng.choice(primes)
+        params = construction_params(p, rng.choice(sorted(all_primitive_roots(p))),
+                                     rng.choice(ADMISSIBLE_W))
+        s = BinarySequence(4 * p, rng.getrandbits(4 * p))
+        if rng.random() < 0.2:  # the Su sequence of other parameters
+            s = su_sequence(construction_params(p, None, rng.choice(ADMISSIBLE_W)))
+        digit, decoded, matched = spectrum_reports(params, s, monkeypatch)
+        assert digit == decoded
+        assert matched == digit["passed"]
 
 
 # ------------------------------------------------------- product congruence
@@ -378,36 +427,61 @@ def test_pooled_grid_computes_each_primes_cyclotomy_once(monkeypatch):
     assert numtheory._cyclotomy.cache_info().misses == len(eligible_primes(1100)) == 9
 
 
+# The spectrum check compares one folded product with one expected digit text
+# per (p, g); the decode caches serve autocorrelation and the packed closed
+# form, which a passing check never reads.
+DIGIT_CACHES = (analysis._folded_digits, analysis._expected_digits)
+DECODE_CACHES = (analysis._spectrum, analysis._orbit_fields, analysis._closed_form_spectrum)
+
+
+def spectrum_cache_calls(run):
+    """Misses of each digit cache, and calls of each decode cache, during run()."""
+    for cache in DIGIT_CACHES + DECODE_CACHES:
+        cache.cache_clear()
+    run()
+    return ([cache.cache_info().misses for cache in DIGIT_CACHES],
+            [cache.cache_info().hits + cache.cache_info().misses for cache in DECODE_CACHES])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_runs_the_spectrum_transform_once_per_prime(monkeypatch, jobs):
     # the four w of one (p, g) differ by the complement and alternating masks
     use_in_process_pool(monkeypatch)
-    analysis._orbit_fields.cache_clear()
-    verify.run_all(1100, "smallest", "all", jobs=jobs)
+    calls = spectrum_cache_calls(lambda: verify.run_all(1100, "smallest", "all", jobs=jobs))
     assert InProcessPool.mapped == (eligible_primes(1100) if jobs > 1 else [])
-    assert analysis._orbit_fields.cache_info().misses == len(eligible_primes(1100))
+    assert calls == ([len(eligible_primes(1100))] * 2, [0, 0, 0])
 
 
 def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class():
     # one transform per (p, e), e = ind(g) mod 4, for all four w
     classes = {(p, numtheory.index_mod4(p, g))
                for p in eligible_primes(1100) for g in all_primitive_roots(p)}
-    analysis._orbit_fields.cache_clear()
-    verify.run_all(1100, "all", "all")
-    assert analysis._orbit_fields.cache_info().misses == len(classes)
+    calls = spectrum_cache_calls(lambda: verify.run_all(1100, "all", "all"))
+    assert calls == ([len(classes)] * 2, [0, 0, 0])
+
+
+def test_su_grid_multiplies_once_per_prime_and_decodes_nothing(monkeypatch):
+    # run_all(6000, all w): 17 primes, 68 spectrum checks, 17 products; the
+    # decode stage and autocorrelation are never called
+    called = Counter()
+    for name in ("_fold_counts", "autocorrelation", "closed_form_spectrum"):
+        monkeypatch.setattr(analysis, name, lambda *args, name=name: called.update([name]))
+    calls = spectrum_cache_calls(lambda: verify.run_all(6000, "smallest", "all"))
+    assert calls == ([17, 17], [0, 0, 0]) and len(eligible_primes(6000)) == 17
+    assert called == Counter()
 
 
 # The caches shared by a complement pair (w = 0000/1111 and 0101/1010), and the
 # construction's w = 0000 interleave, shared by all four w of one (p, g).
-PAIR_CACHES = (analysis._spectrum, analysis._two_adic, analysis._st_product,
-               analysis._closed_form_spectrum, verify._product_closed_form)
+PAIR_CACHES = (analysis._two_adic, analysis._st_product, verify._product_closed_form)
 
 
 def pair_cache_misses(run):
-    for cache in PAIR_CACHES + (sequences._su_base,):
+    for cache in PAIR_CACHES + DIGIT_CACHES + (sequences._su_base,):
         cache.cache_clear()
     run()
     return ([cache.cache_info().misses for cache in PAIR_CACHES],
+            [cache.cache_info().misses for cache in DIGIT_CACHES],
             sequences._su_base.cache_info().misses)
 
 
@@ -417,14 +491,14 @@ def test_grid_evaluates_each_complement_pair_once(monkeypatch, jobs):
     primes = eligible_primes(1100)
     misses = pair_cache_misses(lambda: verify.run_all(1100, "smallest", "all", jobs=jobs))
     assert InProcessPool.mapped == (primes if jobs > 1 else [])
-    assert misses == ([2 * len(primes)] * len(PAIR_CACHES), len(primes))
+    assert misses == ([2 * len(primes)] * len(PAIR_CACHES), [len(primes)] * 2, len(primes))
 
 
 def test_all_g_grid_evaluates_each_complement_pair_once_per_construction_class():
     classes = {(p, numtheory.index_mod4(p, g))
                for p in eligible_primes(1100) for g in all_primitive_roots(p)}
     misses = pair_cache_misses(lambda: verify.run_all(1100, "all", "all"))
-    assert misses == ([2 * len(classes)] * len(PAIR_CACHES), len(classes))
+    assert misses == ([2 * len(classes)] * len(PAIR_CACHES), [len(classes)] * 2, len(classes))
 
 
 def test_root_copies_equal_the_records_the_constructor_builds(monkeypatch):
