@@ -2,34 +2,28 @@
 spectral product identity, and linear complexity.
 
 All results are exact integers. The brute-force spectrum comes from the bits
-alone through one big-number product (Kronecker substitution), so a full
-spectrum costs one decimal multiplication of two kN-digit numbers rather
-than N rotations; libmpdec runs it as a number-theoretic transform. The
-coincidence counts sit in fields of about log10(2N) / 2 digits, centered on
-their mean. The decoded fields differ from the true ones by cyclic carries
-below half a field: the mirror C(tau) = C(N - tau) makes the carries
-2-periodic, and the tau = 0 field, read back at exactly half a field, makes
-both parities 0. So the fields are kept when the mirror holds and the tau = 0
-field reads half a field (proof at _fold_counts), and else the product is
-redone with fields of the digits of W, which no count overflows. libmpdec
-also folds the two halves of the product onto each other, and the decode
-reads the folded digit text by digit planes into the packed spectrum:
-AC(tau) + N in fixed-width fields of bytes, with no int per shift.
-Complementing leaves AC unchanged and, for even N, adding 0101... negates
-AC at odd tau, so the transform runs once per orbit of these masks: the four
-admissible w of one construction share one multiply. The closed form is one
-length-4p table of codes built from the quadratic-residue codes; it writes
-the packed fields, and it writes the digit text the folded product must
-have, so the spectrum check compares two digit texts and decodes only to
-report a mismatch. The product identity folds its right side from the
-packed fields' bit planes.
+alone through one big-number product (Kronecker substitution): one decimal
+multiplication of two kN-digit numbers, which libmpdec runs as a
+number-theoretic transform, rather than N rotations. The coincidence counts
+sit in fields of about log10(2N) / 2 digits centered on their mean, kept when
+the mirror C(tau) = C(N - tau) holds and the tau = 0 field reads half a field
+(proof at _fold_counts), else recomputed with fields of the digits of W. The
+decode reads the folded digit text by digit planes into the packed spectrum,
+AC(tau) + N in fixed-width byte fields. Complementing leaves AC unchanged and,
+for even N, adding 0101... negates AC at odd tau, so the transform runs once
+per orbit of these masks. The closed form is one length-4p table of codes
+built from the quadratic-residue codes. The spectrum check needs no
+transform: a sequence fixed by x -> r x mod 4p, which every Su sequence is,
+has AC constant on the 20 orbits of r, so 20 shifts and two O(N) symmetry
+checks prove it equal to the closed form (_matches_closed_form); the decode
+runs only for sequences without that symmetry or with a mismatch to report.
+The product identity folds its right side from the packed fields' bit planes.
 A sequence and its complement share every result here but S(2) itself: the
 spectrum, and, as both S(2) and T(2^-1) change sign mod 2^N - 1, the gcd
 with 2^N - 1, phi and S(2) T(2^-1). Each is kept in a two-entry cache keyed
 on (N, the bits complemented so that s(0) = 0), so the complement pairs
-among the four admissible w (0000/1111 and 0101/1010) are evaluated once
-each. The closed form depends on w only through eps, and keeps a two-entry
-cache keyed on (p, b, eps).
+among the four admissible w are evaluated once each. The closed form keeps a
+two-entry cache keyed on (p, b, eps).
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, S is
@@ -49,7 +43,7 @@ from functools import cached_property
 
 from . import bigmod
 from .bigmod import MersenneResidue, decimal_str
-from .numtheory import residue_codes
+from .numtheory import _prime_factors, residue_codes
 from .sequences import BinarySequence, ConstructionParams
 
 __all__ = [
@@ -211,10 +205,8 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     transform runs on that orbit representative, and keeps the last orbit's
     fields; where the mask was applied the odd-tau fields u = AC + N become
     2N - u in one O(N) big-int step, exact as every field stays in [0, 2N].
-    The finished spectrum is kept for the last two complement pairs. The
-    four admissible w of one (p, g) add exactly these masks, so, checked back
-    to back, they share one multiply, and each complement pair one spectrum
-    object; a single sequence gains nothing.
+    The finished spectrum is kept for the last two complement pairs, so the
+    four admissible w of one (p, g), checked back to back, share one multiply.
     """
     return _spectrum(_complement_key(s))
 
@@ -305,7 +297,6 @@ def _orbit_fields(n: int, value: int) -> bytes:
     return packed.to_bytes(width * n, "little")
 
 
-@functools.lru_cache(maxsize=1)
 def _folded_digits(n: int, value: int, k: int, offset: int) -> bytes:
     """The ASCII digit text, N k digits, of the folded product that
     _fold_counts decodes: its k-digit field i holds C(i) - offset for
@@ -318,8 +309,6 @@ def _folded_digits(n: int, value: int, k: int, offset: int) -> bytes:
     plain digits (the exponent stays 0) hold the field of tau = i at field
     i, most significant first. The lift term is built by libmpdec too, as
     lift M / (B - 1), an exact division by one word, not parsed from text.
-    The text of the last product is kept, so the spectrum check and a decode
-    after it share one multiply.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
@@ -416,13 +405,10 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     which is exactly the tau1-odd block. Out-of-phase values always lie in
     {0, 4, -4}.
 
-    The residues D0 u D2 are the nonzero squares mod p whatever g is, so the
-    odd-tau1 blocks read one table of residue codes (0 for r = 0, 1 for a
-    residue, 2 for a non-residue, built from the squares) rotated by
-    tau1 * d. Every shift gets a code in _closed_form_codes, and one
-    translation per byte of the packed fields turns the codes into the
-    fields of AutocorrSpectrum. The result depends on (p, b, eps) only and
-    is kept for the last two of them.
+    D0 u D2 are the nonzero squares mod p whatever g is, so the odd-tau1
+    blocks read one table of residue codes rotated by tau1 * d. Every shift
+    gets a code (_closed_form_codes), and one translation per byte turns the
+    codes into packed fields. Kept for the last two (p, b, eps).
     """
     return _closed_form_spectrum(params.p, params.d, params.b, _eps(params.w))
 
@@ -464,55 +450,67 @@ def _code_values(n: int, b: int, eps: int) -> tuple[int, ...]:
     return (-4 * eps, -4 * eps * b, 4 * eps * b, -4, n, 0, 4)
 
 
-@functools.lru_cache(maxsize=1)
-def _expected_digits(p: int, d: int, b: int, eps: int, weight: int) -> bytes | None:
-    """The digit text _folded_digits gives for an orbit representative of
-    weight W whose spectrum is the closed form (p, d, b, eps), at the
-    (k, offset) of _first_try; None unless those fields meet the premises of
-    the certificate at _fold_counts.
-
-    Code c's field is C - offset, C = (AC - N + 4W) / 4 its count, and the
-    tau = 0 field is pinned at 10^k / 2, as in the folded product. The
-    fields must lie in [0, 10^k) and mirror, C(tau) = C(N - tau), which the
-    code table does when codes[1:] reads the same reversed. One translate
-    per digit plane writes digit j of every field.
-    """
-    n = 4 * p
-    codes = _closed_form_codes(p, d)
-    k, offset = _first_try(n, weight)
-    fields = [(v - n) // 4 + weight - offset for v in _code_values(n, b, eps)]
-    fields[4] = 10 ** k // 2
-    if not all(0 <= f < 10 ** k for f in fields) or codes[1:] != codes[:0:-1]:
-        return None
-    texts = [b"%0*d" % (k, f) for f in fields]
-    digits = bytearray(n * k)
-    for j in range(k):
-        digits[j::k] = codes.translate(bytes(t[j] for t in texts).ljust(256, b"\x00"))
-    return bytes(digits)
-
-
 def _matches_closed_form(s: BinarySequence, params: ConstructionParams) -> bool:
-    """True when s's brute spectrum is the closed form of params at every
-    shift, shown by one comparison of digit texts; False if it is not or
-    the digits cannot show it, so the caller decodes to find out.
+    """True when s's spectrum is the closed form of params at every shift,
+    proved at 20 shifts by a symmetry read from the bits; False if it is not
+    or the symmetry does not show it, so the caller decodes to find out.
 
-    The folded product of s's orbit representative is compared with the
-    digits _expected_digits writes for it. Equal texts decode to fields that
-    mirror with the tau = 0 field at 10^k / 2, so the certificate at
-    _fold_counts makes them the true counts, and those are the closed
-    form's. The alternating mask negates AC at odd tau, as negating eps does
-    the closed form's odd-tau1 block, so all four admissible w of one (p, g)
-    compare one product with one expected text.
+    Let N = 4p, r = _orbit_multiplier(p) and codes the closed form's table.
+    (a) r is prime to 4p, so x -> r x permutes Z_N; if s(r t) = s(t) for all
+    t, then with t = r t', AC(tau) = sum_t' (-1)^(s(r t') + s(r (t' + tau)))
+    = AC(r tau): AC is constant on the orbits of r. (b) By CRT, as r = 1
+    mod 4, r fixes tau mod 4 and multiplies tau mod p by r, whose powers
+    form D_0, the index-4 subgroup of Z_p*, as r has order (p - 1)/4. The
+    orbits are {j} x {0} and {j} x (a coset of D_0), j = 0..3: 20 in all.
+    g^((p-1)/2) = -1 puts g outside the squares D_0 u D_2, so g has order 4
+    in Z_p*/D_0 = Z_4, and 1, g, g^2, g^3 lie in the four cosets:
+    _orbit_shifts meets each orbit once. (c) The checks, any failure giving
+    False: N = 4p; g^((p-1)/2) = -1; the LSB-first bit text and codes equal
+    themselves permuted by r (_permuted), so AC and the closed form are both
+    constant on every orbit; and at each of the 20 shifts
+    AC(tau) = N - 2 popcount(s XOR s rotated by tau) is the value of
+    codes[tau]. Every shift then equals its orbit's shift in both. Su
+    sequences pass for every g and w: each column is a union of cyclotomic
+    classes read at d tau mod p (4d = 1), which r maps onto itself. O(N),
+    no product.
     """
-    key = _complement_key(s)
-    n = key[0]
-    if n != 4 * params.p:  # equal texts prove nothing for another (N, k, offset)
+    p, n, value = params.p, s.period, s.value
+    codes = _closed_form_codes(p, params.d)  # residue_codes refuses all but odd primes
+    r = _orbit_multiplier(p)
+    text = format(value, f"0{n}b").encode()[::-1]  # text[t] = s(t)
+    if (n != 4 * p or pow(params.g, (p - 1) // 2, p) != p - 1
+            or _permuted(text, r) != text or _permuted(codes, r) != codes):
         return False
-    value, alternate = _orbit_representative(key)
-    weight = value.bit_count()
-    eps = -_eps(params.w) if alternate else _eps(params.w)
-    expected = _expected_digits(params.p, params.d, params.b, eps, weight)
-    return expected is not None and expected == _folded_digits(n, value, *_first_try(n, weight))
+    values, mask = _code_values(n, params.b, _eps(params.w)), (1 << n) - 1
+    return all(n - 2 * (value ^ ((value >> tau | value << (n - tau)) & mask)).bit_count()
+               == values[codes[tau]] for tau in _orbit_shifts(p, params.g))
+
+
+@functools.lru_cache(maxsize=1)
+def _orbit_multiplier(p: int) -> int:
+    """The least r > 1 with r = 1 mod 4 and order (p - 1)/4 mod the prime
+    p = 1 mod 4 (so p does not divide r), by pow over the prime factors of
+    (p - 1)/4, never from the cyclotomy; kept per prime, at most 81 below 10^6."""
+    order = (p - 1) // 4
+    factors = [q for q in _prime_factors(p - 1) if order % q == 0]
+    r = 5
+    while pow(r, order, p) != 1 or any(pow(r, order // q, p) == 1 for q in factors):
+        r += 4
+    return r
+
+
+def _orbit_shifts(p: int, g: int) -> list[int]:
+    """The 20 tau < 4p with tau mod p in {0, 1, g, g^2, g^3} and each tau mod 4,
+    by CRT: tau = x + p ((j - x) p mod 4), as p p = 1 mod 4."""
+    return [x + p * ((j - x) * p % 4) for x in (0, 1, g % p, g * g % p, pow(g, 3, p))
+            for j in range(4)]
+
+
+def _permuted(text: bytes, r: int) -> bytes:
+    """text[r i mod N] for i < N = len(text), r prime to N: chunk q, where
+    r i lies in [q N, (q + 1) N), is the stride-r slice from -q N mod r."""
+    n = len(text)
+    return b"".join([text[-q * n % r::r] for q in range(r)])
 
 
 def _closed_form_out_of_phase(params: ConstructionParams) -> set[int]:

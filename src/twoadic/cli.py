@@ -274,28 +274,36 @@ def _cmd_survey(args) -> None:
         _emit("\n".join(lines) + "\n", args.out)
 
 
+def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--g", type=_integer, help="primitive root (default: smallest)")
+    parser.add_argument("--w", help="offset bits w0w1w2w3 (default: 0101)")
+    parser.add_argument("--allow-any-w", action="store_true",
+                        help="accept w with w0 != w2 or w1 != w3")
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--limit", type=_integer, required=True)
+    parser.add_argument("--g", default="smallest", metavar="{smallest,all,ROOT}",
+                        help="smallest (the default) or all roots of each p, or one ROOT")
+    parser.add_argument("--w", default="default", metavar="{default,all,BITS}",
+                        help="default (0101) or all admissible w, or one admissible w as BITS")
+    parser.add_argument("--jobs", type=_integer, default=1,
+                        help="parallel grid workers, >= 1 (capped at cores and eligible primes)")
+
+
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", help="write to file instead of stdout")
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    _add_out_flag(parser)
+    parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    instance = argparse.ArgumentParser(add_help=False)
-    instance.add_argument("--g", type=_integer, help="primitive root (default: smallest)")
-    instance.add_argument("--w", help="offset bits w0w1w2w3 (default: 0101)")
-    instance.add_argument("--allow-any-w", action="store_true",
-                          help="accept w with w0 != w2 or w1 != w3")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--limit", type=_integer, required=True)
-    grid.add_argument("--g", default="smallest", metavar="{smallest,all,ROOT}",
-                      help="smallest (the default) or all roots of each p, or one ROOT")
-    grid.add_argument("--w", default="default", metavar="{default,all,BITS}",
-                      help="default (0101) or all admissible w, or one admissible w as BITS")
-    grid.add_argument("--jobs", type=_integer, default=1,
-                      help="parallel grid workers, >= 1 (capped at cores and eligible primes)")
-
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write to file instead of stdout")
-    output = argparse.ArgumentParser(add_help=False, parents=[out])
-    output.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-
+    """The parser and its four subparsers; each shared flag set is added by
+    one helper, in the order the --help texts list it."""
     ap = argparse.ArgumentParser(
         prog="twoadic",
         description="Interleaved binary sequences: construction, analysis, "
@@ -305,24 +313,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", parents=[instance, out],
-                       help="emit one sequence with its parameters")
+    c = sub.add_parser("construct", help="emit one sequence with its parameters")
+    _add_instance_flags(c)
+    _add_out_flag(c)
     c.add_argument("--p", type=_integer, required=True, help="eligible prime (a^2 + 4)")
     c.set_defaults(run=_cmd_construct)
 
-    a = sub.add_parser("analyze", parents=[instance, output],
-                       help="autocorrelation, 2-adic and linear complexity")
+    a = sub.add_parser("analyze", help="autocorrelation, 2-adic and linear complexity")
+    _add_instance_flags(a)
+    _add_output_flags(a)
     a.add_argument("--p", type=_integer)
     a.add_argument("--sequence-file", help="fixture literal instead of --p")
     a.set_defaults(run=_cmd_analyze)
 
-    v = sub.add_parser("verify", parents=[grid, output],
-                       help="run every check over the prime grid")
-    v.set_defaults(run=_cmd_verify)
-
-    s = sub.add_parser("survey", parents=[grid, output],
-                       help="tabulate gcd(S(2), 2^(2p)+1) per grid point")
-    s.set_defaults(run=_cmd_survey)
+    for name, run, text in (("verify", _cmd_verify, "run every check over the prime grid"),
+                            ("survey", _cmd_survey,
+                             "tabulate gcd(S(2), 2^(2p)+1) per grid point")):
+        grid = sub.add_parser(name, help=text)
+        _add_grid_flags(grid)
+        _add_output_flags(grid)
+        grid.set_defaults(run=run)
     return ap
 
 

@@ -5,10 +5,11 @@ with the raw integers kept as witnesses: the closed-form autocorrelation
 against the spectrum computed from the bits, the S(2)T(2^-1) product against
 its closed form, the small-factor gcd facts, the coprimality facts behind the
 complexity bound, and the bound itself. No check uses a tolerance. The
-spectrum check compares digits: the folded product of the sequence's orbit
-representative against the digit text the closed form writes for it, which
-by the certificate at analysis._fold_counts proves every shift equal, and it
-decodes the spectrum from the same product only to report a mismatch.
+spectrum check proves a Su sequence's spectrum in O(N) with no product: the
+sequence is fixed by tau -> r tau mod 4p, so AC is constant on the 20 orbits
+of r, and 20 shifts, one per orbit, equal the closed form
+(analysis._matches_closed_form). A sequence the certificate does not
+prove is decoded from one product and compared at every shift.
 
 A survey mode tabulates the bounds check's gcd split across the eligible
 primes. Given the closed form that check_product_congruence checks, its
@@ -35,8 +36,7 @@ run_all builds a CheckReport through its constructor, and the survey copies
 the SurveyRow past its frozen __init__. Serially only the current prime's
 sequences are kept. A w and its complement share S(2) T(2^-1) and both
 closed forms, through two-entry caches here and in analysis, so each
-complement pair is evaluated once; all four admissible w of one (p, g)
-compare one product with one expected digit text.
+complement pair is evaluated once.
 """
 
 from __future__ import annotations
@@ -189,11 +189,12 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
 
     The closed form is taken with the b that quartic_decomposition reads from
     Jacobi's congruence (the b_jacobi witness), so a wrong sign of b fails
-    here. The check passes when the digits of the brute spectrum's folded
-    product equal those the closed form gives (analysis._matches_closed_form),
-    with nothing decoded; anything else decodes the brute spectrum from the
-    same product and compares it with the packed closed form, recording the
-    first differing shift on a mismatch. On a match sign_flipped is always
+    here. The check passes when the symmetry certificate proves the brute
+    spectrum equal to the closed form (analysis._matches_closed_form: the
+    sequence and the code table fixed by tau -> r tau, and AC equal at one
+    shift per orbit, 20 in all), with no product; anything else decodes the
+    brute spectrum from one product and compares it with the packed closed
+    form, recording the first differing shift on a mismatch. On a match sign_flipped is always
     False and b_used is b: both are kept so records keep their keys.
     Independently re-asserts that the out-of-phase values lie in {0, 4, -4}.
     """

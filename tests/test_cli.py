@@ -1,3 +1,4 @@
+import argparse
 import csv
 import decimal
 import io
@@ -328,17 +329,14 @@ def test_verify_exit_one_on_corrupted_fixture(monkeypatch, capsys):
 
 def test_verify_shows_a_missing_b_used_as_empty(monkeypatch, capsys):
     # a closed form matching at neither sign of b leaves the witness b_used None;
-    # its values are patched at their one source, which both the digit
-    # comparison and the packed closed form read
-    caches = (analysis._closed_form_spectrum, analysis._expected_digits)
+    # its values are patched at their one source, which both the symmetry
+    # certificate and the packed closed form read
     monkeypatch.setattr(analysis, "_code_values", lambda n, b, eps: (0, 0, 0, 0, n, 0, 0))
-    for cache in caches:
-        cache.cache_clear()
+    analysis._closed_form_spectrum.cache_clear()
     try:
         code, out, err = run(capsys, "verify", "--limit", "5", "--format", "csv")
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        analysis._closed_form_spectrum.cache_clear()
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(out)))
     gate = next(row for row in rows if row["check"] == verify.SPECTRUM_CHECK)
@@ -526,3 +524,25 @@ def test_green_plain_verify_renders_no_witness(renders, capsys):
     code, out, err = run(capsys, "verify", "--limit", "300")
     assert code == 0 and err == "" and "passed" in out
     assert renders == []
+
+
+def test_parser_adds_each_flag_set_in_help_order(monkeypatch):
+    # one ArgumentParser for the program and one per subcommand, no parent
+    # parsers; each subcommand lists its flags in the order --help shows them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    parser = cli._build_parser.__wrapped__()
+    assert len(built) == 5
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [a.option_strings[0] for a in p._actions] for name, p in sub.choices.items()}
+    instance, grid = ["--g", "--w", "--allow-any-w"], ["--limit", "--g", "--w", "--jobs"]
+    assert flags == {"construct": ["-h", *instance, "--out", "--p"],
+                     "analyze": ["-h", *instance, "--out", "--format", "--p", "--sequence-file"],
+                     "verify": ["-h", *grid, "--out", "--format"],
+                     "survey": ["-h", *grid, "--out", "--format"]}

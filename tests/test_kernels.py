@@ -519,7 +519,7 @@ def spy_field_tries(monkeypatch):
 
 
 def clear_spectrum_caches():
-    for cache in (analysis._spectrum, analysis._orbit_fields, analysis._folded_digits):
+    for cache in (analysis._spectrum, analysis._orbit_fields):
         cache.cache_clear()
 
 
@@ -704,7 +704,7 @@ def wrong_d(monkeypatch, d):
 @pytest.mark.parametrize("p,bit", [(13, 0), (29, 57), (173, 400), (1373, 5000)])
 def test_spectrum_mismatch_witnesses(p, bit, monkeypatch):
     # a flipped bit, a negated b, a wrong eps (w0 = w1 for a w0 != w1
-    # sequence) and a wrong d: the digit comparison refuses each, and the
+    # sequence) and a wrong d: the symmetry certificate refuses each, and the
     # decode gives the witnesses the per-shift references give
     params = construction_params(p, None, (0, 1, 0, 1))
     s = su_sequence(params)
@@ -764,40 +764,17 @@ def test_folded_digits_lift_equals_the_parsed_lift():
         drawn.append((rng.randrange(1, 900), k, rng.randrange(-10 ** k, 10 ** k)))
     for n, k, offset in zero_lift + short + drawn:
         for value in (rng.getrandbits(n), 0, (1 << n) - 1):
-            analysis._folded_digits.cache_clear()
             got = analysis._folded_digits(n, value, k, offset)
             assert got == ref_parsed_lift_digits(n, value, k, offset), (n, k, offset)
-
-
-def su_representative(params):
-    """(value, eps, W) of the Su sequence's orbit representative, eps as
-    the representative's closed form reads it."""
-    value, alternate = analysis._orbit_representative(analysis._complement_key(su_sequence(params)))
-    eps = analysis._eps(params.w)
-    return value, -eps if alternate else eps, value.bit_count()
-
-
-@pytest.mark.parametrize("p", (5, 13, 293, 1373))
-def test_expected_digits_are_the_su_product(p):
-    # the text the closed form writes is the folded product, digit for digit
-    params = construction_params(p, None, (0, 1, 0, 1))
-    value, eps, weight = su_representative(params)
-    n = 4 * p
-    for cache in (analysis._expected_digits, analysis._folded_digits):
-        cache.cache_clear()
-    expected = analysis._expected_digits(p, params.d, params.b, eps, weight)
-    assert expected == analysis._folded_digits(n, value, *analysis._first_try(n, weight))
-    assert analysis._fold_counts(n, value, *analysis._first_try(n, weight)) is not None
 
 
 def test_fold_counts_refuses_an_unpinned_or_unmirrored_text(monkeypatch):
     # the certificate on crafted texts: the Su product decodes; the same text
     # with the tau = 0 field off 10^k / 2, or one field off the mirror, does not
-    params = construction_params(293, None, (0, 0, 0, 0))
-    value, _, weight = su_representative(params)
-    n = 4 * 293
+    key = analysis._complement_key(su_sequence(construction_params(293, None, (0, 0, 0, 0))))
+    value, _ = analysis._orbit_representative(key)
+    n, weight = 4 * 293, value.bit_count()
     k, offset = analysis._first_try(n, weight)
-    analysis._folded_digits.cache_clear()
     text = analysis._folded_digits(n, value, k, offset)
     assert analysis._fold_counts(n, value, k, offset) is not None
     unpinned = b"%0*d" % (k, 10 ** k // 2 - 1) + text[k:]
@@ -805,36 +782,6 @@ def test_fold_counts_refuses_an_unpinned_or_unmirrored_text(monkeypatch):
     for crafted in (unpinned, unmirrored):
         monkeypatch.setattr(analysis, "_folded_digits", lambda *args, crafted=crafted: crafted)
         assert analysis._fold_counts(n, value, k, offset) is None
-
-
-def test_expected_digits_refuse_broken_premises(monkeypatch):
-    p = 293
-    params = construction_params(p, None, (0, 0, 0, 0))
-    _, eps, weight = su_representative(params)
-    args = (p, params.d, params.b, eps, weight)
-    analysis._expected_digits.cache_clear()
-    assert analysis._expected_digits(*args) is not None
-    # an out-of-range centered field: weight 1 puts the counts far below the fields
-    assert analysis._expected_digits(p, params.d, params.b, eps, 1) is None
-    # b = 60 moves the residue codes' counts 60 off the mean, past a 2-digit field
-    k, offset = analysis._first_try(4 * p, weight)
-    values = analysis._code_values(4 * p, 60, eps)
-    fields = [(v - 4 * p) // 4 + weight - offset for v in values[:4] + values[5:]]
-    assert k == 2 and min(fields) < 0 and max(fields) >= 10 ** k
-    assert analysis._expected_digits(p, params.d, 60, eps, weight) is None
-    # a wrong d writes a table that does not mirror
-    codes = analysis._closed_form_codes(p, params.d + 1)
-    assert codes[1:] != codes[:0:-1]
-    assert analysis._expected_digits(p, params.d + 1, params.b, eps, weight) is None
-    # one code moved off the mirror
-    real = analysis._closed_form_codes(p, params.d)
-    assert real[1:] == real[:0:-1]
-    broken = bytearray(real)
-    broken[5] = 6 if broken[5] != 6 else 5
-    monkeypatch.setattr(analysis, "_closed_form_codes", lambda p, d: bytes(broken))
-    analysis._expected_digits.cache_clear()
-    assert analysis._expected_digits(*args) is None
-    analysis._expected_digits.cache_clear()
 
 
 @settings(max_examples=100, deadline=None)
@@ -915,8 +862,7 @@ def test_autocorrelation_on_transform_sized_construction():
 # Every cache that shares a result between the w of one (p, g).
 PAIR_CACHES = (analysis._spectrum, analysis._orbit_fields, analysis._two_adic,
                analysis._st_product, analysis._closed_form_spectrum,
-               verify._product_closed_form, sequences._su_base,
-               analysis._folded_digits, analysis._expected_digits)
+               verify._product_closed_form, sequences._su_base)
 COMPLEMENT_PAIRS = (((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 1, 0, 1), (1, 0, 1, 0)))
 
 
@@ -934,7 +880,7 @@ def pair_results(params):
             "identity": analysis.hu_identity_check(s),
             "closed": analysis.closed_form_spectrum(params)._fields,
             "product": verify.product_closed_form(params),
-            "digits": analysis._matches_closed_form(s, params)}
+            "certified": analysis._matches_closed_form(s, params)}
 
 
 PAIR_POINTS = sorted({(q.p, q.g) for q in LADDER})

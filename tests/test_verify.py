@@ -9,6 +9,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -71,8 +72,8 @@ def test_spectrum_check_fails_on_corrupted_sequence():
 
 
 def spectrum_reports(params, s, monkeypatch):
-    """The check's report through the digit comparison and through the
-    decode, forced by refusing the comparison, with whether the digits matched."""
+    """The check's report through the symmetry certificate and through the
+    decode, forced by refusing the certificate, with whether it proved a match."""
     real = analysis._matches_closed_form
     matched = []
     with monkeypatch.context() as patch:
@@ -90,11 +91,13 @@ LADDER_CLASSES = [(p, g) for p in eligible_primes(2213)
 
 @pytest.mark.parametrize("p,g", LADDER_CLASSES, ids=[f"p{p}-g{g}" for p, g in LADDER_CLASSES])
 def test_digit_comparison_equals_the_decode_on_the_ladder(p, g, monkeypatch):
-    # the first root of each class, all four w; at p = 5 the first try is full width
+    # the certificate proves every Su sequence of the ladder, the first root of
+    # each class and all four w, with the report the decode gives; at p = 5
+    # the decode's first try is full width
     for w in ADMISSIBLE_W:
         params = construction_params(p, g, w)
-        digit, decoded, matched = spectrum_reports(params, su_sequence(params), monkeypatch)
-        assert matched and digit == decoded and digit["passed"]
+        certified, decoded, matched = spectrum_reports(params, su_sequence(params), monkeypatch)
+        assert matched and certified == decoded and certified["passed"]
     assert len({g for q, g in LADDER_CLASSES if q == p}) == 2
     if p == 5:
         weight = su_sequence(construction_params(5, g, (0, 0, 0, 0))).weight
@@ -102,8 +105,8 @@ def test_digit_comparison_equals_the_decode_on_the_ladder(p, g, monkeypatch):
 
 
 def test_digit_comparison_equals_the_decode_on_random_sequences(monkeypatch):
-    # random sequences of period 4p, most of weight near 2p, where the
-    # expected digits exist, against random ladder parameters
+    # the certificate against the forced decode: random sequences of period
+    # 4p, which lack the symmetry, and Su sequences of other parameters
     rng = random.Random(2213)
     primes = eligible_primes(2213)
     for _ in range(150):
@@ -113,9 +116,199 @@ def test_digit_comparison_equals_the_decode_on_random_sequences(monkeypatch):
         s = BinarySequence(4 * p, rng.getrandbits(4 * p))
         if rng.random() < 0.2:  # the Su sequence of other parameters
             s = su_sequence(construction_params(p, None, rng.choice(ADMISSIBLE_W)))
-        digit, decoded, matched = spectrum_reports(params, s, monkeypatch)
-        assert digit == decoded
-        assert matched == digit["passed"]
+        certified, decoded, matched = spectrum_reports(params, s, monkeypatch)
+        assert certified == decoded
+        assert matched == certified["passed"]
+
+
+# The symmetry certificate: tau -> r tau mod 4p fixes every Su sequence, and
+# 20 shifts, one per orbit, speak for all shifts.
+
+def orbits(p):
+    """The orbits of tau -> r tau mod 4p, r = analysis._orbit_multiplier(p),
+    walked one element at a time."""
+    n, r = 4 * p, analysis._orbit_multiplier(p)
+    seen, out = set(), []
+    for tau in range(n):
+        if tau not in seen:
+            orbit, x = {tau}, tau * r % n
+            while x != tau:
+                orbit.add(x)
+                x = x * r % n
+            seen |= orbit
+            out.append(orbit)
+    return out
+
+
+def trial_factors(n):
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            yield f
+            n //= f
+        f += 1
+    if n > 1:
+        yield n
+
+
+def test_orbit_multiplier_generates_the_fourth_powers_below_10_6():
+    # at every eligible p < 10^6: r = 1 mod 4, r^((p-1)/4) = 1 and no
+    # r^((p-1)/4q) is, so r generates D_0, the fourth powers; no smaller
+    # candidate does, and r <= 81
+    primes = eligible_primes(10 ** 6)
+    assert len(primes) == 125
+    for p in primes:
+        k = (p - 1) // 4
+        factors = sorted(set(trial_factors(k)))
+
+        def generates(c):
+            return pow(c, k, p) == 1 and all(pow(c, k // q, p) != 1 for q in factors)
+
+        r = analysis._orbit_multiplier(p)
+        assert r % 4 == 1 and 1 < r <= 81 and r % p and generates(r), p
+        assert not any(generates(c) for c in range(5, r, 4)), p
+
+
+def test_orbit_shifts_meet_each_orbit_once():
+    # at every eligible p <= 733, for the first root of each class: the
+    # orbits are 20, and each holds exactly one of the 20 shifts; a square g
+    # (g^((p-1)/2) = 1) meets only 12 of them, those of 0, D_0 and D_2
+    for p in eligible_primes(733):
+        walked = orbits(p)
+        assert len(walked) == 20, p
+        for g in {e: g for g, e in reversed(numtheory._roots_with_index(p))}.values():
+            shifts = analysis._orbit_shifts(p, g)
+            assert sorted(len(orbit.intersection(shifts)) for orbit in walked) == [1] * 20
+            square = analysis._orbit_shifts(p, g * g % p)
+            assert sum(1 for orbit in walked if orbit.intersection(square)) == 12
+
+
+def cell_labels(p, g):
+    """label[x]: 0 for x = 0 and 1 + i for x in D_i(g)."""
+    label = [0] * p
+    for i, members in enumerate(numtheory.cyclotomic_classes(p, g).classes):
+        for x in members:
+            label[x] = 1 + i
+    return label
+
+
+def class_function(p, g, cells):
+    """The period-4p sequence whose bit tau is cells[tau mod 4][label of
+    d tau mod p]: it is fixed by tau -> r tau, as is the closed form's code
+    table."""
+    d, label = (3 * p + 1) // 4, cell_labels(p, g)
+    return BinarySequence.from_bits([cells[t % 4][label[d * t % p]] for t in range(4 * p)])
+
+
+def read_cells(p, g, s):
+    """The cells of class_function read back from s, the last bit of each cell winning."""
+    d, label = (3 * p + 1) // 4, cell_labels(p, g)
+    cells = [[0] * 5 for _ in range(4)]
+    for t in range(4 * p):
+        cells[t % 4][label[d * t % p]] = s.bit(t)
+    return cells
+
+
+@pytest.mark.parametrize("p", [13, 29, 53, 173])
+def test_certificate_equals_the_decode_on_class_functions(p, monkeypatch):
+    # sequences constant on each (tau mod 4, class of d tau) cell pass the two
+    # symmetry checks, so the 20 shifts decide: every Su sequence with one cell
+    # flipped, and random cells
+    rng = random.Random(p)
+    verdicts = Counter()
+    for g in {e: g for g, e in reversed(numtheory._roots_with_index(p))}.values():
+        for w in ADMISSIBLE_W:
+            params = construction_params(p, g, w)
+            s = su_sequence(params)
+            cells = read_cells(p, g, s)
+            assert class_function(p, g, cells) == s
+            drawn = [s]
+            for j, c in product(range(4), range(5)):
+                cells[j][c] ^= 1
+                drawn.append(class_function(p, g, cells))
+                cells[j][c] ^= 1
+            drawn += [class_function(p, g, [[rng.getrandbits(1) for _ in range(5)]
+                                            for _ in range(4)]) for _ in range(5)]
+            for t in drawn:
+                certified, decoded, matched = spectrum_reports(params, t, monkeypatch)
+                assert certified == decoded and matched == certified["passed"]
+                verdicts[matched] += 1
+    assert verdicts[True] >= 8 and verdicts[False] >= 8 * 20
+
+
+def test_certificate_refuses_every_single_bit_flip(monkeypatch):
+    # a flipped bit always moves AC(2p), as s(t + 2p) = s(t - 2p): the
+    # certificate refuses it, and the decode reports the mismatch
+    for p in (13, 29):
+        params = construction_params(p, None, (0, 0, 0, 0))
+        s = su_sequence(params)
+        for bit in range(4 * p):
+            certified, decoded, matched = spectrum_reports(params, flip_bit(s, bit), monkeypatch)
+            assert not matched and certified == decoded and not certified["passed"]
+
+
+def test_certificate_refuses_a_sequence_without_the_symmetry(monkeypatch):
+    # a cyclic shift keeps the spectrum, the closed form's, but not
+    # s(r t) = s(t), on which the 20 shifts speak for the rest: the
+    # certificate refuses it and the decode passes it
+    params = construction_params(173, None, (0, 1, 0, 1))
+    shifted = sequences.left_shift(su_sequence(params), 5)
+    text = str(shifted).encode()
+    assert analysis._permuted(text, analysis._orbit_multiplier(173)) != text
+    certified, decoded, matched = spectrum_reports(params, shifted, monkeypatch)
+    assert not matched and certified == decoded and certified["passed"]
+
+
+def test_certificate_needs_g_outside_the_squares(monkeypatch):
+    # with a square g, 1, g, g^2 and g^3 lie in D_0 u D_2, and at odd tau the
+    # 20 shifts read only residue codes: a closed form wrong at the
+    # non-residues alone (its value patched to 0) must still be refused
+    p = 29
+    params = construction_params(p, None, (0, 1, 0, 1))
+    s = su_sequence(params)
+    square = dataclasses.replace(
+        params, quartic=dataclasses.replace(params.quartic, g=params.g ** 2 % p))
+    certified, decoded, matched = spectrum_reports(square, s, monkeypatch)
+    assert not matched and certified == decoded and certified["passed"]
+    values = analysis._code_values
+    monkeypatch.setattr(analysis, "_code_values",
+                        lambda n, b, eps: values(n, b, eps)[:2] + (0,) + values(n, b, eps)[3:])
+    analysis._closed_form_spectrum.cache_clear()
+    try:
+        certified, decoded, matched = spectrum_reports(square, s, monkeypatch)
+    finally:
+        analysis._closed_form_spectrum.cache_clear()
+    assert not matched and certified == decoded and not certified["passed"]
+
+
+def test_certificate_reads_every_orbit_and_checks_the_codes(monkeypatch):
+    # the Su sequence against code tables changed on one whole orbit, which
+    # stay fixed by r, so only that orbit's shift sees the change, and changed
+    # at one shift off the 20, which breaks their symmetry: each is refused
+    p = 29
+    params = construction_params(p, None, (0, 1, 0, 1))
+    s = su_sequence(params)
+    real = analysis._closed_form_codes(p, params.d)
+    values = analysis._code_values(4 * p, params.b, analysis._eps(params.w))
+    shifts = analysis._orbit_shifts(p, params.g)
+
+    def changed(taus):
+        table = bytearray(real)
+        for tau in taus:
+            table[tau] = next(c for c in range(7) if values[c] != values[real[tau]])
+        return bytes(table)
+
+    off = next(tau for tau in range(4 * p) if tau not in shifts)
+    tables = [changed(orbit) for orbit in orbits(p)] + [changed([off])]
+    try:
+        for table in tables:
+            monkeypatch.setattr(analysis, "_closed_form_codes", lambda p, d, table=table: table)
+            analysis._closed_form_spectrum.cache_clear()
+            certified, decoded, matched = spectrum_reports(params, s, monkeypatch)
+            assert not matched and certified == decoded and not certified["passed"]
+    finally:
+        analysis._closed_form_spectrum.cache_clear()
+    assert len(tables) == 21
 
 
 # ------------------------------------------------------- product congruence
@@ -427,48 +620,66 @@ def test_pooled_grid_computes_each_primes_cyclotomy_once(monkeypatch):
     assert numtheory._cyclotomy.cache_info().misses == len(eligible_primes(1100)) == 9
 
 
-# The spectrum check compares one folded product with one expected digit text
-# per (p, g); the decode caches serve autocorrelation and the packed closed
-# form, which a passing check never reads.
-DIGIT_CACHES = (analysis._folded_digits, analysis._expected_digits)
+# The spectrum check proves every Su point by the symmetry certificate, with
+# no product and no decode; refused, it decodes, and the four w of one (p, g)
+# then share one product through the orbit caches.
 DECODE_CACHES = (analysis._spectrum, analysis._orbit_fields, analysis._closed_form_spectrum)
 
 
-def spectrum_cache_calls(run):
-    """Misses of each digit cache, and calls of each decode cache, during run()."""
-    for cache in DIGIT_CACHES + DECODE_CACHES:
-        cache.cache_clear()
-    run()
-    return ([cache.cache_info().misses for cache in DIGIT_CACHES],
+def spectrum_calls(monkeypatch, run, certify=True):
+    """Products (_folded_digits calls) and calls of each decode cache during
+    run(), with the certificate as it is or, with certify=False, refused."""
+    products = []
+    real = analysis._folded_digits
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_folded_digits",
+                      lambda *args: products.append(args) or real(*args))
+        if not certify:
+            patch.setattr(analysis, "_matches_closed_form", lambda *args: False)
+        for cache in DECODE_CACHES:
+            cache.cache_clear()
+        run()
+    return (len(products),
             [cache.cache_info().hits + cache.cache_info().misses for cache in DECODE_CACHES])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_runs_the_spectrum_transform_once_per_prime(monkeypatch, jobs):
-    # the four w of one (p, g) differ by the complement and alternating masks
+    # none with the certificate; refused, the four w of one (p, g), which
+    # differ by the complement and alternating masks, share one
     use_in_process_pool(monkeypatch)
-    calls = spectrum_cache_calls(lambda: verify.run_all(1100, "smallest", "all", jobs=jobs))
-    assert InProcessPool.mapped == (eligible_primes(1100) if jobs > 1 else [])
-    assert calls == ([len(eligible_primes(1100))] * 2, [0, 0, 0])
+    primes = eligible_primes(1100)
+    grid = functools.partial(verify.run_all, 1100, "smallest", "all", jobs=jobs)
+    assert spectrum_calls(monkeypatch, grid) == (0, [0, 0, 0])
+    assert InProcessPool.mapped == (primes if jobs > 1 else [])
+    assert spectrum_calls(monkeypatch, grid, certify=False)[0] == len(primes)
 
 
-def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class():
-    # one transform per (p, e), e = ind(g) mod 4, for all four w
+def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class(monkeypatch):
+    # none with the certificate; refused, one per (p, e), e = ind(g) mod 4
     classes = {(p, numtheory.index_mod4(p, g))
                for p in eligible_primes(1100) for g in all_primitive_roots(p)}
-    calls = spectrum_cache_calls(lambda: verify.run_all(1100, "all", "all"))
-    assert calls == ([len(classes)] * 2, [0, 0, 0])
+    grid = functools.partial(verify.run_all, 1100, "all", "all")
+    assert spectrum_calls(monkeypatch, grid) == (0, [0, 0, 0])
+    assert spectrum_calls(monkeypatch, grid, certify=False)[0] == len(classes)
 
 
-def test_su_grid_multiplies_once_per_prime_and_decodes_nothing(monkeypatch):
-    # run_all(6000, all w): 17 primes, 68 spectrum checks, 17 products; the
-    # decode stage and autocorrelation are never called
+def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
+    # run_all(6000, all w): 17 primes, 68 spectrum checks, all certified; the
+    # product, the decode stage and autocorrelation are never called
     called = Counter()
     for name in ("_fold_counts", "autocorrelation", "closed_form_spectrum"):
         monkeypatch.setattr(analysis, name, lambda *args, name=name: called.update([name]))
-    calls = spectrum_cache_calls(lambda: verify.run_all(6000, "smallest", "all"))
-    assert calls == ([17, 17], [0, 0, 0]) and len(eligible_primes(6000)) == 17
-    assert called == Counter()
+    grid = functools.partial(verify.run_all, 6000, "smallest", "all")
+    assert spectrum_calls(monkeypatch, grid) == (0, [0, 0, 0])
+    assert called == Counter() and len(eligible_primes(6000)) == 17
+
+
+def test_su_grid_leaves_decimal_unimported():
+    # the certificate needs no decimal product, and run_all renders nothing
+    code = ("import sys; from twoadic import verify; "
+            "verify.run_all(6000, 'smallest', 'all'); print('decimal' in sys.modules)")
+    assert run_python(code) == "False\n"
 
 
 # The caches shared by a complement pair (w = 0000/1111 and 0101/1010), and the
@@ -476,29 +687,31 @@ def test_su_grid_multiplies_once_per_prime_and_decodes_nothing(monkeypatch):
 PAIR_CACHES = (analysis._two_adic, analysis._st_product, verify._product_closed_form)
 
 
-def pair_cache_misses(run):
-    for cache in PAIR_CACHES + DIGIT_CACHES + (sequences._su_base,):
+def pair_cache_misses(monkeypatch, run):
+    """Misses of each pair cache and of the w = 0000 interleave, and the
+    spectrum products, during run()."""
+    for cache in PAIR_CACHES + (sequences._su_base,):
         cache.cache_clear()
-    run()
+    products, _ = spectrum_calls(monkeypatch, run)
     return ([cache.cache_info().misses for cache in PAIR_CACHES],
-            [cache.cache_info().misses for cache in DIGIT_CACHES],
-            sequences._su_base.cache_info().misses)
+            products, sequences._su_base.cache_info().misses)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_evaluates_each_complement_pair_once(monkeypatch, jobs):
     use_in_process_pool(monkeypatch)
     primes = eligible_primes(1100)
-    misses = pair_cache_misses(lambda: verify.run_all(1100, "smallest", "all", jobs=jobs))
+    misses = pair_cache_misses(
+        monkeypatch, lambda: verify.run_all(1100, "smallest", "all", jobs=jobs))
     assert InProcessPool.mapped == (primes if jobs > 1 else [])
-    assert misses == ([2 * len(primes)] * len(PAIR_CACHES), [len(primes)] * 2, len(primes))
+    assert misses == ([2 * len(primes)] * len(PAIR_CACHES), 0, len(primes))
 
 
-def test_all_g_grid_evaluates_each_complement_pair_once_per_construction_class():
+def test_all_g_grid_evaluates_each_complement_pair_once_per_construction_class(monkeypatch):
     classes = {(p, numtheory.index_mod4(p, g))
                for p in eligible_primes(1100) for g in all_primitive_roots(p)}
-    misses = pair_cache_misses(lambda: verify.run_all(1100, "all", "all"))
-    assert misses == ([2 * len(classes)] * len(PAIR_CACHES), [len(classes)] * 2, len(classes))
+    misses = pair_cache_misses(monkeypatch, lambda: verify.run_all(1100, "all", "all"))
+    assert misses == ([2 * len(classes)] * len(PAIR_CACHES), 0, len(classes))
 
 
 def test_root_copies_equal_the_records_the_constructor_builds(monkeypatch):
@@ -704,18 +917,23 @@ def test_each_check_reports_under_its_name_constant():
     assert verify.check_coprimality_facts(13).check == verify.COPRIMALITY_CHECK
 
 
-def test_importing_the_package_loads_no_pool_or_decimal():
-    # the process pool and decimal are imported where they are first used
+def run_python(code):
+    """stdout of code run by a fresh interpreter on this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    code = ("import sys, twoadic, twoadic.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures', 'decimal') "
-            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_package_loads_no_pool_or_decimal():
+    # the process pool and decimal are imported where they are first used
+    code = ("import sys, twoadic, twoadic.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'decimal') "
+            "if m in sys.modules])")
+    assert run_python(code) == "[]\n"
 
 
 def test_run_all_fails_the_b_checks_when_b_is_negated(monkeypatch):
