@@ -9,21 +9,19 @@ sit in fields of about log10(2N) / 2 digits centered on their mean, kept when
 the mirror C(tau) = C(N - tau) holds and the tau = 0 field reads half a field
 (proof at _fold_counts), else recomputed with fields of the digits of W. The
 decode reads the folded digit text by digit planes into the packed spectrum,
-AC(tau) + N in fixed-width byte fields. Complementing leaves AC unchanged and,
-for even N, adding 0101... negates AC at odd tau, so the transform runs once
-per orbit of these masks. The closed form is one length-4p table of codes
-built from the quadratic-residue codes. The spectrum check needs no
+AC(tau) + N in fixed-width byte fields; each call decodes its own sequence
+and keeps nothing. The closed form is one length-4p table of codes built
+from the quadratic-residue codes. The spectrum check needs no
 transform: a sequence fixed by x -> r x mod 4p, which every Su sequence is,
 has AC constant on the 20 orbits of r, so 20 shifts and two O(N) symmetry
 checks prove it equal to the closed form (_matches_closed_form); the decode
 runs only for sequences without that symmetry or with a mismatch to report.
 The product identity folds its right side from the packed fields' bit planes.
-A sequence and its complement share every result here but S(2) itself: the
-spectrum, and, as both S(2) and T(2^-1) change sign mod 2^N - 1, the gcd
-with 2^N - 1, phi and S(2) T(2^-1). Each is kept in a two-entry cache keyed
-on (N, the bits complemented so that s(0) = 0), so the complement pairs
-among the four admissible w are evaluated once each. The closed form keeps a
-two-entry cache keyed on (p, b, eps).
+As both S(2) and T(2^-1) change sign mod 2^N - 1 when the bits are
+complemented, a sequence and its complement share the gcd with 2^N - 1, phi
+and S(2) T(2^-1). Each is kept in a two-entry cache keyed on (N, the bits
+complemented so that s(0) = 0), so the complement pairs among the four
+admissible w are evaluated once each.
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, S is
@@ -117,9 +115,7 @@ class AutocorrSpectrum:
         their low byte; each round deletes every copy of the next low byte
         left, in one bytes pass, and counts what went. At most 256 rounds,
         one per distinct value. Fields whose upper bytes differ are counted
-        one by one. The counts are computed once per spectrum object, which
-        the caches below share between the two sequences of a complement
-        pair.
+        one by one. The counts are computed once per spectrum object.
         """
         n = self.period
         width = len(self._fields) // n
@@ -196,70 +192,8 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
-    """Periodic autocorrelation AC(tau) = sum_t (-1)^(s(t) + s(t + tau)).
-
-    Complementing s changes no AC(tau), and for even N adding the
-    alternating sequence m(t) = t mod 2 multiplies AC(tau) by
-    (-1)^(m(t) + m(t + tau)) = (-1)^tau. So s is complemented if s(0) = 1
-    and then, for even N, given the alternating mask if s(1) = 1. The
-    transform runs on that orbit representative, and keeps the last orbit's
-    fields; where the mask was applied the odd-tau fields u = AC + N become
-    2N - u in one O(N) big-int step, exact as every field stays in [0, 2N].
-    The finished spectrum is kept for the last two complement pairs, so the
-    four admissible w of one (p, g), checked back to back, share one multiply.
-    """
-    return _spectrum(_complement_key(s))
-
-
-def _complement_key(s: BinarySequence) -> tuple[int, int]:
-    """(N, the bits of s, complemented if s(0) = 1): one key per complement pair."""
-    n, value = s.period, s.value
-    return (n, value ^ ((1 << n) - 1)) if value & 1 else (n, value)
-
-
-@functools.lru_cache(maxsize=2)
-def _spectrum(key: tuple[int, int]) -> AutocorrSpectrum:
-    """The spectrum of the complement pair with this _complement_key."""
-    n = key[0]
-    value, alternate = _orbit_representative(key)
-    fields = _orbit_fields(n, value)
-    if alternate:
-        width = _field_width(n)
-        ones = int.from_bytes((bytes(width) + b"\x01".ljust(width, b"\x00")) * (n // 2),
-                              "little")  # 1 in every odd-tau field
-        packed = int.from_bytes(fields, "little")
-        packed += 2 * (n * ones - (packed & ones * ((1 << 8 * width) - 1)))
-        fields = packed.to_bytes(width * n, "little")
-    return AutocorrSpectrum._packed(n, fields)
-
-
-def _orbit_representative(key: tuple[int, int]) -> tuple[int, bool]:
-    """(bits, alternate): the orbit representative of the complement pair
-    with this key, given the alternating mask (bits at the odd positions)
-    when N is even and s(1) = 1, and whether it was."""
-    n, value = key
-    if n % 2 or not value & 2:
-        return value, False
-    return value ^ int("10" * (n // 2), 2), True
-
-
-def _first_try(n: int, weight: int) -> tuple[int, int]:
-    """(digits per field, offset) of the first product _orbit_fields tries:
-    fields centered on the mean count where that is narrower than W, else
-    the digits of W and no offset."""
-    full = len(str(weight))
-    if n == 1:
-        return full, 0
-    mean = (weight * weight - weight) // (n - 1)
-    spread, k = max(mean, weight - mean), 1
-    while 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) >= 10 ** k:
-        k += 1
-    return (k, mean - 10 ** k // 2) if k < full else (full, 0)
-
-
-@functools.lru_cache(maxsize=1)
-def _orbit_fields(n: int, value: int) -> bytes:
-    """The packed spectrum fields of the period-n sequence with bits value.
+    """Periodic autocorrelation AC(tau) = sum_t (-1)^(s(t) + s(t + tau)),
+    decoded from a product of s's own bits; nothing is kept between calls.
 
     With weight W and coincidence counts C(tau) = #{t : s(t) = s(t + tau) = 1},
     AC(tau) = N - 4W + 4C(tau). All C(tau) come from one product: with
@@ -280,9 +214,9 @@ def _orbit_fields(n: int, value: int) -> bytes:
     product is redone with the digits of W and no offset, which every count
     fits. Su sequences, whose counts sit within 1 of m, always pass: 2
     digits in place of 4 for 1093 <= p <= 4493, 3 in place of 5 near
-    p = 10^5. The cache holds the last orbit only, as numtheory's one-prime
-    caches do.
+    p = 10^5.
     """
+    n, value = s.period, s.value
     weight = value.bit_count()
     for k, offset in dict.fromkeys((_first_try(n, weight), (len(str(weight)), 0))):
         decoded = _fold_counts(n, value, k, offset)
@@ -294,7 +228,27 @@ def _orbit_fields(n: int, value: int) -> bytes:
     # and 10^k / 2 at tau = 0, where AC + N = 2N
     packed = (4 * (decoded + weight - offset - 10 ** k // 2)
               + (2 * n - 4 * weight + 4 * offset) * ones)
-    return packed.to_bytes(width * n, "little")
+    return AutocorrSpectrum._packed(n, packed.to_bytes(width * n, "little"))
+
+
+def _complement_key(s: BinarySequence) -> tuple[int, int]:
+    """(N, the bits of s, complemented if s(0) = 1): one key per complement pair."""
+    n, value = s.period, s.value
+    return (n, value ^ ((1 << n) - 1)) if value & 1 else (n, value)
+
+
+def _first_try(n: int, weight: int) -> tuple[int, int]:
+    """(digits per field, offset) of the first product autocorrelation tries:
+    fields centered on the mean count where that is narrower than W, else
+    the digits of W and no offset."""
+    full = len(str(weight))
+    if n == 1:
+        return full, 0
+    mean = (weight * weight - weight) // (n - 1)
+    spread, k = max(mean, weight - mean), 1
+    while 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) >= 10 ** k:
+        k += 1
+    return (k, mean - 10 ** k // 2) if k < full else (full, 0)
 
 
 def _folded_digits(n: int, value: int, k: int, offset: int) -> bytes:
@@ -408,16 +362,11 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     D0 u D2 are the nonzero squares mod p whatever g is, so the odd-tau1
     blocks read one table of residue codes rotated by tau1 * d. Every shift
     gets a code (_closed_form_codes), and one translation per byte turns the
-    codes into packed fields. Kept for the last two (p, b, eps).
+    codes into packed fields.
     """
-    return _closed_form_spectrum(params.p, params.d, params.b, _eps(params.w))
-
-
-@functools.lru_cache(maxsize=2)
-def _closed_form_spectrum(p: int, d: int, b: int, eps: int) -> AutocorrSpectrum:
-    n = 4 * p
-    codes = _closed_form_codes(p, d)
-    values = _code_values(n, b, eps)
+    n = 4 * params.p
+    codes = _closed_form_codes(params.p, params.d)
+    values = _code_values(n, params.b, _eps(params.w))
     width = _field_width(n)
     fields = bytearray(width * n)
     for j in range(width):

@@ -19,24 +19,37 @@ S(2) T(2^-1) = -2p (mod Q): a prime dividing S(2) and Q divides 2p. Q is odd
 and 2^(2p)+1 = 5 (mod p) by Fermat, so gcd(S(2), Q) = 1. 25 does not divide
 2^(2p)+1, as ord_25(2) = 20 does not divide 4p, so gcd_plus = gcd(S(2), 5).
 Column j (bits 4t + j) has (p-1)/2 + w_j ones and 2^4 = 1 (mod 5), so
-S(2) = sum_j 2^j ((p-1)/2 + w_j) = 0 (mod 5) for all four admissible w. The
-minus part gcd(S(2), 2^(2p)-1) is not derived here.
+S(2) = sum_j 2^j ((p-1)/2 + w_j) = 0 (mod 5) for all four admissible w.
+The minus part gcd_minus = gcd(S(2), 2^(2p)-1) is gcd(S(2), 3). Modulo
+R = (2^(2p)-1)/3, 2^(2p) = 1 and (2^(4p)-1)/15 = 0, so S(2) T(2^-1) =
+2 (X + Y K) with X = 2 eps (2^p - eps) - p and Y = 2 eps b 2^p; K^2 = p, as
+K(x)^2 = p - (1 + x + ... + x^(p-1)) mod x^p - 1 for p = 1 mod 4 and
+16^p = 1. With b^2 = 1, Z = T(2^-1) (X - Y K)(p^2 + 8 + 4 eps (p + 2) 2^p)
+gives S(2) Z = 2 (X^2 - 4p)(p^2 + 8 + 4 eps (p + 2) 2^p)
+= 2p(p - 4)(p^2 + 4p + 16) (mod R): a prime dividing S(2) and R divides
+2p(p - 4)(p^2 + 4p + 16). R = 1 + 4 + ... + 4^(p-1) = p (mod 3) is odd and
+prime to 3, so a prime q dividing R divides 4^p - 1 and is not 3:
+ord_q(2) = p or 2p, and q = 1 (mod 2p) divides neither p nor p - 4.
+Wherever R is also prime to p^2 + 4p + 16, which the tests check for
+5 < p <= 2213, gcd(S(2), R) = 1 and, as 2^(2p)-1 = 3R,
+gcd_minus = gcd(S(2), 3).
 
 Each check takes the parameters and, optionally, the sequence to check; it
-builds the parameters' own sequence when none is given. No check reads
-another's result or corrects b, so a wrong sign of b fails the spectrum and
-product checks. The construction depends on the primitive root g only
-through e = ind_g0(g) mod 4, 1 or 3, read for every root from numtheory's
-one walk over the powers of g0. One grid driver serves run_all and the
-survey. Its unit of work is the prime: one task per p, run serially or in a
-process pool, evaluates each construction (p, e, w) once, at the first g of
-class e, and gives every g of that class one shared list of the class's
-results in w order. The parent gives each g its own record of each result:
-run_all builds a CheckReport through its constructor, and the survey copies
-the SurveyRow past its frozen __init__. Serially only the current prime's
-sequences are kept. A w and its complement share S(2) T(2^-1) and both
-closed forms, through two-entry caches here and in analysis, so each
-complement pair is evaluated once.
+builds the parameters' own sequence when none is given and refuses one
+whose period is not 4p (_point_sequence). No check reads another's result
+or corrects b, so a wrong sign of b fails the spectrum and product checks.
+The construction depends on the primitive root g only through e = ind_g0(g)
+mod 4, 1 or 3, read for every root from numtheory's one walk over the powers
+of g0. One grid driver serves run_all and the survey. Its unit of work is the
+prime: one task per p, run serially or in a process pool, evaluates each
+construction (p, e, w) once, at the first g of class e, and gives every g of
+that class one shared list of the class's results in w order. The parent
+gives each g its own record of each result: run_all builds a CheckReport
+through its constructor, and the survey copies the SurveyRow past its frozen
+__init__. Serially only the current prime's sequences are kept. A w and its
+complement share S(2) T(2^-1), its closed form and the gcd with 2^N - 1,
+through two-entry caches here and in analysis, so each complement pair is
+evaluated once.
 """
 
 from __future__ import annotations
@@ -183,6 +196,16 @@ def _report(check: str, params: ConstructionParams, passed: bool,
                        b=params.b, witnesses=witnesses)
 
 
+def _point_sequence(params: ConstructionParams,
+                    sequence: BinarySequence | None) -> BinarySequence:
+    """sequence, or params' own Su sequence if it is None; ValueError unless
+    its period is 4p."""
+    s = su_sequence(params) if sequence is None else sequence
+    if s.period != 4 * params.p:
+        raise ValueError(f"sequence period {s.period} is not 4p = {4 * params.p}")
+    return s
+
+
 def check_autocorrelation_spectrum(params: ConstructionParams,
                                    sequence: BinarySequence | None = None) -> CheckReport:
     """Brute-force autocorrelation versus the closed form, at every shift.
@@ -198,7 +221,7 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     False and b_used is b: both are kept so records keep their keys.
     Independently re-asserts that the out-of-phase values lie in {0, 4, -4}.
     """
-    s = su_sequence(params) if sequence is None else sequence
+    s = _point_sequence(params, sequence)
     witnesses: dict[str, object] = {"b_jacobi": params.b}
     if analysis._matches_closed_form(s, params):
         matched, out_of_phase = True, analysis._closed_form_out_of_phase(params)
@@ -258,7 +281,7 @@ def _product_closed_form(p: int, b: int, eps: int) -> bigmod.MersenneResidue:
 def check_product_congruence(params: ConstructionParams,
                              sequence: BinarySequence | None = None) -> CheckReport:
     """Evaluate S(2) T(2^-1) from the bits and compare with the closed form."""
-    s = su_sequence(params) if sequence is None else sequence
+    s = _point_sequence(params, sequence)
     lhs = analysis._st_product(analysis._complement_key(s))
     rhs = product_closed_form(params)
     return _report(PRODUCT_CHECK, params, lhs == rhs, {"lhs": lhs.value, "rhs": rhs.value})
@@ -272,7 +295,7 @@ def check_small_factor_gcds(params: ConstructionParams,
     mod small primes), so outcomes are recorded per w rather than assumed to
     transfer between offset vectors.
     """
-    s = su_sequence(params) if sequence is None else sequence
+    s = _point_sequence(params, sequence)
     s2 = bigmod.eval_S(s).value
     p = params.p
     gcd3 = math.gcd(s2, 3)
@@ -307,7 +330,7 @@ def check_complexity_bounds(params: ConstructionParams,
     The survey tabulates phi and the gcd split: gcd_minus = gcd(S(2), 2^(2p)-1)
     is read from the one big gcd_full, as 2^(2p)-1 divides 2^(4p)-1.
     """
-    s = su_sequence(params) if sequence is None else sequence
+    s = _point_sequence(params, sequence)
     p = params.p
     two_adic = analysis.two_adic_complexity(s)
     gcd_minus = math.gcd(two_adic.gcd, (1 << (2 * p)) - 1)

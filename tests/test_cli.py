@@ -332,11 +332,7 @@ def test_verify_shows_a_missing_b_used_as_empty(monkeypatch, capsys):
     # its values are patched at their one source, which both the symmetry
     # certificate and the packed closed form read
     monkeypatch.setattr(analysis, "_code_values", lambda n, b, eps: (0, 0, 0, 0, n, 0, 0))
-    analysis._closed_form_spectrum.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "--limit", "5", "--format", "csv")
-    finally:
-        analysis._closed_form_spectrum.cache_clear()
+    code, out, err = run(capsys, "verify", "--limit", "5", "--format", "csv")
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(out)))
     gate = next(row for row in rows if row["check"] == verify.SPECTRUM_CHECK)

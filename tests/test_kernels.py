@@ -10,13 +10,14 @@ quartic decomposition and the DHL columns. The brute spectrum, a decimal
 Kronecker product on libmpdec, is also checked against the 16-bit int
 Kronecker product it replaced, and both spectrum kernels' packed fields
 against those references packed one field at a time; every member of an
-orbit under the complement and alternating masks, which share one transform,
-is checked the same way, and so are its certified centered fields, with
-the full-width product redone when a count carries, at the digit-count
-thresholds, on periodic blocks, at the field-width switch and on random
-sequences; the folded product's lift term, built by libmpdec arithmetic,
-against the lift parsed from its text, and the closed form's expected digit
-text against the product it must equal. The linear complexity, which folds S mod x^m + 1
+orbit under the complement and alternating masks, which keep |AC| fixed, is
+checked the same way, each decoded from products of its own bits, and so
+are the certified centered fields, with the full-width product redone when
+a count carries, at the digit-count thresholds, on periodic blocks, at the
+field-width switch and on random sequences; the folded product's lift term,
+built by libmpdec arithmetic, against the lift parsed from its text, and the
+decode's certificate against crafted texts that break the mirror or the
+pinned tau = 0 field. The linear complexity, which folds S mod x^m + 1
 for N = 2^v m, is checked against the one GF(2) Euclid
 over the whole period and the public Berlekamp-Massey over two periods, and
 its reduction of U_r mod G1 by halving against the remainder loop _gf2_mod.
@@ -433,11 +434,10 @@ def test_packed_field_width_switch(n):
 
 # ------------------------------------------------------------ orbit spectra
 #
-# autocorrelation runs its transform once per orbit of s under XOR with the
-# masks that keep |AC(tau)| fixed: the complement, and for even N the two
-# alternating sequences, which negate AC at odd tau. Every member of an orbit
-# is checked against both references, the first computed and the rest read
-# from the one-entry cache.
+# The orbit of s under XOR with the masks that keep |AC(tau)| fixed: the
+# complement, and for even N the two alternating sequences, which negate AC
+# at odd tau. Every member of an orbit is checked against both references,
+# and each is decoded from products of its own bits, none shared.
 
 def orbit_masks(n):
     full = (1 << n) - 1
@@ -448,11 +448,19 @@ def orbit_masks(n):
 
 
 def check_orbit(s):
+    """Each member against both references; its decode multiplies its own
+    bits, once, or twice where the centered fields carry."""
+    real = analysis._folded_digits
     for m in orbit_masks(s.period):
         member = BinarySequence(s.period, s.value ^ m)
         want = ref_autocorrelation(member)
         assert want == ref_kronecker_autocorrelation(member)
-        check_packed(analysis.autocorrelation(member), want)
+        products = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_folded_digits",
+                          lambda *args: products.append(args[:2]) or real(*args))
+            check_packed(analysis.autocorrelation(member), want)
+        assert products in ([(s.period, member.value)], [(s.period, member.value)] * 2)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -472,8 +480,8 @@ def test_orbit_random_sequences(s):
 
 @pytest.mark.parametrize("n", ((1 << 15) - 1, 1 << 15))
 def test_orbit_field_width_switch(n):
-    # s(0) = 0 and s(1) = 1: at even N the alternating mask is applied and
-    # the odd-tau fields mapped back, in 2-byte fields below N = 2^15, 4 from it
+    # every member, s(1) = 1 or 0, decoded into 2-byte fields below
+    # N = 2^15 and 4-byte ones from it
     value = random.Random(n).getrandbits(n) & ~1 | 2
     for m in orbit_masks(n):
         member = BinarySequence(n, value ^ m)
@@ -484,14 +492,14 @@ def test_orbit_field_width_switch(n):
 
 # --------------------------------------------------- certified centered fields
 #
-# _orbit_fields first tries k-digit fields centered on the mean count, and
+# autocorrelation first tries k-digit fields centered on the mean count, and
 # keeps them only when the decoded counts pass the certificate of
 # _fold_counts (the mirror, with the tau = 0 field pinned at half a field);
 # otherwise it redoes the product at the digit count of W with no offset.
 # The spy records each try's (k, offset).
 
 def centered_try(n, weight):
-    """The first (k, offset) that _orbit_fields tries for a representative of
+    """The first (k, offset) that autocorrelation tries for a sequence of
     period n and weight W: the least k with 2 floor((S + 10^k / 2) / (10^k - 1))
     < 10^k, S = max(m, W - m) for the mean count m, and offset m - 10^k / 2,
     or the full width, offset 0, where that is no narrower."""
@@ -505,7 +513,7 @@ def centered_try(n, weight):
 
 
 def spy_field_tries(monkeypatch):
-    """The (k, offset) of each product _orbit_fields tries, with its (n, W)."""
+    """The (k, offset) of each product autocorrelation tries, with its (n, W)."""
     tried = []
     real = analysis._fold_counts
 
@@ -514,18 +522,11 @@ def spy_field_tries(monkeypatch):
         return real(n, value, k, offset)
 
     monkeypatch.setattr(analysis, "_fold_counts", spy)
-    clear_spectrum_caches()
     return tried
 
 
-def clear_spectrum_caches():
-    for cache in (analysis._spectrum, analysis._orbit_fields):
-        cache.cache_clear()
-
-
 def check_certified(s):
-    """The spectrum, computed cold, against both references."""
-    clear_spectrum_caches()
+    """The spectrum against both references."""
     want = ref_autocorrelation(s)
     assert want == ref_kronecker_autocorrelation(s)
     check_packed(analysis.autocorrelation(s), want)
@@ -544,8 +545,8 @@ def test_centered_fields_redone_when_a_count_carries(monkeypatch):
 
 
 def test_centered_fields_kept_on_a_random_odd_period(monkeypatch):
-    # an odd-period random sequence with s(0) = 0, its own orbit's
-    # representative, and W of three digits: the centered two-digit try passes
+    # an odd-period random sequence with s(0) = 0 and W of three digits:
+    # the centered two-digit try passes
     rng = random.Random(201)
     s = next(seq for seq in (BinarySequence(201, rng.getrandbits(201)) for _ in range(100))
              if seq.value & 1 == 0 and seq.weight >= 100)
@@ -558,25 +559,20 @@ def test_centered_fields_kept_on_a_random_odd_period(monkeypatch):
 
 def test_su_sequences_never_fall_back(monkeypatch):
     # every out-of-phase count of a Su sequence is within 1 of the mean, so
-    # each orbit of the ladder takes one product, at the centered width
+    # each sequence of the ladder takes one product, at the centered width
     tried = spy_field_tries(monkeypatch)
-    orbits = 0
     for params in LADDER:
         before = len(tried)
         spectrum = analysis.autocorrelation(su_sequence(params))
         assert spectrum == analysis.closed_form_spectrum(params)
-        if len(tried) > before:
-            orbits += 1
-            (n, weight, k, offset), = tried[before:]
-            assert (k, offset) == centered_try(n, weight)
-    assert orbits >= len({q.p for q in LADDER})  # one transform serves all four w
+        (n, weight, k, offset), = tried[before:]
+        assert (k, offset) == centered_try(n, weight)
     # narrower than W from p = 13 on; W = 8 at p = 5 has one digit
     assert all(k < len(str(weight)) for n, weight, k, _ in tried if n > 20)
 
 
 def sequence_of_weight(n, weight, seed):
-    """A random period-n sequence of the given weight with s(0) = s(1) = 0,
-    so that it is its own orbit's representative and keeps that weight."""
+    """A random period-n sequence of the given weight with s(0) = s(1) = 0."""
     ones = random.Random(seed).sample(range(2, n), weight)
     return BinarySequence(n, sum(1 << t for t in ones))
 
@@ -771,8 +767,7 @@ def test_folded_digits_lift_equals_the_parsed_lift():
 def test_fold_counts_refuses_an_unpinned_or_unmirrored_text(monkeypatch):
     # the certificate on crafted texts: the Su product decodes; the same text
     # with the tau = 0 field off 10^k / 2, or one field off the mirror, does not
-    key = analysis._complement_key(su_sequence(construction_params(293, None, (0, 0, 0, 0))))
-    value, _ = analysis._orbit_representative(key)
+    value = su_sequence(construction_params(293, None, (0, 0, 0, 0))).value
     n, weight = 4 * 293, value.bit_count()
     k, offset = analysis._first_try(n, weight)
     text = analysis._folded_digits(n, value, k, offset)
@@ -860,9 +855,8 @@ def test_autocorrelation_on_transform_sized_construction():
 # ------------------------------------------------------------ complement pairs
 
 # Every cache that shares a result between the w of one (p, g).
-PAIR_CACHES = (analysis._spectrum, analysis._orbit_fields, analysis._two_adic,
-               analysis._st_product, analysis._closed_form_spectrum,
-               verify._product_closed_form, sequences._su_base)
+PAIR_CACHES = (analysis._two_adic, analysis._st_product, verify._product_closed_form,
+               sequences._su_base)
 COMPLEMENT_PAIRS = (((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 1, 0, 1), (1, 0, 1, 0)))
 
 
@@ -894,7 +888,7 @@ def test_complement_shares_every_result_with_a_cold_evaluation(p, g):
         first = pair_results(construction_params(p, g, w))
         misses = [cache.cache_info().misses for cache in PAIR_CACHES]
         shared = pair_results(construction_params(p, g, complement))
-        # the complement is served from the caches: nothing is recomputed
+        # the complement is served from the pair caches: none misses
         assert [cache.cache_info().misses for cache in PAIR_CACHES] == misses
         clear_pair_caches()
         assert shared == pair_results(construction_params(p, g, complement))

@@ -273,11 +273,7 @@ def test_certificate_needs_g_outside_the_squares(monkeypatch):
     values = analysis._code_values
     monkeypatch.setattr(analysis, "_code_values",
                         lambda n, b, eps: values(n, b, eps)[:2] + (0,) + values(n, b, eps)[3:])
-    analysis._closed_form_spectrum.cache_clear()
-    try:
-        certified, decoded, matched = spectrum_reports(square, s, monkeypatch)
-    finally:
-        analysis._closed_form_spectrum.cache_clear()
+    certified, decoded, matched = spectrum_reports(square, s, monkeypatch)
     assert not matched and certified == decoded and not certified["passed"]
 
 
@@ -300,14 +296,10 @@ def test_certificate_reads_every_orbit_and_checks_the_codes(monkeypatch):
 
     off = next(tau for tau in range(4 * p) if tau not in shifts)
     tables = [changed(orbit) for orbit in orbits(p)] + [changed([off])]
-    try:
-        for table in tables:
-            monkeypatch.setattr(analysis, "_closed_form_codes", lambda p, d, table=table: table)
-            analysis._closed_form_spectrum.cache_clear()
-            certified, decoded, matched = spectrum_reports(params, s, monkeypatch)
-            assert not matched and certified == decoded and not certified["passed"]
-    finally:
-        analysis._closed_form_spectrum.cache_clear()
+    for table in tables:
+        monkeypatch.setattr(analysis, "_closed_form_codes", lambda p, d, table=table: table)
+        certified, decoded, matched = spectrum_reports(params, s, monkeypatch)
+        assert not matched and certified == decoded and not certified["passed"]
     assert len(tables) == 21
 
 
@@ -621,14 +613,11 @@ def test_pooled_grid_computes_each_primes_cyclotomy_once(monkeypatch):
 
 
 # The spectrum check proves every Su point by the symmetry certificate, with
-# no product and no decode; refused, it decodes, and the four w of one (p, g)
-# then share one product through the orbit caches.
-DECODE_CACHES = (analysis._spectrum, analysis._orbit_fields, analysis._closed_form_spectrum)
-
-
+# no product and no decode; refused, it decodes each point's own sequence
+# from one product.
 def spectrum_calls(monkeypatch, run, certify=True):
-    """Products (_folded_digits calls) and calls of each decode cache during
-    run(), with the certificate as it is or, with certify=False, refused."""
+    """Products (_folded_digits calls) during run(), with the certificate as
+    it is or, with certify=False, refused."""
     products = []
     real = analysis._folded_digits
     with monkeypatch.context() as patch:
@@ -636,32 +625,29 @@ def spectrum_calls(monkeypatch, run, certify=True):
                       lambda *args: products.append(args) or real(*args))
         if not certify:
             patch.setattr(analysis, "_matches_closed_form", lambda *args: False)
-        for cache in DECODE_CACHES:
-            cache.cache_clear()
         run()
-    return (len(products),
-            [cache.cache_info().hits + cache.cache_info().misses for cache in DECODE_CACHES])
+    return len(products)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_runs_the_spectrum_transform_once_per_prime(monkeypatch, jobs):
-    # none with the certificate; refused, the four w of one (p, g), which
-    # differ by the complement and alternating masks, share one
+    # none with the certificate; refused, one per (p, g, w) point
     use_in_process_pool(monkeypatch)
     primes = eligible_primes(1100)
     grid = functools.partial(verify.run_all, 1100, "smallest", "all", jobs=jobs)
-    assert spectrum_calls(monkeypatch, grid) == (0, [0, 0, 0])
+    assert spectrum_calls(monkeypatch, grid) == 0
     assert InProcessPool.mapped == (primes if jobs > 1 else [])
-    assert spectrum_calls(monkeypatch, grid, certify=False)[0] == len(primes)
+    assert spectrum_calls(monkeypatch, grid, certify=False) == len(ADMISSIBLE_W) * len(primes)
 
 
 def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class(monkeypatch):
-    # none with the certificate; refused, one per (p, e), e = ind(g) mod 4
+    # none with the certificate; refused, one per construction (p, e, w),
+    # e = ind(g) mod 4, which every root of class e shares
     classes = {(p, numtheory.index_mod4(p, g))
                for p in eligible_primes(1100) for g in all_primitive_roots(p)}
     grid = functools.partial(verify.run_all, 1100, "all", "all")
-    assert spectrum_calls(monkeypatch, grid) == (0, [0, 0, 0])
-    assert spectrum_calls(monkeypatch, grid, certify=False)[0] == len(classes)
+    assert spectrum_calls(monkeypatch, grid) == 0
+    assert spectrum_calls(monkeypatch, grid, certify=False) == len(ADMISSIBLE_W) * len(classes)
 
 
 def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
@@ -671,7 +657,7 @@ def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
     for name in ("_fold_counts", "autocorrelation", "closed_form_spectrum"):
         monkeypatch.setattr(analysis, name, lambda *args, name=name: called.update([name]))
     grid = functools.partial(verify.run_all, 6000, "smallest", "all")
-    assert spectrum_calls(monkeypatch, grid) == (0, [0, 0, 0])
+    assert spectrum_calls(monkeypatch, grid) == 0
     assert called == Counter() and len(eligible_primes(6000)) == 17
 
 
@@ -692,7 +678,7 @@ def pair_cache_misses(monkeypatch, run):
     spectrum products, during run()."""
     for cache in PAIR_CACHES + (sequences._su_base,):
         cache.cache_clear()
-    products, _ = spectrum_calls(monkeypatch, run)
+    products = spectrum_calls(monkeypatch, run)
     return ([cache.cache_info().misses for cache in PAIR_CACHES],
             products, sequences._su_base.cache_info().misses)
 
@@ -905,6 +891,19 @@ def test_run_all_isolates_a_check_that_raises(monkeypatch, jobs):
         assert summary["failures_by_kind"][f"{name} w=0101"] == 4, name
         assert all(kind.split()[0] in {r.check for r in expected}
                    for kind in summary["failures_by_kind"]), name
+
+
+@pytest.mark.parametrize("function", [function for function, _ in POINT_CHECKS])
+def test_point_checks_refuse_a_sequence_of_another_period(function):
+    # every closed form and gcd fact of the checks is stated for period 4p;
+    # a sequence of any other period is refused before any of them is read
+    params = construction_params(13, 2, (0, 1, 0, 1))
+    check = getattr(verify, function)
+    for n in (8, 4 * 13 - 4, 4 * 13 + 4):
+        s = BinarySequence(n, random.Random(n).getrandbits(n))
+        with pytest.raises(ValueError, match=f"period {n} is not 4p = 52"):
+            check(params, s)
+    assert check(params, su_sequence(params)).passed
 
 
 def test_each_check_reports_under_its_name_constant():
@@ -1130,6 +1129,35 @@ def test_s2_mod_3_is_the_alternating_column_weight_sum():
             assert (s2 % 3 == 0) == (params.w in {(0, 0, 0, 0), (1, 1, 1, 1)})
             points += 1
     assert points == 104  # 13 primes, 2 classes, 4 w
+
+
+def test_gcd_minus_is_gcd_with_3_follows_from_the_product_congruence():
+    # the premises of the minus-part argument in verify's docstring, with
+    # R = (2^(2p) - 1)/3, at the first root of each class and all four w
+    points = 0
+    for p in eligible_primes(2213):
+        if p == 5:
+            continue
+        r = ((1 << 2 * p) - 1) // 3
+        assert r % 3 == p % 3 and math.gcd(r, p * (p - 4) * (p * p + 4 * p + 16)) == 1
+        k = sum(numtheory.legendre_symbol(i, p) << 4 * i for i in range(1, p))
+        for params in class_points(p):
+            s = su_sequence(params)
+            eps = analysis._eps(params.w)
+            x, y = 2 * eps * ((1 << p) - eps) - p, (2 * eps * params.b) << p
+            s2, t_inv = bigmod.eval_S(s).value, bigmod.eval_T_inv(s).value
+            assert (s2 * t_inv % r == verify.product_closed_form(params).value % r
+                    == 2 * (x + y * k) % r)
+            z = t_inv * (x - y * k) * (p * p + 8 + ((4 * eps * (p + 2)) << p))
+            assert s2 * z % r == 2 * p * (p - 4) * (p * p + 4 * p + 16) % r
+            points += 1
+    assert points == 96  # 12 primes, 2 classes, 4 w
+    reports, _ = verify.run_all(6000, w_policy="all")
+    bounds = [r for r in reports if r.check == verify.BOUNDS_CHECK]
+    for report in bounds:
+        s2 = bigmod.eval_S(su_sequence(construction_params(report.p, report.g, report.w))).value
+        assert report.witnesses["gcd_minus"] == math.gcd(s2, 3)
+    assert len(bounds) == 4 * len(eligible_primes(6000)) == 68
 
 
 def test_survey_row_derives_gcd_plus_and_bounds():
