@@ -2,20 +2,25 @@
 spectral product identity, and linear complexity.
 
 All results are exact integers. The brute-force spectrum comes from the bits
-alone through one big-number product (Kronecker substitution): one decimal
-multiplication of two kN-digit numbers, which libmpdec runs as a
-number-theoretic transform, rather than N rotations. The coincidence counts
-sit in fields of about log10(2N) / 2 digits centered on their mean, kept when
-the mirror C(tau) = C(N - tau) holds and the tau = 0 field reads half a field
-(proof at _fold_counts), else recomputed with fields of the digits of W. The
-decode reads the folded digit text by digit planes into the packed spectrum,
-AC(tau) + N in fixed-width byte fields; each call decodes its own sequence
-and keeps nothing. The closed form is one length-4p table of codes built
-from the quadratic-residue codes. The spectrum check needs no
-transform: a sequence fixed by x -> r x mod 4p, which every Su sequence is,
-has AC constant on the 20 orbits of r, so 20 shifts and two O(N) symmetry
-checks prove it equal to the closed form (_matches_closed_form); the decode
-runs only for sequences without that symmetry or with a mismatch to report.
+alone, and each call reads its own sequence and keeps nothing. A sequence
+fixed by x -> r x mod 4p, p a prime = 1 mod 4, which every Su sequence is,
+has AC constant on the 20 orbits of r: 20 rotations give AC at one shift
+per orbit, and a per-prime table of orbit codes, proved before use, spreads
+them over the packed spectrum, AC(tau) + N in fixed-width byte fields, in
+O(N) (_orbit_spectrum). Any other sequence takes one big-number product
+(Kronecker substitution): one decimal multiplication of two kN-digit
+numbers, which libmpdec runs as a number-theoretic transform, rather than
+N rotations. The coincidence counts sit in fields of about log10(2N) / 2
+digits centered on their mean, kept when the mirror C(tau) = C(N - tau)
+holds and the tau = 0 field reads half a field (proof at _fold_counts),
+else recomputed with fields of the digits of W. The decode reads the
+folded digit text by digit planes into the packed spectrum. The closed
+form is one length-4p table of codes built from the quadratic-residue
+codes. The spectrum check needs no spectrum: the same symmetry, on the
+bits and on the closed form's table, and the same 20 shifts prove the
+brute spectrum equal to the closed form (_matches_closed_form); a
+spectrum is computed only for sequences without that symmetry or with a
+mismatch to report.
 The product identity folds its right side from the packed fields' bit planes.
 As both S(2) and T(2^-1) change sign mod 2^N - 1 when the bits are
 complemented, a sequence and its complement share the gcd with 2^N - 1, phi
@@ -41,7 +46,8 @@ from functools import cached_property
 
 from . import bigmod
 from .bigmod import MersenneResidue, decimal_str
-from .numtheory import _prime_factors, residue_codes
+from .numtheory import (_cyclotomy, _prime_factors, is_prime, residue_codes,
+                        smallest_primitive_root)
 from .sequences import BinarySequence, ConstructionParams
 
 __all__ = [
@@ -193,7 +199,13 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     """Periodic autocorrelation AC(tau) = sum_t (-1)^(s(t) + s(t + tau)),
-    decoded from a product of s's own bits; nothing is kept between calls.
+    from s's own bits; nothing is kept between calls.
+
+    A sequence of period N = 4p, p a prime = 1 mod 4, whose bits are fixed
+    by t -> r t mod N (r = _orbit_multiplier(p)), which every Su sequence
+    is, takes no product: its AC is constant on the 20 orbits of r and is
+    read at one shift per orbit (_orbit_spectrum), in O(N). Any other
+    sequence is decoded from one product, as follows.
 
     With weight W and coincidence counts C(tau) = #{t : s(t) = s(t + tau) = 1},
     AC(tau) = N - 4W + 4C(tau). All C(tau) come from one product: with
@@ -216,6 +228,9 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     digits in place of 4 for 1093 <= p <= 4493, 3 in place of 5 near
     p = 10^5.
     """
+    orbit = _orbit_spectrum(s)
+    if orbit is not None:
+        return orbit
     n, value = s.period, s.value
     weight = value.bit_count()
     for k, offset in dict.fromkeys((_first_try(n, weight), (len(str(weight)), 0))):
@@ -229,6 +244,70 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     packed = (4 * (decoded + weight - offset - 10 ** k // 2)
               + (2 * n - 4 * weight + 4 * offset) * ones)
     return AutocorrSpectrum._packed(n, packed.to_bytes(width * n, "little"))
+
+
+def _orbit_spectrum(s: BinarySequence) -> AutocorrSpectrum | None:
+    """s's spectrum with no product, or None unless N = 4p, p a prime = 1
+    mod 4, s is fixed by r (_orbit_values) and the orbit table of p is
+    proved (_orbit_table); refused cheapest first, the bits before the table.
+
+    With g0 the smallest primitive root, AC is constant on each orbit of r
+    and the table gives every shift the code of its orbit's one shift among
+    _orbit_shifts(p, g0), so AC(tau) is the AC of the shift whose code is
+    codes[tau]: one translation per byte plane spreads the 20 values.
+    """
+    n = s.period
+    p = n // 4
+    if n % 4 or p % 4 != 1 or not is_prime(p):
+        return None
+    g0 = smallest_primitive_root(p)
+    orbit_values = _orbit_values(s, p, g0)
+    if orbit_values is None or (codes := _orbit_table(p, g0)) is None:
+        return None
+    values = [0] * 20
+    for tau, value in orbit_values.items():
+        values[codes[tau]] = value
+    return _packed_spectrum(n, codes, values)
+
+
+# _ORBIT_CODE[j] maps a code of numtheory._cyclotomy, ind_g0(x) mod 4 plus a
+# primitive-root bit, or 4 for x = 0, to the orbit code 5 j + ind_g0(x) mod 4
+# (5 j + 4 for x = 0) of the shifts tau = j mod 4 with tau = x mod p.
+_ORBIT_CODE = tuple(bytes(5 * j + (v & 7) for v in range(256)) for j in range(4))
+
+
+@functools.lru_cache(maxsize=1)
+def _orbit_table(p: int, g: int) -> bytes | None:
+    """Byte tau < 4p is the orbit code 5 (tau mod 4) + ind_g0(tau mod p)
+    mod 4, or 5 (tau mod 4) + 4 where p divides tau, read from
+    numtheory._cyclotomy(p); None unless the table is proved to name the
+    orbits of r, once per prime.
+
+    The table is not trusted: it must equal itself permuted by r, so each
+    orbit has one code, and take each code 0..19 once at the 20
+    _orbit_shifts(p, g), which then lie in 20 distinct orbits, all there are
+    (_orbit_values (b)). Each orbit thus meets exactly one shift, and every
+    shift has the code of its orbit's shift, below 20.
+    """
+    residues = _cyclotomy(p).codes * 4  # byte tau is the code of tau mod p
+    codes = bytearray(4 * p)
+    for j in range(4):
+        codes[j::4] = residues[j::4].translate(_ORBIT_CODE[j])
+    codes = bytes(codes)
+    proved = (_permuted(codes, _orbit_multiplier(p)) == codes
+              and sorted(codes[tau] for tau in _orbit_shifts(p, g)) == list(range(20)))
+    return codes if proved else None
+
+
+def _packed_spectrum(n: int, codes: bytes,
+                     values: list[int] | tuple[int, ...]) -> AutocorrSpectrum:
+    """The spectrum with AC(tau) = values[codes[tau]], one translation per byte."""
+    width = _field_width(n)
+    fields = bytearray(width * n)
+    for j in range(width):
+        byte_j = bytes((v + n) >> (8 * j) & 0xFF for v in values)
+        fields[j::width] = codes.translate(byte_j.ljust(256, b"\x00"))
+    return AutocorrSpectrum._packed(n, bytes(fields))
 
 
 def _complement_key(s: BinarySequence) -> tuple[int, int]:
@@ -365,14 +444,8 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     codes into packed fields.
     """
     n = 4 * params.p
-    codes = _closed_form_codes(params.p, params.d)
-    values = _code_values(n, params.b, _eps(params.w))
-    width = _field_width(n)
-    fields = bytearray(width * n)
-    for j in range(width):
-        byte_j = bytes((v + n) >> (8 * j) & 0xFF for v in values)
-        fields[j::width] = codes.translate(byte_j.ljust(256, b"\x00"))
-    return AutocorrSpectrum._packed(n, bytes(fields))
+    return _packed_spectrum(n, _closed_form_codes(params.p, params.d),
+                            _code_values(n, params.b, _eps(params.w)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -393,6 +466,17 @@ def _closed_form_codes(p: int, d: int) -> bytes:
     return bytes(codes)
 
 
+@functools.lru_cache(maxsize=1)
+def _fixed_table(codes: bytes, r: int) -> bool:
+    """True when codes[r i mod N] = codes[i] for every i < N = len(codes).
+
+    Keyed on the table itself, which _closed_form_codes keeps as one object
+    for every g and w of its (p, d): the proof runs once per table, and a
+    different table is proved afresh.
+    """
+    return _permuted(codes, r) == codes
+
+
 def _code_values(n: int, b: int, eps: int) -> tuple[int, ...]:
     """AC(tau) of each code of _closed_form_codes: the residue codes 0..2 for
     odd tau1, then -4 for tau1 = 0, AC(0), 0 for tau1 = 2 and its one +4."""
@@ -402,37 +486,54 @@ def _code_values(n: int, b: int, eps: int) -> tuple[int, ...]:
 def _matches_closed_form(s: BinarySequence, params: ConstructionParams) -> bool:
     """True when s's spectrum is the closed form of params at every shift,
     proved at 20 shifts by a symmetry read from the bits; False if it is not
-    or the symmetry does not show it, so the caller decodes to find out.
+    or the symmetry does not show it, so the caller computes the spectrum.
 
-    Let N = 4p, r = _orbit_multiplier(p) and codes the closed form's table.
+    The checks, any failure giving False: g^((p-1)/2) = -1, so that
+    _orbit_shifts(p, g) meets each orbit of r once (_orbit_values (b)); s is
+    fixed by r, so AC is constant on every orbit (_orbit_values (a)); the
+    closed form's code table is fixed by r too (_fixed_table, one proof per
+    table); and at each of the 20 shifts AC is the value of codes[tau].
+    Every shift then equals its orbit's shift in both. Su sequences pass for
+    every g and w: each column is a union of cyclotomic classes read at
+    d tau mod p (4d = 1), which r maps onto itself. O(N), no product.
+    """
+    p, n = params.p, s.period
+    if pow(params.g, (p - 1) // 2, p) != p - 1:
+        return False
+    orbit_values = _orbit_values(s, p, params.g)
+    codes = _closed_form_codes(p, params.d)  # residue_codes refuses all but odd primes
+    if orbit_values is None or not _fixed_table(codes, _orbit_multiplier(p)):
+        return False
+    values = _code_values(n, params.b, _eps(params.w))
+    return all(value == values[codes[tau]] for tau, value in orbit_values.items())
+
+
+def _orbit_values(s: BinarySequence, p: int, g: int) -> dict[int, int] | None:
+    """AC(tau) at each of the 20 _orbit_shifts(p, g), keyed by tau, when s
+    has period N = 4p and s(r t) = s(t) for all t, r = _orbit_multiplier(p);
+    else None. p is a prime = 1 mod 4.
+
     (a) r is prime to 4p, so x -> r x permutes Z_N; if s(r t) = s(t) for all
     t, then with t = r t', AC(tau) = sum_t' (-1)^(s(r t') + s(r (t' + tau)))
     = AC(r tau): AC is constant on the orbits of r. (b) By CRT, as r = 1
     mod 4, r fixes tau mod 4 and multiplies tau mod p by r, whose powers
     form D_0, the index-4 subgroup of Z_p*, as r has order (p - 1)/4. The
     orbits are {j} x {0} and {j} x (a coset of D_0), j = 0..3: 20 in all.
-    g^((p-1)/2) = -1 puts g outside the squares D_0 u D_2, so g has order 4
-    in Z_p*/D_0 = Z_4, and 1, g, g^2, g^3 lie in the four cosets:
-    _orbit_shifts meets each orbit once. (c) The checks, any failure giving
-    False: N = 4p; g^((p-1)/2) = -1; the LSB-first bit text and codes equal
-    themselves permuted by r (_permuted), so AC and the closed form are both
-    constant on every orbit; and at each of the 20 shifts
-    AC(tau) = N - 2 popcount(s XOR s rotated by tau) is the value of
-    codes[tau]. Every shift then equals its orbit's shift in both. Su
-    sequences pass for every g and w: each column is a union of cyclotomic
-    classes read at d tau mod p (4d = 1), which r maps onto itself. O(N),
-    no product.
+    A g with g^((p-1)/2) = -1 lies outside the squares D_0 u D_2, so g has
+    order 4 in Z_p*/D_0 = Z_4, and 1, g, g^2, g^3 lie in the four cosets:
+    _orbit_shifts meets each orbit once. The symmetry is checked on the
+    LSB-first bit text (_permuted), and AC(tau) = N - 2 popcount(s XOR s
+    rotated by tau): O(N), no product.
     """
-    p, n, value = params.p, s.period, s.value
-    codes = _closed_form_codes(p, params.d)  # residue_codes refuses all but odd primes
-    r = _orbit_multiplier(p)
+    n, value = s.period, s.value
+    if n != 4 * p:
+        return None
     text = format(value, f"0{n}b").encode()[::-1]  # text[t] = s(t)
-    if (n != 4 * p or pow(params.g, (p - 1) // 2, p) != p - 1
-            or _permuted(text, r) != text or _permuted(codes, r) != codes):
-        return False
-    values, mask = _code_values(n, params.b, _eps(params.w)), (1 << n) - 1
-    return all(n - 2 * (value ^ ((value >> tau | value << (n - tau)) & mask)).bit_count()
-               == values[codes[tau]] for tau in _orbit_shifts(p, params.g))
+    if _permuted(text, _orbit_multiplier(p)) != text:
+        return None
+    mask = (1 << n) - 1
+    return {tau: n - 2 * (value ^ ((value >> tau | value << (n - tau)) & mask)).bit_count()
+            for tau in _orbit_shifts(p, g)}
 
 
 @functools.lru_cache(maxsize=1)

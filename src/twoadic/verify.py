@@ -9,7 +9,9 @@ spectrum check proves a Su sequence's spectrum in O(N) with no product: the
 sequence is fixed by tau -> r tau mod 4p, so AC is constant on the 20 orbits
 of r, and 20 shifts, one per orbit, equal the closed form
 (analysis._matches_closed_form). A sequence the certificate does not
-prove is decoded from one product and compared at every shift.
+prove gets its brute spectrum from analysis.autocorrelation (from the same
+orbits where it has the symmetry, else from one product) and is compared
+at every shift.
 
 A survey mode tabulates the bounds check's gcd split across the eligible
 primes. Given the closed form that check_product_congruence checks, its
@@ -215,8 +217,9 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     here. The check passes when the symmetry certificate proves the brute
     spectrum equal to the closed form (analysis._matches_closed_form: the
     sequence and the code table fixed by tau -> r tau, and AC equal at one
-    shift per orbit, 20 in all), with no product; anything else decodes the
-    brute spectrum from one product and compares it with the packed closed
+    shift per orbit, 20 in all), with no product; anything else takes the
+    brute spectrum from analysis.autocorrelation (no product for a sequence
+    with the symmetry, else one) and compares it with the packed closed
     form, recording the first differing shift on a mismatch. On a match sign_flipped is always
     False and b_used is b: both are kept so records keep their keys.
     Independently re-asserts that the out-of-phase values lie in {0, 4, -4}.

@@ -17,10 +17,15 @@ a count carries, at the digit-count thresholds, on periodic blocks, at the
 field-width switch and on random sequences; the folded product's lift term,
 built by libmpdec arithmetic, against the lift parsed from its text, and the
 decode's certificate against crafted texts that break the mirror or the
-pinned tau = 0 field. The linear complexity, which folds S mod x^m + 1
-for N = 2^v m, is checked against the one GF(2) Euclid
-over the whole period and the public Berlekamp-Massey over two periods, and
-its reduction of U_r mod G1 by halving against the remainder loop _gf2_mod.
+pinned tau = 0 field. The orbit route, which reads a period-4p sequence
+fixed by t -> r t from 20 rotations and a proved table of orbit codes,
+is checked byte for byte against the decode, forced by refusing the route,
+on the ladder, at p = 5, on class functions at every prime p = 1 mod 4 up
+to 113, on single-bit flips and with corrupted tables. The linear
+complexity, which folds S mod x^m + 1 for N = 2^v m, is checked against
+the one GF(2) Euclid over the whole period and the public Berlekamp-Massey
+over two periods, and its reduction of U_r mod G1 by halving against the
+remainder loop _gf2_mod.
 The grids, which build one record per construction (p, e, w), are checked
 against the per-row and per-point loops that built one per (p, g, w), and
 what a w shares with its complement through the caches against a cold
@@ -42,7 +47,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoadic import analysis, bigmod, numtheory, sequences, verify
+from twoadic import analysis, bigmod, cli, numtheory, sequences, verify
 from twoadic.numtheory import (
     CyclotomicClasses,
     QuarticParams,
@@ -195,6 +200,20 @@ def ref_hu_identity_check(s):
         acc += spectrum.values[tau] << tau
     rhs = bigmod.add_signed(bigmod.reduce(0, n), acc)
     return analysis.IdentityCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)
+
+
+def ref_orbit_fixed(s):
+    """True when N = 4p, p a prime = 1 mod 4, and s(x t) = s(t) for every
+    x = 1 mod 4 that is a fourth power mod p: the group r generates, so s is
+    fixed by r, whichever r of that group the kernel takes."""
+    n = s.period
+    p = n // 4
+    if n % 4 or p % 4 != 1 or not is_prime(p):
+        return False
+    bits = s.bits()
+    fourth = {pow(y, 4, p) for y in range(1, p)}
+    return all(bits[x * t % n] == bits[t]
+               for x in range(1, n, 4) if x % p in fourth for t in range(n))
 
 
 def ref_closed_form_spectrum(params):
@@ -447,20 +466,33 @@ def orbit_masks(n):
     return (0, full, odd, full ^ odd)
 
 
+def spectrum_products(s, orbit=True):
+    """autocorrelation(s) and the (N, bits) of each product it ran, with the
+    orbit route as it is or, with orbit=False, refused."""
+    products, real = [], analysis._folded_digits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_folded_digits",
+                      lambda *args: products.append(args[:2]) or real(*args))
+        if not orbit:
+            patch.setattr(analysis, "_orbit_spectrum", lambda s: None)
+        return analysis.autocorrelation(s), products
+
+
 def check_orbit(s):
-    """Each member against both references; its decode multiplies its own
-    bits, once, or twice where the centered fields carry."""
-    real = analysis._folded_digits
+    """Each member against both references; its decode, forced by refusing
+    the orbit route, multiplies its own bits, once, or twice where the
+    centered fields carry, and the route, where it applies, multiplies
+    nothing."""
     for m in orbit_masks(s.period):
         member = BinarySequence(s.period, s.value ^ m)
         want = ref_autocorrelation(member)
         assert want == ref_kronecker_autocorrelation(member)
-        products = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "_folded_digits",
-                          lambda *args: products.append(args[:2]) or real(*args))
-            check_packed(analysis.autocorrelation(member), want)
+        spectrum, products = spectrum_products(member, orbit=False)
+        check_packed(spectrum, want)
         assert products in ([(s.period, member.value)], [(s.period, member.value)] * 2)
+        spectrum, routed = spectrum_products(member)
+        check_packed(spectrum, want)
+        assert routed == ([] if ref_orbit_fixed(member) else products)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -559,16 +591,23 @@ def test_centered_fields_kept_on_a_random_odd_period(monkeypatch):
 
 def test_su_sequences_never_fall_back(monkeypatch):
     # every out-of-phase count of a Su sequence is within 1 of the mean, so
-    # each sequence of the ladder takes one product, at the centered width
+    # each sequence of the ladder, forced past the orbit route, takes one
+    # product, at the centered width; through the route it takes none
     tried = spy_field_tries(monkeypatch)
-    for params in LADDER:
-        before = len(tried)
-        spectrum = analysis.autocorrelation(su_sequence(params))
-        assert spectrum == analysis.closed_form_spectrum(params)
-        (n, weight, k, offset), = tried[before:]
-        assert (k, offset) == centered_try(n, weight)
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_orbit_spectrum", lambda s: None)
+        for params in LADDER:
+            before = len(tried)
+            spectrum = analysis.autocorrelation(su_sequence(params))
+            assert spectrum == analysis.closed_form_spectrum(params)
+            (n, weight, k, offset), = tried[before:]
+            assert (k, offset) == centered_try(n, weight)
     # narrower than W from p = 13 on; W = 8 at p = 5 has one digit
     assert all(k < len(str(weight)) for n, weight, k, _ in tried if n > 20)
+    forced = len(tried)
+    for params in LADDER:
+        assert analysis.autocorrelation(su_sequence(params)) == analysis.closed_form_spectrum(params)
+    assert len(tried) == forced == len(LADDER)
 
 
 def sequence_of_weight(n, weight, seed):
@@ -643,6 +682,139 @@ def test_certified_fields_small_random_periods():
         densities = rng.sample((0.1, 0.3, 0.5, 0.7, 0.9), 2)
         check_certified(BinarySequence(n, sum(1 << t for t in range(n)
                                               if rng.random() < densities[t % 2])))
+
+
+# ------------------------------------------------------------- orbit route
+#
+# A period-4p sequence, p a prime = 1 mod 4, that is fixed by t -> r t takes
+# no product: AC at one shift per orbit of r, spread over every shift by the
+# proved orbit table. Each case is checked against the forced decode, byte
+# for byte, and against the per-shift reference.
+
+def check_orbit_route(s):
+    """The route's spectrum, from no product, against the forced decode's
+    fields and the per-shift reference."""
+    spectrum, products = spectrum_products(s)
+    forced, forced_products = spectrum_products(s, orbit=False)
+    assert products == [] and forced_products
+    assert spectrum._fields == forced._fields
+    check_packed(spectrum, ref_autocorrelation(s))
+
+
+@pytest.mark.parametrize("p", eligible_primes(2213))
+def test_orbit_route_on_the_ladder(p):
+    # the first root of each class and all four w
+    for g in {e: g for g, e in reversed(numtheory._roots_with_index(p))}.values():
+        for w in ADMISSIBLE_W:
+            check_orbit_route(su_sequence(construction_params(p, g, w)))
+
+
+def test_orbit_route_at_p_5_has_one_shift_per_orbit():
+    # r = 21 = 1 mod 20 fixes every t, so every period-20 sequence takes the
+    # route, and the 20 shifts are all of Z_20
+    assert analysis._orbit_multiplier(5) == 21
+    assert sorted(analysis._orbit_shifts(5, smallest_primitive_root(5))) == list(range(20))
+    rng = random.Random(5)
+    for value in [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(100)]:
+        s = BinarySequence(20, value)
+        assert ref_orbit_fixed(s)
+        check_orbit_route(s)
+
+
+def class_function_sequence(p, rng):
+    """A period-4p sequence with s(t) a random function of t mod 4 and of
+    ind_g0(t mod p) mod 4 (a fifth class for p | t), g0 the smallest
+    primitive root, indices from a walk over its powers."""
+    g0, label, x = smallest_primitive_root(p), [4] * p, 1
+    for i in range(p - 1):
+        label[x] = i % 4
+        x = x * g0 % p
+    f = [[rng.getrandbits(1) for _ in range(5)] for _ in range(4)]
+    return BinarySequence.from_bits([f[t % 4][label[t % p]] for t in range(4 * p)])
+
+
+@pytest.mark.parametrize("p", [q for q in range(5, 114, 4) if is_prime(q)])
+def test_orbit_route_on_class_function_sequences(p):
+    # every prime p = 1 mod 4 up to 113, eligible (5, 13, 29, 53) or not
+    # (17, 37, 41, ...): a function of the classes is fixed by r
+    rng = random.Random(p)
+    for _ in range(20):
+        s = class_function_sequence(p, rng)
+        assert ref_orbit_fixed(s)
+        check_orbit_route(s)
+
+
+@pytest.mark.parametrize("p", (13, 29))
+def test_orbit_route_refuses_single_bit_flips(p):
+    # a flip at t with p | t changes a one-shift orbit, {t}, and keeps the
+    # symmetry: the route serves it; every other flip breaks the symmetry,
+    # and the decode runs on the flipped bits; each spectrum matches
+    s = su_sequence(construction_params(p, None, (0, 1, 0, 1)))
+    for t in range(4 * p):
+        flipped = BinarySequence(4 * p, s.value ^ (1 << t))
+        spectrum, products = spectrum_products(flipped)
+        check_packed(spectrum, ref_autocorrelation(flipped))
+        assert ref_orbit_fixed(flipped) == (t % p == 0)
+        if t % p:
+            assert analysis._orbit_spectrum(flipped) is None
+            assert products in ([(4 * p, flipped.value)], [(4 * p, flipped.value)] * 2)
+        else:
+            assert products == []
+
+
+def test_orbit_route_refuses_a_corrupted_table(monkeypatch):
+    # the orbit table is proved, not trusted: with the codes of 1 and g0
+    # swapped in the cyclotomy it is not fixed by r, and with every index
+    # read as 0 it has 4 codes, not 20, at the shifts; either is refused and
+    # the product runs
+    p = 29
+    s = su_sequence(construction_params(p, None, (0, 0, 0, 0)))
+    real, g0 = numtheory._cyclotomy(p), smallest_primitive_root(p)
+    swapped = bytearray(real.codes)
+    swapped[1], swapped[g0] = swapped[g0], swapped[1]
+    flat = bytes(code & 8 for code in real.codes)
+    try:
+        for codes in (bytes(swapped), flat):
+            analysis._orbit_table.cache_clear()
+            monkeypatch.setattr(analysis, "_cyclotomy",
+                                lambda p, codes=codes: dataclasses.replace(real, codes=codes))
+            assert analysis._orbit_table(p, g0) is None
+            spectrum, products = spectrum_products(s)
+            assert products == [(4 * p, s.value)]
+            check_packed(spectrum, ref_autocorrelation(s))
+    finally:
+        monkeypatch.undo()
+        analysis._orbit_table.cache_clear()
+    check_orbit_route(s)
+
+
+def test_su_analysis_runs_no_product(monkeypatch, capsys, tmp_path):
+    # hu_identity_check and analyze, by --p and by --sequence-file, read the
+    # spectrum of a Su sequence from the orbit route; analyze prints what
+    # it prints with the route refused
+    s = su_sequence(construction_params(293, None, (0, 1, 0, 1)))
+    seq = tmp_path / "seq293.txt"
+    assert cli.main(["construct", "--p", "293", "--w", "0101", "--out", str(seq)]) == 0
+    runs = (["analyze", "--p", "293", "--w", "0101"], ["analyze", "--sequence-file", str(seq)])
+    capsys.readouterr()
+
+    def outputs():
+        printed = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            printed.append(capsys.readouterr())
+        return printed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_orbit_spectrum", lambda s: None)
+        forced = outputs()
+    products, real = [], analysis._folded_digits
+    monkeypatch.setattr(analysis, "_folded_digits",
+                        lambda *args: products.append(args) or real(*args))
+    assert analysis.hu_identity_check(s) == ref_hu_identity_check(s)
+    assert analysis.hu_identity_check(s).holds
+    assert outputs() == forced
+    assert products == []
 
 
 @pytest.mark.parametrize("p", eligible_primes(2213))

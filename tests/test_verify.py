@@ -73,7 +73,8 @@ def test_spectrum_check_fails_on_corrupted_sequence():
 
 def spectrum_reports(params, s, monkeypatch):
     """The check's report through the symmetry certificate and through the
-    decode, forced by refusing the certificate, with whether it proved a match."""
+    decode, forced by refusing the certificate and autocorrelation's orbit
+    route, with whether the certificate proved a match."""
     real = analysis._matches_closed_form
     matched = []
     with monkeypatch.context() as patch:
@@ -81,6 +82,7 @@ def spectrum_reports(params, s, monkeypatch):
                       lambda *args: matched.append(real(*args)) or matched[-1])
         digit = verify.check_autocorrelation_spectrum(params, s)
         patch.setattr(analysis, "_matches_closed_form", lambda *args: False)
+        patch.setattr(analysis, "_orbit_spectrum", lambda s: None)
         decoded = verify.check_autocorrelation_spectrum(params, s)
     return dataclasses.asdict(digit), dataclasses.asdict(decoded), matched == [True]
 
@@ -613,11 +615,13 @@ def test_pooled_grid_computes_each_primes_cyclotomy_once(monkeypatch):
 
 
 # The spectrum check proves every Su point by the symmetry certificate, with
-# no product and no decode; refused, it decodes each point's own sequence
-# from one product.
-def spectrum_calls(monkeypatch, run, certify=True):
-    """Products (_folded_digits calls) during run(), with the certificate as
-    it is or, with certify=False, refused."""
+# no product and no decode; refused, it reads each point's spectrum from the
+# orbit route of autocorrelation, with no product either; with both refused,
+# it decodes each point's own sequence from one product.
+def spectrum_calls(monkeypatch, run, certify=True, orbit=True):
+    """Products (_folded_digits calls) during run(), with the certificate and
+    the orbit route as they are or, with certify=False or orbit=False,
+    refused."""
     products = []
     real = analysis._folded_digits
     with monkeypatch.context() as patch:
@@ -625,29 +629,37 @@ def spectrum_calls(monkeypatch, run, certify=True):
                       lambda *args: products.append(args) or real(*args))
         if not certify:
             patch.setattr(analysis, "_matches_closed_form", lambda *args: False)
+        if not orbit:
+            patch.setattr(analysis, "_orbit_spectrum", lambda s: None)
         run()
     return len(products)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_grid_runs_the_spectrum_transform_once_per_prime(monkeypatch, jobs):
-    # none with the certificate; refused, one per (p, g, w) point
+    # none with the certificate, nor with it refused (the orbit route); with
+    # both refused, one per (p, g, w) point
     use_in_process_pool(monkeypatch)
     primes = eligible_primes(1100)
     grid = functools.partial(verify.run_all, 1100, "smallest", "all", jobs=jobs)
     assert spectrum_calls(monkeypatch, grid) == 0
     assert InProcessPool.mapped == (primes if jobs > 1 else [])
-    assert spectrum_calls(monkeypatch, grid, certify=False) == len(ADMISSIBLE_W) * len(primes)
+    assert spectrum_calls(monkeypatch, grid, certify=False) == 0
+    assert (spectrum_calls(monkeypatch, grid, certify=False, orbit=False)
+            == len(ADMISSIBLE_W) * len(primes))
 
 
 def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class(monkeypatch):
-    # none with the certificate; refused, one per construction (p, e, w),
-    # e = ind(g) mod 4, which every root of class e shares
+    # none with the certificate, nor with it refused (the orbit route); with
+    # both refused, one per construction (p, e, w), e = ind(g) mod 4, which
+    # every root of class e shares
     classes = {(p, numtheory.index_mod4(p, g))
                for p in eligible_primes(1100) for g in all_primitive_roots(p)}
     grid = functools.partial(verify.run_all, 1100, "all", "all")
     assert spectrum_calls(monkeypatch, grid) == 0
-    assert spectrum_calls(monkeypatch, grid, certify=False) == len(ADMISSIBLE_W) * len(classes)
+    assert spectrum_calls(monkeypatch, grid, certify=False) == 0
+    assert (spectrum_calls(monkeypatch, grid, certify=False, orbit=False)
+            == len(ADMISSIBLE_W) * len(classes))
 
 
 def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
@@ -659,6 +671,16 @@ def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
     grid = functools.partial(verify.run_all, 6000, "smallest", "all")
     assert spectrum_calls(monkeypatch, grid) == 0
     assert called == Counter() and len(eligible_primes(6000)) == 17
+
+
+def test_grid_proves_each_code_table_symmetric_once_per_prime():
+    # the closed form's code table is one object per (p, d), shared by both
+    # root classes and all four w, so its symmetry is proved once per prime
+    primes = eligible_primes(1100)
+    analysis._fixed_table.cache_clear()
+    verify.run_all(1100, "all", "all")
+    info = analysis._fixed_table.cache_info()
+    assert (info.misses, info.hits) == (len(primes), 7 * len(primes))
 
 
 def test_su_grid_leaves_decimal_unimported():
