@@ -5,9 +5,10 @@ All results are exact integers. The brute-force spectrum comes from the bits
 alone, and each call reads its own sequence and keeps nothing. A sequence
 fixed by x -> r x mod 4p, p a prime = 1 mod 4, which every Su sequence is,
 has AC constant on the 20 orbits of r: 20 rotations give AC at one shift
-per orbit, and a per-prime table of orbit codes, proved before use, spreads
-them over the packed spectrum, AC(tau) + N in fixed-width byte fields, in
-O(N) (_orbit_spectrum). Any other sequence takes one big-number product
+per orbit, and one per-prime table of orbit codes, proved before use to
+give each shift 5 (tau mod 4) + ind_g0(tau mod p) mod 4, spreads them over
+the packed spectrum, AC(tau) + N in fixed-width byte fields, in O(N)
+(_orbit_spectrum). Any other sequence takes one big-number product
 (Kronecker substitution): one decimal multiplication of two kN-digit
 numbers, which libmpdec runs as a number-theoretic transform, rather than
 N rotations. The coincidence counts sit in fields of about log10(2N) / 2
@@ -15,12 +16,11 @@ digits centered on their mean, kept when the mirror C(tau) = C(N - tau)
 holds and the tau = 0 field reads half a field (proof at _fold_counts),
 else recomputed with fields of the digits of W. The decode reads the
 folded digit text by digit planes into the packed spectrum. The closed
-form is one length-4p table of codes built from the quadratic-residue
-codes. The spectrum check needs no spectrum: the same symmetry, on the
-bits and on the closed form's table, and the same 20 shifts prove the
-brute spectrum equal to the closed form (_matches_closed_form); a
-spectrum is computed only for sequences without that symmetry or with a
-mismatch to report.
+form is 20 values on the same orbit table, one per orbit code. The
+spectrum check needs no spectrum: the same symmetry on the bits, the
+proved table and the same 20 shifts prove the brute spectrum equal to the
+closed form (_matches_closed_form); a spectrum is computed only for
+sequences without that symmetry or with a mismatch to report.
 The product identity folds its right side from the packed fields' bit planes.
 As both S(2) and T(2^-1) change sign mod 2^N - 1 when the bits are
 complemented, a sequence and its complement share the gcd with 2^N - 1, phi
@@ -46,8 +46,7 @@ from functools import cached_property
 
 from . import bigmod
 from .bigmod import MersenneResidue, decimal_str
-from .numtheory import (_cyclotomy, _prime_factors, is_prime, residue_codes,
-                        smallest_primitive_root)
+from .numtheory import _cyclotomy, _prime_factors, is_prime, smallest_primitive_root
 from .sequences import BinarySequence, ConstructionParams
 
 __all__ = [
@@ -121,7 +120,8 @@ class AutocorrSpectrum:
         their low byte; each round deletes every copy of the next low byte
         left, in one bytes pass, and counts what went. At most 256 rounds,
         one per distinct value. Fields whose upper bytes differ are counted
-        one by one. The counts are computed once per spectrum object.
+        one by one. The counts are computed once per spectrum object; a
+        spectrum spread from 20 orbit values (_packed_spectrum) comes with them.
         """
         n = self.period
         width = len(self._fields) // n
@@ -251,22 +251,17 @@ def _orbit_spectrum(s: BinarySequence) -> AutocorrSpectrum | None:
     mod 4, s is fixed by r (_orbit_values) and the orbit table of p is
     proved (_orbit_table); refused cheapest first, the bits before the table.
 
-    With g0 the smallest primitive root, AC is constant on each orbit of r
-    and the table gives every shift the code of its orbit's one shift among
-    _orbit_shifts(p, g0), so AC(tau) is the AC of the shift whose code is
-    codes[tau]: one translation per byte plane spreads the 20 values.
+    AC is constant on each orbit of r, and the table gives every shift the
+    code of its orbit, which is also the index of its value among the 20
+    _orbit_values: one translation per byte plane spreads them.
     """
     n = s.period
     p = n // 4
     if n % 4 or p % 4 != 1 or not is_prime(p):
         return None
-    g0 = smallest_primitive_root(p)
-    orbit_values = _orbit_values(s, p, g0)
-    if orbit_values is None or (codes := _orbit_table(p, g0)) is None:
+    values = _orbit_values(s, p)
+    if values is None or (codes := _orbit_table(p)) is None:
         return None
-    values = [0] * 20
-    for tau, value in orbit_values.items():
-        values[codes[tau]] = value
     return _packed_spectrum(n, codes, values)
 
 
@@ -277,17 +272,17 @@ _ORBIT_CODE = tuple(bytes(5 * j + (v & 7) for v in range(256)) for j in range(4)
 
 
 @functools.lru_cache(maxsize=1)
-def _orbit_table(p: int, g: int) -> bytes | None:
+def _orbit_table(p: int) -> bytes | None:
     """Byte tau < 4p is the orbit code 5 (tau mod 4) + ind_g0(tau mod p)
     mod 4, or 5 (tau mod 4) + 4 where p divides tau, read from
-    numtheory._cyclotomy(p); None unless the table is proved to name the
-    orbits of r, once per prime.
+    numtheory._cyclotomy(p); None unless that is proved, once per prime.
 
-    The table is not trusted: it must equal itself permuted by r, so each
-    orbit has one code, and take each code 0..19 once at the 20
-    _orbit_shifts(p, g), which then lie in 20 distinct orbits, all there are
-    (_orbit_values (b)). Each orbit thus meets exactly one shift, and every
-    shift has the code of its orbit's shift, below 20.
+    The table is not trusted: it must equal itself permuted by r, so it is
+    constant on every orbit of r, and carry code c at _orbit_shifts(p)[c]
+    for each c < 20. The shift of code 5 j + i is the tau = j mod 4 with
+    tau = g0^i mod p (i < 4) or p | tau (i = 4), and its orbit holds every
+    tau = j mod 4 with tau mod p in g0^i D_0 (or p | tau) (_orbit_values
+    (b)), so every byte is the code above: i is even exactly on the squares.
     """
     residues = _cyclotomy(p).codes * 4  # byte tau is the code of tau mod p
     codes = bytearray(4 * p)
@@ -295,19 +290,29 @@ def _orbit_table(p: int, g: int) -> bytes | None:
         codes[j::4] = residues[j::4].translate(_ORBIT_CODE[j])
     codes = bytes(codes)
     proved = (_permuted(codes, _orbit_multiplier(p)) == codes
-              and sorted(codes[tau] for tau in _orbit_shifts(p, g)) == list(range(20)))
+              and bytes(codes[tau] for tau in _orbit_shifts(p)) == bytes(range(20)))
     return codes if proved else None
 
 
-def _packed_spectrum(n: int, codes: bytes,
-                     values: list[int] | tuple[int, ...]) -> AutocorrSpectrum:
-    """The spectrum with AC(tau) = values[codes[tau]], one translation per byte."""
+def _packed_spectrum(n: int, codes: bytes, values: tuple[int, ...]) -> AutocorrSpectrum:
+    """The spectrum with AC(tau) = values[codes[tau]], one translation per
+    byte, for the proved _orbit_table(n / 4) and its 20 orbit values.
+
+    Its histogram comes with it, from the orbit sizes: 1 where p | tau (code
+    5 j + 4), (p - 1)/4 elsewhere, with code 4, tau = 0, left out.
+    """
     width = _field_width(n)
     fields = bytearray(width * n)
     for j in range(width):
         byte_j = bytes((v + n) >> (8 * j) & 0xFF for v in values)
         fields[j::width] = codes.translate(byte_j.ljust(256, b"\x00"))
-    return AutocorrSpectrum._packed(n, bytes(fields))
+    spectrum = AutocorrSpectrum._packed(n, bytes(fields))
+    counts = Counter()
+    for code, value in enumerate(values):
+        if code != 4:
+            counts[value] += 1 if code % 5 == 4 else (n - 4) // 16
+    spectrum.__dict__["_out_of_phase_counts"] = counts
+    return spectrum
 
 
 def _complement_key(s: BinarySequence) -> tuple[int, int]:
@@ -438,49 +443,25 @@ def closed_form_spectrum(params: ConstructionParams) -> AutocorrSpectrum:
     which is exactly the tau1-odd block. Out-of-phase values always lie in
     {0, 4, -4}.
 
-    D0 u D2 are the nonzero squares mod p whatever g is, so the odd-tau1
-    blocks read one table of residue codes rotated by tau1 * d. Every shift
-    gets a code (_closed_form_codes), and one translation per byte turns the
-    codes into packed fields.
+    As 4d = 1 mod p, tau2 + tau1 d = d tau mod p, and d = (2^-1)^2 is a
+    square, so r is 0, a residue or a non-residue exactly as tau mod p is:
+    the value depends on tau mod 4 and the class of tau mod p alone, and
+    is one of the 20 _closed_form_values, spread by the proved orbit table
+    (_orbit_table). ValueError if the table is not proved.
     """
-    n = 4 * params.p
-    return _packed_spectrum(n, _closed_form_codes(params.p, params.d),
-                            _code_values(n, params.b, _eps(params.w)))
+    p, n = params.p, 4 * params.p
+    codes = _orbit_table(p)
+    if codes is None:
+        raise ValueError(f"the orbit table of p={p} is not proved")
+    return _packed_spectrum(n, codes, _closed_form_values(n, params.b, _eps(params.w)))
 
 
-@functools.lru_cache(maxsize=1)
-def _closed_form_codes(p: int, d: int) -> bytes:
-    """The closed form's code of each shift tau = 0..4p-1, valued by _code_values.
-
-    Codes 0..2 are the residue codes of (tau2 + tau1 d) mod p for odd tau1,
-    read from one table rotated by tau1 d; 3 is tau1 = 0, 4 is tau = 0, 5 is
-    tau1 = 2 and 6 its one +4. Every code but 4 occurs at some tau >= 1.
-    """
-    codes = bytearray(bytes((3, 0, 5, 0)) * p)
-    residues = residue_codes(p)
-    for tau1 in (1, 3):
-        k = tau1 * d % p
-        codes[tau1::4] = residues[k:] + residues[:k]
-    codes[0] = 4
-    codes[4 * ((-2 * d) % p) + 2] = 6
-    return bytes(codes)
-
-
-@functools.lru_cache(maxsize=1)
-def _fixed_table(codes: bytes, r: int) -> bool:
-    """True when codes[r i mod N] = codes[i] for every i < N = len(codes).
-
-    Keyed on the table itself, which _closed_form_codes keeps as one object
-    for every g and w of its (p, d): the proof runs once per table, and a
-    different table is proved afresh.
-    """
-    return _permuted(codes, r) == codes
-
-
-def _code_values(n: int, b: int, eps: int) -> tuple[int, ...]:
-    """AC(tau) of each code of _closed_form_codes: the residue codes 0..2 for
-    odd tau1, then -4 for tau1 = 0, AC(0), 0 for tau1 = 2 and its one +4."""
-    return (-4 * eps, -4 * eps * b, 4 * eps * b, -4, n, 0, 4)
+def _closed_form_values(n: int, b: int, eps: int) -> tuple[int, ...]:
+    """The closed form on the orbit of each code 5 j + i of _orbit_table:
+    N (tau = 0) or -4 for j = 0, 4 (p | tau) or 0 for j = 2, and for odd j
+    -4eps where p | tau, -4eps b for even i (a square) and +4eps b for odd i."""
+    odd = (-4 * eps * b, 4 * eps * b) * 2 + (-4 * eps,)
+    return (-4,) * 4 + (n,) + odd + (0,) * 4 + (4,) + odd
 
 
 def _matches_closed_form(s: BinarySequence, params: ConstructionParams) -> bool:
@@ -488,29 +469,24 @@ def _matches_closed_form(s: BinarySequence, params: ConstructionParams) -> bool:
     proved at 20 shifts by a symmetry read from the bits; False if it is not
     or the symmetry does not show it, so the caller computes the spectrum.
 
-    The checks, any failure giving False: g^((p-1)/2) = -1, so that
-    _orbit_shifts(p, g) meets each orbit of r once (_orbit_values (b)); s is
-    fixed by r, so AC is constant on every orbit (_orbit_values (a)); the
-    closed form's code table is fixed by r too (_fixed_table, one proof per
-    table); and at each of the 20 shifts AC is the value of codes[tau].
-    Every shift then equals its orbit's shift in both. Su sequences pass for
-    every g and w: each column is a union of cyclotomic classes read at
-    d tau mod p (4d = 1), which r maps onto itself. O(N), no product.
+    The checks, any failure giving False: s is fixed by r, so AC is
+    constant on every orbit of r, and the 20 _orbit_shifts(p) meet each
+    orbit once (_orbit_values); the orbit table is proved (_orbit_table,
+    once per prime), so closed_form_spectrum gives every shift the value of
+    its orbit's code; and the 20 orbit values equal the 20
+    _closed_form_values. Su sequences pass for every g and w: each column
+    is a union of cyclotomic classes read at d tau mod p (4d = 1), which r
+    maps onto itself. O(N), no product.
     """
-    p, n = params.p, s.period
-    if pow(params.g, (p - 1) // 2, p) != p - 1:
-        return False
-    orbit_values = _orbit_values(s, p, params.g)
-    codes = _closed_form_codes(p, params.d)  # residue_codes refuses all but odd primes
-    if orbit_values is None or not _fixed_table(codes, _orbit_multiplier(p)):
-        return False
-    values = _code_values(n, params.b, _eps(params.w))
-    return all(value == values[codes[tau]] for tau, value in orbit_values.items())
+    p = params.p
+    values = _orbit_values(s, p)
+    return (values is not None and _orbit_table(p) is not None
+            and values == _closed_form_values(s.period, params.b, _eps(params.w)))
 
 
-def _orbit_values(s: BinarySequence, p: int, g: int) -> dict[int, int] | None:
-    """AC(tau) at each of the 20 _orbit_shifts(p, g), keyed by tau, when s
-    has period N = 4p and s(r t) = s(t) for all t, r = _orbit_multiplier(p);
+def _orbit_values(s: BinarySequence, p: int) -> tuple[int, ...] | None:
+    """AC at each of the 20 _orbit_shifts(p), in code order, when s has
+    period N = 4p and s(r t) = s(t) for all t, r = _orbit_multiplier(p);
     else None. p is a prime = 1 mod 4.
 
     (a) r is prime to 4p, so x -> r x permutes Z_N; if s(r t) = s(t) for all
@@ -518,12 +494,11 @@ def _orbit_values(s: BinarySequence, p: int, g: int) -> dict[int, int] | None:
     = AC(r tau): AC is constant on the orbits of r. (b) By CRT, as r = 1
     mod 4, r fixes tau mod 4 and multiplies tau mod p by r, whose powers
     form D_0, the index-4 subgroup of Z_p*, as r has order (p - 1)/4. The
-    orbits are {j} x {0} and {j} x (a coset of D_0), j = 0..3: 20 in all.
-    A g with g^((p-1)/2) = -1 lies outside the squares D_0 u D_2, so g has
-    order 4 in Z_p*/D_0 = Z_4, and 1, g, g^2, g^3 lie in the four cosets:
-    _orbit_shifts meets each orbit once. The symmetry is checked on the
-    LSB-first bit text (_permuted), and AC(tau) = N - 2 popcount(s XOR s
-    rotated by tau): O(N), no product.
+    orbits are {j} x {0} and {j} x g0^i D_0, j, i = 0..3: 20 in all, and
+    the shift of code 5 j + i lies in the last, that of 5 j + 4 in the
+    first, so _orbit_shifts meets each orbit once. The symmetry is checked
+    on the LSB-first bit text (_permuted), and AC(tau) = N - 2 popcount(s
+    XOR s rotated by tau): O(N), no product.
     """
     n, value = s.period, s.value
     if n != 4 * p:
@@ -532,8 +507,8 @@ def _orbit_values(s: BinarySequence, p: int, g: int) -> dict[int, int] | None:
     if _permuted(text, _orbit_multiplier(p)) != text:
         return None
     mask = (1 << n) - 1
-    return {tau: n - 2 * (value ^ ((value >> tau | value << (n - tau)) & mask)).bit_count()
-            for tau in _orbit_shifts(p, g)}
+    return tuple(n - 2 * (value ^ ((value >> tau | value << (n - tau)) & mask)).bit_count()
+                 for tau in _orbit_shifts(p))
 
 
 @functools.lru_cache(maxsize=1)
@@ -549,11 +524,14 @@ def _orbit_multiplier(p: int) -> int:
     return r
 
 
-def _orbit_shifts(p: int, g: int) -> list[int]:
-    """The 20 tau < 4p with tau mod p in {0, 1, g, g^2, g^3} and each tau mod 4,
-    by CRT: tau = x + p ((j - x) p mod 4), as p p = 1 mod 4."""
-    return [x + p * ((j - x) * p % 4) for x in (0, 1, g % p, g * g % p, pow(g, 3, p))
-            for j in range(4)]
+@functools.lru_cache(maxsize=1)
+def _orbit_shifts(p: int) -> tuple[int, ...]:
+    """The 20 tau < 4p in code order: shift 5 j + i has tau = j mod 4 and
+    tau = g0^i mod p (i < 4) or 0 (i = 4), g0 the smallest primitive root,
+    by CRT: tau = x + p ((j - x) p mod 4), as p p = 1 mod 4; kept per prime."""
+    g0 = smallest_primitive_root(p)
+    residues = (1, g0, g0 * g0 % p, pow(g0, 3, p), 0)
+    return tuple(x + p * ((j - x) * p % 4) for j in range(4) for x in residues)
 
 
 def _permuted(text: bytes, r: int) -> bytes:
@@ -564,8 +542,8 @@ def _permuted(text: bytes, r: int) -> bytes:
 
 
 def _closed_form_out_of_phase(params: ConstructionParams) -> set[int]:
-    """The closed form's out-of-phase values, read from its code values."""
-    values = _code_values(4 * params.p, params.b, _eps(params.w))
+    """The closed form's out-of-phase values: every orbit's but code 4's, tau = 0."""
+    values = _closed_form_values(4 * params.p, params.b, _eps(params.w))
     return set(values[:4] + values[5:])
 
 

@@ -135,8 +135,9 @@ def residue_codes(p: int) -> bytes:
     The nonzero squares i^2 mod p for 1 <= i <= (p - 1)/2 are exactly the
     quadratic residues, so one pass over them replaces p Euler-criterion
     exponentiations. The table is read from the squares, never from the
-    cyclotomic classes, so the checks that use it stay independent of the
-    construction; like the cyclotomy, it is kept for the most recent prime.
+    cyclotomic classes, so the product check, its one reader, stays
+    independent of the construction; like the cyclotomy, it is kept for the
+    most recent prime.
     """
     _require_odd_prime(p)
     table = bytearray(b"\x02") * p

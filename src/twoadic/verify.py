@@ -7,8 +7,10 @@ its closed form, the small-factor gcd facts, the coprimality facts behind the
 complexity bound, and the bound itself. No check uses a tolerance. The
 spectrum check proves a Su sequence's spectrum in O(N) with no product: the
 sequence is fixed by tau -> r tau mod 4p, so AC is constant on the 20 orbits
-of r, and 20 shifts, one per orbit, equal the closed form
-(analysis._matches_closed_form). A sequence the certificate does not
+of r, and 20 shifts, one per orbit, equal the closed form's 20 values
+(analysis._matches_closed_form). Both spectra read one orbit table per
+prime, proved to give shift tau the code 5 (tau mod 4) + ind_g0(tau mod p)
+mod 4 (analysis._orbit_table). A sequence the certificate does not
 prove gets its brute spectrum from analysis.autocorrelation (from the same
 orbits where it has the symmetry, else from one product) and is compared
 at every shift.
@@ -216,12 +218,15 @@ def check_autocorrelation_spectrum(params: ConstructionParams,
     Jacobi's congruence (the b_jacobi witness), so a wrong sign of b fails
     here. The check passes when the symmetry certificate proves the brute
     spectrum equal to the closed form (analysis._matches_closed_form: the
-    sequence and the code table fixed by tau -> r tau, and AC equal at one
-    shift per orbit, 20 in all), with no product; anything else takes the
-    brute spectrum from analysis.autocorrelation (no product for a sequence
-    with the symmetry, else one) and compares it with the packed closed
-    form, recording the first differing shift on a mismatch. On a match sign_flipped is always
-    False and b_used is b: both are kept so records keep their keys.
+    sequence fixed by tau -> r tau, the prime's orbit table proved, and AC
+    at one shift per orbit equal to the closed form's value on that orbit,
+    20 in all), with no product; anything else takes the brute spectrum
+    from analysis.autocorrelation (no product for a sequence with the
+    symmetry, else one) and compares it with the closed form packed
+    through the same table, recording the first differing shift on a
+    mismatch; a table that is not proved raises, so it can never pass. On
+    a match sign_flipped is always False and b_used is b: both are kept so
+    records keep their keys.
     Independently re-asserts that the out-of-phase values lie in {0, 4, -4}.
     """
     s = _point_sequence(params, sequence)

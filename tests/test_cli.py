@@ -329,9 +329,9 @@ def test_verify_exit_one_on_corrupted_fixture(monkeypatch, capsys):
 
 def test_verify_shows_a_missing_b_used_as_empty(monkeypatch, capsys):
     # a closed form matching at neither sign of b leaves the witness b_used None;
-    # its values are patched at their one source, which both the symmetry
-    # certificate and the packed closed form read
-    monkeypatch.setattr(analysis, "_code_values", lambda n, b, eps: (0, 0, 0, 0, n, 0, 0))
+    # its 20 orbit values are patched at their one source, which both the
+    # symmetry certificate and the packed closed form read
+    monkeypatch.setattr(analysis, "_closed_form_values", lambda n, b, eps: (0,) * 4 + (n,) + (0,) * 15)
     code, out, err = run(capsys, "verify", "--limit", "5", "--format", "csv")
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(out)))

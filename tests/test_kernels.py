@@ -713,7 +713,7 @@ def test_orbit_route_at_p_5_has_one_shift_per_orbit():
     # r = 21 = 1 mod 20 fixes every t, so every period-20 sequence takes the
     # route, and the 20 shifts are all of Z_20
     assert analysis._orbit_multiplier(5) == 21
-    assert sorted(analysis._orbit_shifts(5, smallest_primitive_root(5))) == list(range(20))
+    assert sorted(analysis._orbit_shifts(5)) == list(range(20))
     rng = random.Random(5)
     for value in [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(100)]:
         s = BinarySequence(20, value)
@@ -778,7 +778,7 @@ def test_orbit_route_refuses_a_corrupted_table(monkeypatch):
             analysis._orbit_table.cache_clear()
             monkeypatch.setattr(analysis, "_cyclotomy",
                                 lambda p, codes=codes: dataclasses.replace(real, codes=codes))
-            assert analysis._orbit_table(p, g0) is None
+            assert analysis._orbit_table(p) is None
             spectrum, products = spectrum_products(s)
             assert products == [(4 * p, s.value)]
             check_packed(spectrum, ref_autocorrelation(s))
@@ -786,6 +786,62 @@ def test_orbit_route_refuses_a_corrupted_table(monkeypatch):
         monkeypatch.undo()
         analysis._orbit_table.cache_clear()
     check_orbit_route(s)
+
+
+def test_orbit_table_refuses_a_relabelled_cyclotomy(monkeypatch):
+    # every index read as i + 2 mod 4 keeps the orbits, so the table stays
+    # fixed by r and carries 20 distinct codes at the shifts, but gives the
+    # shift of 1 the code of g0^2: the table is refused, the closed form
+    # raises, run_all reports the spectrum check as a failed error, and the
+    # orbit route runs the product
+    real = numtheory._cyclotomy
+    relabel = bytes(v if v == 4 else (v & 8) | (v + 2) % 4 for v in range(256))
+
+    def relabelled(p):
+        return dataclasses.replace(real(p), codes=real(p).codes.translate(relabel))
+
+    p = 29
+    params = construction_params(p, None, (0, 1, 0, 1))
+    s = su_sequence(params)
+    try:
+        analysis._orbit_table.cache_clear()
+        monkeypatch.setattr(analysis, "_cyclotomy", relabelled)
+        codes = bytearray(4 * p)
+        for j in range(4):
+            codes[j::4] = (relabelled(p).codes * 4)[j::4].translate(analysis._ORBIT_CODE[j])
+        assert analysis._permuted(bytes(codes), analysis._orbit_multiplier(p)) == codes
+        assert sorted(codes[tau] for tau in analysis._orbit_shifts(p)) == list(range(20))
+        assert analysis._orbit_table(p) is None
+        with pytest.raises(ValueError, match="orbit table"):
+            analysis.closed_form_spectrum(params)
+        spectrum, products = spectrum_products(s)
+        assert products == [(4 * p, s.value)]
+        check_packed(spectrum, ref_autocorrelation(s))
+        reports, summary = verify.run_all(30)
+        spectra = [r for r in reports if r.check == verify.SPECTRUM_CHECK]
+        assert [r.p for r in spectra] == [5, 13, 29]
+        for r in spectra:
+            assert not r.passed and r.witnesses == {
+                "error": f"ValueError: the orbit table of p={r.p} is not proved"}
+    finally:
+        monkeypatch.undo()
+        analysis._orbit_table.cache_clear()
+    check_orbit_route(s)
+
+
+@pytest.mark.parametrize("p", eligible_primes(2213))
+def test_table_spectra_carry_the_scanned_histogram(p):
+    # the orbit route and the closed form hand over the histogram from the
+    # orbit sizes, equal to the one a scan of the fields gives
+    for g in {e: g for g, e in reversed(numtheory._roots_with_index(p))}.values():
+        for w in ADMISSIBLE_W:
+            params = construction_params(p, g, w)
+            for spectrum in (analysis.autocorrelation(su_sequence(params)),
+                             analysis.closed_form_spectrum(params)):
+                assert "_out_of_phase_counts" in vars(spectrum)
+                scanned = analysis.AutocorrSpectrum(spectrum.period, spectrum.values)
+                assert spectrum.histogram() == scanned.histogram()
+                assert spectrum.out_of_phase() == scanned.out_of_phase()
 
 
 def test_su_analysis_runs_no_product(monkeypatch, capsys, tmp_path):
@@ -864,31 +920,23 @@ def test_spectrum_pickle_and_deepcopy_round_trip():
                 copied.period = 1
 
 
-def wrong_d(monkeypatch, d):
-    """Every ConstructionParams reads d as the given wrong value."""
-    monkeypatch.setattr(sequences.ConstructionParams, "d", property(lambda self: d))
-
-
 @pytest.mark.parametrize("p,bit", [(13, 0), (29, 57), (173, 400), (1373, 5000)])
 def test_spectrum_mismatch_witnesses(p, bit, monkeypatch):
-    # a flipped bit, a negated b, a wrong eps (w0 = w1 for a w0 != w1
-    # sequence) and a wrong d: the symmetry certificate refuses each, and the
-    # decode gives the witnesses the per-shift references give
+    # a flipped bit, a negated b and a wrong eps (w0 = w1 for a w0 != w1
+    # sequence): the symmetry certificate refuses each, and the decode gives
+    # the witnesses the per-shift references give
     params = construction_params(p, None, (0, 1, 0, 1))
     s = su_sequence(params)
     corrupted = BinarySequence(s.period, s.value ^ (1 << bit))
     negated = dataclasses.replace(
         params, quartic=dataclasses.replace(params.quartic, b=-params.quartic.b))
     mutants = [(corrupted, params), (s, negated),
-               (s, construction_params(p, params.g, (0, 0, 0, 0))), (s, None)]
+               (s, construction_params(p, params.g, (0, 0, 0, 0)))]
     digits = []
     real = analysis._matches_closed_form
     monkeypatch.setattr(analysis, "_matches_closed_form",
                         lambda *args: digits.append(real(*args)) or digits[-1])
     for sequence, claimed_params in mutants:
-        if claimed_params is None:
-            wrong_d(monkeypatch, (params.d + 1) % p)
-            claimed_params = params
         brute = ref_autocorrelation(sequence)
         claimed = ref_closed_form_spectrum(claimed_params)
         tau = next(t for t in range(s.period) if brute[t] != claimed[t])
@@ -899,7 +947,7 @@ def test_spectrum_mismatch_witnesses(p, bit, monkeypatch):
         assert report.witnesses["claimed_value"] == claimed[tau]
         assert report.witnesses["magnitude_ok"] == (set(brute[1:]) <= {0, 4, -4})
         assert report.witnesses["b_used"] is None
-    assert digits == [False] * 4
+    assert digits == [False] * 3
 
 
 def ref_parsed_lift_digits(n, value, k, offset):

@@ -172,17 +172,28 @@ def test_orbit_multiplier_generates_the_fourth_powers_below_10_6():
 
 
 def test_orbit_shifts_meet_each_orbit_once():
-    # at every eligible p <= 733, for the first root of each class: the
-    # orbits are 20, and each holds exactly one of the 20 shifts; a square g
-    # (g^((p-1)/2) = 1) meets only 12 of them, those of 0, D_0 and D_2
+    # at every eligible p <= 733: the orbits are 20, and each holds exactly
+    # one of the 20 shifts; shift 5 j + i is j mod 4 and g0^i mod p (0 for
+    # i = 4), g0 the smallest primitive root
     for p in eligible_primes(733):
         walked = orbits(p)
         assert len(walked) == 20, p
-        for g in {e: g for g, e in reversed(numtheory._roots_with_index(p))}.values():
-            shifts = analysis._orbit_shifts(p, g)
-            assert sorted(len(orbit.intersection(shifts)) for orbit in walked) == [1] * 20
-            square = analysis._orbit_shifts(p, g * g % p)
-            assert sum(1 for orbit in walked if orbit.intersection(square)) == 12
+        shifts = analysis._orbit_shifts(p)
+        assert sorted(len(orbit.intersection(shifts)) for orbit in walked) == [1] * 20
+        g0 = numtheory.smallest_primitive_root(p)
+        assert [(tau % 4, tau % p) for tau in shifts] == [
+            (j, pow(g0, i, p) if i < 4 else 0) for j in range(4) for i in range(5)]
+
+
+def test_closed_form_drops_d_as_a_square_inverse_of_4():
+    # at every eligible p < 10^6, 4d = 1 mod p and d is a square, so
+    # tau2 + tau1 d = d tau mod p lies in the class of tau mod p: the closed
+    # form reads tau mod 4 and the class of tau mod p alone, never d
+    primes = eligible_primes(10 ** 6)
+    assert len(primes) == 125
+    for p in primes:
+        d = sequences.ConstructionParams(numtheory.QuarticParams(p=p, b=1, g=2), (0, 1, 0, 1)).d
+        assert 4 * d % p == 1 and pow(d, (p - 1) // 2, p) == 1, p
 
 
 def cell_labels(p, g):
@@ -262,47 +273,45 @@ def test_certificate_refuses_a_sequence_without_the_symmetry(monkeypatch):
 
 
 def test_certificate_needs_g_outside_the_squares(monkeypatch):
-    # with a square g, 1, g, g^2 and g^3 lie in D_0 u D_2, and at odd tau the
-    # 20 shifts read only residue codes: a closed form wrong at the
-    # non-residues alone (its value patched to 0) must still be refused
+    # the 20 shifts come from g0, never from params.g: with g replaced by
+    # each root of both classes, or by its square, the check gives the
+    # verdict and report (but g) that g0 gives; and a closed form wrong at
+    # the non-residues alone (their values patched to 0) is refused
     p = 29
     params = construction_params(p, None, (0, 1, 0, 1))
     s = su_sequence(params)
-    square = dataclasses.replace(
-        params, quartic=dataclasses.replace(params.quartic, g=params.g ** 2 % p))
-    certified, decoded, matched = spectrum_reports(square, s, monkeypatch)
-    assert not matched and certified == decoded and certified["passed"]
-    values = analysis._code_values
-    monkeypatch.setattr(analysis, "_code_values",
-                        lambda n, b, eps: values(n, b, eps)[:2] + (0,) + values(n, b, eps)[3:])
-    certified, decoded, matched = spectrum_reports(square, s, monkeypatch)
+
+    def without_g(report):
+        return {key: value for key, value in report.items() if key != "g"}
+
+    certified, decoded, matched = spectrum_reports(params, s, monkeypatch)
+    assert matched and certified == decoded and certified["passed"]
+    roots = sorted(all_primitive_roots(p))
+    assert {numtheory.index_mod4(p, g) for g in roots} == {1, 3}
+    for g in roots + [g * g % p for g in roots]:
+        other = dataclasses.replace(params, quartic=dataclasses.replace(params.quartic, g=g))
+        report, _, other_matched = spectrum_reports(other, s, monkeypatch)
+        assert other_matched and report["g"] == g and without_g(report) == without_g(certified)
+    values = analysis._closed_form_values
+    monkeypatch.setattr(analysis, "_closed_form_values", lambda n, b, eps: tuple(
+        0 if code % 10 in (6, 8) else v for code, v in enumerate(values(n, b, eps))))
+    certified, decoded, matched = spectrum_reports(params, s, monkeypatch)
     assert not matched and certified == decoded and not certified["passed"]
 
 
 def test_certificate_reads_every_orbit_and_checks_the_codes(monkeypatch):
-    # the Su sequence against code tables changed on one whole orbit, which
-    # stay fixed by r, so only that orbit's shift sees the change, and changed
-    # at one shift off the 20, which breaks their symmetry: each is refused
+    # the Su sequence against closed forms changed on one whole orbit, which
+    # only that orbit's shift sees: each of the 20 is refused
     p = 29
     params = construction_params(p, None, (0, 1, 0, 1))
     s = su_sequence(params)
-    real = analysis._closed_form_codes(p, params.d)
-    values = analysis._code_values(4 * p, params.b, analysis._eps(params.w))
-    shifts = analysis._orbit_shifts(p, params.g)
-
-    def changed(taus):
-        table = bytearray(real)
-        for tau in taus:
-            table[tau] = next(c for c in range(7) if values[c] != values[real[tau]])
-        return bytes(table)
-
-    off = next(tau for tau in range(4 * p) if tau not in shifts)
-    tables = [changed(orbit) for orbit in orbits(p)] + [changed([off])]
-    for table in tables:
-        monkeypatch.setattr(analysis, "_closed_form_codes", lambda p, d, table=table: table)
+    real = analysis._closed_form_values(4 * p, params.b, analysis._eps(params.w))
+    assert len(real) == 20
+    for code in range(20):
+        values = real[:code] + (4 if real[code] == 0 else 0,) + real[code + 1:]
+        monkeypatch.setattr(analysis, "_closed_form_values", lambda n, b, eps, values=values: values)
         certified, decoded, matched = spectrum_reports(params, s, monkeypatch)
         assert not matched and certified == decoded and not certified["passed"]
-    assert len(tables) == 21
 
 
 # ------------------------------------------------------- product congruence
@@ -674,12 +683,12 @@ def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
 
 
 def test_grid_proves_each_code_table_symmetric_once_per_prime():
-    # the closed form's code table is one object per (p, d), shared by both
-    # root classes and all four w, so its symmetry is proved once per prime
+    # the orbit table is the one code table of a prime, shared by both root
+    # classes and all four w, so it is built and proved once per prime
     primes = eligible_primes(1100)
-    analysis._fixed_table.cache_clear()
+    analysis._orbit_table.cache_clear()
     verify.run_all(1100, "all", "all")
-    info = analysis._fixed_table.cache_info()
+    info = analysis._orbit_table.cache_info()
     assert (info.misses, info.hits) == (len(primes), 7 * len(primes))
 
 
