@@ -11,10 +11,8 @@ the packed spectrum, AC(tau) + N in fixed-width byte fields, in O(N)
 (_orbit_spectrum). Any other sequence takes one big-number product
 (Kronecker substitution): one decimal multiplication of two kN-digit
 numbers, which libmpdec runs as a number-theoretic transform, rather than
-N rotations. The coincidence counts sit in fields of about log10(2N) / 2
-digits centered on their mean, kept when the mirror C(tau) = C(N - tau)
-holds and the tau = 0 field reads half a field (proof at _fold_counts),
-else recomputed with fields of the digits of W. The decode reads the
+N rotations, with k the digits of the weight W, which every coincidence
+count fits with no carry (proof at _fold_counts). The decode reads the
 folded digit text by digit planes into the packed spectrum. The closed
 form is 20 values on the same orbit table, one per orbit code. The
 spectrum check needs no spectrum: the same symmetry on the bits, the
@@ -212,38 +210,22 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
     A = sum s(t) X^t and B = sum s(N-1-u) X^u, coefficient j of A * B is
     sum_t s(t) s(t + N-1-j), and folding X^N = 1 adds coefficient N + j onto
     coefficient j, which leaves C((N-1-j) mod N) there. Evaluated at
-    X = 10^k, the fold is the product mod 10^(Nk) - 1 and its k-digit fields
-    are the counts, if none carries. The product is one decimal
-    multiplication, which libmpdec runs as a number-theoretic transform in
-    O(N log N), so fewer digits per field make a shorter transform.
-
-    The counts for tau >= 1 sum to W^2 - W and lie in [0, W]; with their
-    floored mean m = floor((W^2 - W) / (N - 1)), the first try (_first_try)
-    centers them at the offset m - 10^k / 2, the tau = 0 field at 10^k / 2,
-    for the least k with 2 floor((max(m, W - m) + 10^k / 2) / (10^k - 1))
-    < 10^k, which keeps every carry below half a field. If the certificate
-    of _fold_counts (the mirror and the pinned tau = 0 field) fails, the
-    product is redone with the digits of W and no offset, which every count
-    fits. Su sequences, whose counts sit within 1 of m, always pass: 2
-    digits in place of 4 for 1093 <= p <= 4493, 3 in place of 5 near
-    p = 10^5.
+    X = 10^k, the fold is the sum of the product's halves split at 10^(Nk),
+    and its k-digit fields are the counts: every count, C(0) = W included,
+    lies in [0, W], so with k the digits of W none carries (proof at
+    _fold_counts). The product is one decimal multiplication, which
+    libmpdec runs as a number-theoretic transform in O(N log N).
     """
     orbit = _orbit_spectrum(s)
     if orbit is not None:
         return orbit
     n, value = s.period, s.value
     weight = value.bit_count()
-    for k, offset in dict.fromkeys((_first_try(n, weight), (len(str(weight)), 0))):
-        decoded = _fold_counts(n, value, k, offset)
-        if decoded is not None:
-            break
     width = _field_width(n)
     ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")  # 1 in every field
-    # decoded holds C(tau) - offset for tau >= 1, where AC + N = 2N - 4W + 4C,
-    # and 10^k / 2 at tau = 0, where AC + N = 2N
-    packed = (4 * (decoded + weight - offset - 10 ** k // 2)
-              + (2 * n - 4 * weight + 4 * offset) * ones)
-    return AutocorrSpectrum._packed(n, packed.to_bytes(width * n, "little"))
+    counts = _fold_counts(n, value, len(str(weight)))
+    return AutocorrSpectrum._packed(
+        n, (4 * counts + (2 * n - 4 * weight) * ones).to_bytes(width * n, "little"))
 
 
 def _orbit_spectrum(s: BinarySequence) -> AutocorrSpectrum | None:
@@ -321,38 +303,20 @@ def _complement_key(s: BinarySequence) -> tuple[int, int]:
     return (n, value ^ ((1 << n) - 1)) if value & 1 else (n, value)
 
 
-def _first_try(n: int, weight: int) -> tuple[int, int]:
-    """(digits per field, offset) of the first product autocorrelation tries:
-    fields centered on the mean count where that is narrower than W, else
-    the digits of W and no offset."""
-    full = len(str(weight))
-    if n == 1:
-        return full, 0
-    mean = (weight * weight - weight) // (n - 1)
-    spread, k = max(mean, weight - mean), 1
-    while 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) >= 10 ** k:
-        k += 1
-    return (k, mean - 10 ** k // 2) if k < full else (full, 0)
-
-
-def _folded_digits(n: int, value: int, k: int, offset: int) -> bytes:
+def _folded_digits(n: int, value: int, k: int) -> bytes:
     """The ASCII digit text, N k digits, of the folded product that
-    _fold_counts decodes: its k-digit field i holds C(i) - offset for
-    i >= 1 and 10^k / 2 at i = 0 when nothing carries.
+    _fold_counts decodes: its k-digit field i, most significant first,
+    holds C(i).
 
-    With B = 10^k, M = B^N - 1 and ones = M / (B - 1): the product, less
-    (W - B/2 - offset) B^(N-1) and plus ((-offset) mod (B - 1)) ones, lies
-    in [0, B^(2N-1)); libmpdec folds it at B^N by exponent shifts, hi + lo,
-    and once more if a leading 1 is left (B^N = 1 mod M), into [0, M]. Its
-    plain digits (the exponent stays 0) hold the field of tau = i at field
-    i, most significant first. The lift term is built by libmpdec too, as
-    lift M / (B - 1), an exact division by one word, not parsed from text.
+    libmpdec splits the product at B^N, B = 10^k, by exponent shifts and
+    adds the halves, hi + lo; its plain digits (the exponent stays 0) are
+    the text.
     """
     import decimal  # deferred: only the brute spectrum needs it
 
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           Emin=decimal.MIN_EMIN)
-    base, shift = 10 ** k, n * k
+    shift = n * k
     # The MSB-first binary text puts s(N-1) in the leading field of A, and
     # its reversal puts s(0) in the leading field of B.
     text = format(value, f"0{n}b").encode()
@@ -361,61 +325,35 @@ def _folded_digits(n: int, value: int, k: int, offset: int) -> bytes:
     a = decimal.Decimal(digits.decode())
     digits[k - 1::k] = text[::-1]
     b = decimal.Decimal(digits.decode())
-    prod = ctx.subtract(ctx.multiply(a, b),
-                        decimal.Decimal(value.bit_count() - base // 2 - offset)
-                        .scaleb((n - 1) * k, ctx))
-    if lift := -offset % (base - 1):
-        lifted = ctx.subtract(decimal.Decimal(lift).scaleb(shift, ctx), lift)  # lift M
-        prod = ctx.add(prod, ctx.divide_int(lifted, base - 1))
+    prod = ctx.multiply(a, b)
     hi = prod.scaleb(-shift, ctx).to_integral_value(decimal.ROUND_FLOOR, ctx)
     folded = ctx.add(hi, ctx.subtract(prod, ctx.scaleb(hi, shift)))
-    if folded.adjusted() >= shift:
-        folded = ctx.add(ctx.subtract(folded, decimal.Decimal(1).scaleb(shift, ctx)), 1)
     return str(folded).zfill(shift).encode()
 
 
-def _fold_counts(n: int, value: int, k: int, offset: int) -> int | None:
-    """The decoded k-digit fields of _folded_digits(n, value, k, offset) as
-    little-endian fields of _field_width(n), tau = 0 first, if the
-    certificate proves them to be C(tau) - offset for tau >= 1 and B/2 at
-    tau = 0, B = 10^k; else None.
+def _fold_counts(n: int, value: int, k: int) -> int:
+    """C(tau) for tau < N as little-endian fields of _field_width(n), tau = 0
+    first, decoded from the k-digit fields of _folded_digits(n, value, k),
+    for k the digits of W or more.
+
+    No field carries. Every coefficient of A B, and every sum hi + lo of two
+    coefficients N apart, is a coincidence count in [0, W], below B = 10^k;
+    so the digit fields of the product are its coefficients, those of
+    hi + lo are the counts, and hi + lo <= B^N - 1 needs no second fold;
+    equality holds only for the all-one sequence at N = 10^k - 1, whose
+    counts are all 9...9 = W.
 
     Digit plane j, digit j of every field, is spread into N binary fields,
-    and total = 10 total + plane; each partial value is a prefix of a field,
-    below B <= W when centered (fewer digits than W) and at most
-    max(W, B/2) < 2^16 at full width while 2N < 2^16, so no binary field
-    carries and no int is made per shift.
-
-    Certificate. Let v be the true fields and u the decoded ones, in
-    [0, B - 1]; with j = N - 1 - tau the power of B, x = v - u has
-    x_j = B c_j - c_(j-1) (indices mod N) for unique cyclic carries c, as
-    both are one number mod M. (1) For the offset m - B/2, m the mean count,
-    |x| <= max(m, W - m) + B/2, so |c| <= max|x| / (B - 1) and 2|c| < B by
-    the choice of k; at full width every v is below B and nothing carries.
-    (2) The mirror C(tau) = C(N - tau), one digit plane at a time, gives
-    x_j = x_(r-j), r = N - 2, so B (c_j - c_(r-j)) = c_(j-1) - c_(r-j-1),
-    whose right side is below B in size: both sides are 0, and
-    c_(j+1) = c_(r-j-1) = c_(j-1), c has period 2 (and is constant for odd
-    N). (3) The tau = 0 field, j = N - 1, is B/2 in truth; pinned at B/2
-    once decoded too, it gives 0 = x_(N-1) = B c_(N-1) - c_(N-2), so B
-    divides c_(N-2), which |c_(N-2)| < B/2 makes 0, and then c_(N-1) = 0:
-    both parities vanish. So when the mirror holds and the tau = 0 field
-    reads B/2, u = v; no field sum is needed. (On true counts the pin never
-    fails alone: their sum and alternating sum already rule out a carry on
-    one parity only. Checking k digits keeps the proof to these steps.)
+    and total = 10 total + plane; each partial value is a prefix of a count,
+    at most W <= N, which fits a field, so no binary field carries and no
+    int is made per shift.
     """
-    digits = _folded_digits(n, value, k, offset)
-    if digits[:k] != b"5".ljust(k, b"0"):  # the tau = 0 field, pinned at B/2
-        return None
-    raw = digits.translate(_DIGIT_VALUES)
+    raw = _folded_digits(n, value, k).translate(_DIGIT_VALUES)
     width = _field_width(n)
     fields = bytearray(width * n)
     total = 0
     for j in range(k):
-        plane = raw[j::k]
-        if plane[1:] != plane[:0:-1]:
-            return None
-        fields[::width] = plane
+        fields[::width] = raw[j::k]
         total = total * 10 + int.from_bytes(fields, "little")
     return total
 

@@ -11,13 +11,12 @@ Kronecker product on libmpdec, is also checked against the 16-bit int
 Kronecker product it replaced, and both spectrum kernels' packed fields
 against those references packed one field at a time; every member of an
 orbit under the complement and alternating masks, which keep |AC| fixed, is
-checked the same way, each decoded from products of its own bits, and so
-are the certified centered fields, with the full-width product redone when
-a count carries, at the digit-count thresholds, on periodic blocks, at the
-field-width switch and on random sequences; the folded product's lift term,
-built by libmpdec arithmetic, against the lift parsed from its text, and the
-decode's certificate against crafted texts that break the mirror or the
-pinned tau = 0 field. The orbit route, which reads a period-4p sequence
+checked the same way, each decoded from one product of its own bits at
+the digits of W, and so are the inputs that once made narrower fields carry:
+a count equal to W, periodic blocks, weights at the old width thresholds,
+the field-width switch, biased small periods and random sequences; the
+folded product, split and summed by libmpdec, against the same fold in
+plain ints. The orbit route, which reads a period-4p sequence
 fixed by t -> r t from 20 rotations and a proved table of orbit codes,
 is checked byte for byte against the decode, forced by refusing the route,
 on the ladder, at p = 5, on class functions at every prime p = 1 mod 4 up
@@ -41,7 +40,7 @@ import random
 import sys
 from array import array
 from collections import Counter
-from itertools import count, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -467,29 +466,33 @@ def orbit_masks(n):
 
 
 def spectrum_products(s, orbit=True):
-    """autocorrelation(s) and the (N, bits) of each product it ran, with the
-    orbit route as it is or, with orbit=False, refused."""
+    """autocorrelation(s) and the (N, bits, k) of each product it ran, with
+    the orbit route as it is or, with orbit=False, refused."""
     products, real = [], analysis._folded_digits
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_folded_digits",
-                      lambda *args: products.append(args[:2]) or real(*args))
+                      lambda *args: products.append(args) or real(*args))
         if not orbit:
             patch.setattr(analysis, "_orbit_spectrum", lambda s: None)
         return analysis.autocorrelation(s), products
 
 
+def one_product(s):
+    """The products of s's decode: one, of its own bits, at the digits of W."""
+    return [(s.period, s.value, len(str(s.weight)))]
+
+
 def check_orbit(s):
     """Each member against both references; its decode, forced by refusing
-    the orbit route, multiplies its own bits, once, or twice where the
-    centered fields carry, and the route, where it applies, multiplies
-    nothing."""
+    the orbit route, multiplies its own bits once, and the route, where it
+    applies, multiplies nothing."""
     for m in orbit_masks(s.period):
         member = BinarySequence(s.period, s.value ^ m)
         want = ref_autocorrelation(member)
         assert want == ref_kronecker_autocorrelation(member)
         spectrum, products = spectrum_products(member, orbit=False)
         check_packed(spectrum, want)
-        assert products in ([(s.period, member.value)], [(s.period, member.value)] * 2)
+        assert products == one_product(member)
         spectrum, routed = spectrum_products(member)
         check_packed(spectrum, want)
         assert routed == ([] if ref_orbit_fixed(member) else products)
@@ -522,92 +525,44 @@ def test_orbit_field_width_switch(n):
         check_packed(spectrum, ref_kronecker_autocorrelation(member))
 
 
-# --------------------------------------------------- certified centered fields
+# -------------------------------------------------------- full-width fields
 #
-# autocorrelation first tries k-digit fields centered on the mean count, and
-# keeps them only when the decoded counts pass the certificate of
-# _fold_counts (the mirror, with the tau = 0 field pinned at half a field);
-# otherwise it redoes the product at the digit count of W with no offset.
-# The spy records each try's (k, offset).
+# A sequence the orbit route refuses is decoded from one product with fields
+# of k = the digits of W, which every coincidence count fits. The inputs
+# below once made fields narrower than W carry: a count equal to W, periodic
+# blocks, weights at the old width thresholds, the field-width switch and
+# biased small periods. Each spectrum, forced past the route, is checked
+# against both references and must come from exactly one product.
 
-def centered_try(n, weight):
-    """The first (k, offset) that autocorrelation tries for a sequence of
-    period n and weight W: the least k with 2 floor((S + 10^k / 2) / (10^k - 1))
-    < 10^k, S = max(m, W - m) for the mean count m, and offset m - 10^k / 2,
-    or the full width, offset 0, where that is no narrower."""
-    full = len(str(weight))
-    if n == 1:
-        return full, 0
-    mean = (weight * weight - weight) // (n - 1)
-    spread = max(mean, weight - mean)
-    k = next(k for k in count(1) if 2 * ((spread + 10 ** k // 2) // (10 ** k - 1)) < 10 ** k)
-    return (k, mean - 10 ** k // 2) if k < full else (full, 0)
-
-
-def spy_field_tries(monkeypatch):
-    """The (k, offset) of each product autocorrelation tries, with its (n, W)."""
-    tried = []
-    real = analysis._fold_counts
-
-    def spy(n, value, k, offset):
-        tried.append((n, value.bit_count(), k, offset))
-        return real(n, value, k, offset)
-
-    monkeypatch.setattr(analysis, "_fold_counts", spy)
-    return tried
-
-
-def check_certified(s):
-    """The spectrum against both references."""
+def check_full_width(s):
+    """s's spectrum, forced past the orbit route, against both references,
+    from one product of its own bits at the digits of W."""
     want = ref_autocorrelation(s)
     assert want == ref_kronecker_autocorrelation(s)
-    check_packed(analysis.autocorrelation(s), want)
+    spectrum, products = spectrum_products(s, orbit=False)
+    check_packed(spectrum, want)
+    assert products == one_product(s)
+    return spectrum
 
 
-def test_centered_fields_redone_when_a_count_carries(monkeypatch):
-    # 001 repeated: W = 11 over N = 33, mean count 3 and spread 8 give one
-    # digit, offset 3 - 5; C(3) = 11 lands at 13 and carries, the certificate
-    # fails, and the product is redone with the two digits of W
-    tried = spy_field_tries(monkeypatch)
+def test_full_width_fields_hold_a_count_equal_to_the_weight():
+    # 001 repeated: W = 11 over N = 33, and C(3) = W, far above the mean
+    # count 3, fills the two digits of W
     s = BinarySequence.from_bits([0, 0, 1] * 11)
-    want = ref_autocorrelation(s)
-    assert want[3] == 33  # AC = N - 4W + 4C(3) with C(3) = W
-    check_packed(analysis.autocorrelation(s), want)
-    assert tried == [(33, 11, 1, -2), (33, 11, 2, 0)]
+    assert ref_autocorrelation(s)[3] == 33  # AC = N - 4W + 4C(3) with C(3) = W
+    check_full_width(s)
+    assert one_product(s) == [(33, s.value, 2)]
 
 
-def test_centered_fields_kept_on_a_random_odd_period(monkeypatch):
-    # an odd-period random sequence with s(0) = 0 and W of three digits:
-    # the centered two-digit try passes
-    rng = random.Random(201)
-    s = next(seq for seq in (BinarySequence(201, rng.getrandbits(201)) for _ in range(100))
-             if seq.value & 1 == 0 and seq.weight >= 100)
-    tried = spy_field_tries(monkeypatch)
-    check_packed(analysis.autocorrelation(s), ref_autocorrelation(s))
-    k, offset = centered_try(201, s.weight)
-    assert k < 3 and offset != 0
-    assert tried == [(201, s.weight, k, offset)]
-
-
-def test_su_sequences_never_fall_back(monkeypatch):
-    # every out-of-phase count of a Su sequence is within 1 of the mean, so
+def test_su_sequences_never_fall_back():
     # each sequence of the ladder, forced past the orbit route, takes one
-    # product, at the centered width; through the route it takes none
-    tried = spy_field_tries(monkeypatch)
-    with monkeypatch.context() as patch:
-        patch.setattr(analysis, "_orbit_spectrum", lambda s: None)
-        for params in LADDER:
-            before = len(tried)
-            spectrum = analysis.autocorrelation(su_sequence(params))
-            assert spectrum == analysis.closed_form_spectrum(params)
-            (n, weight, k, offset), = tried[before:]
-            assert (k, offset) == centered_try(n, weight)
-    # narrower than W from p = 13 on; W = 8 at p = 5 has one digit
-    assert all(k < len(str(weight)) for n, weight, k, _ in tried if n > 20)
-    forced = len(tried)
+    # product at the digits of W; through the route it takes none
     for params in LADDER:
-        assert analysis.autocorrelation(su_sequence(params)) == analysis.closed_form_spectrum(params)
-    assert len(tried) == forced == len(LADDER)
+        s = su_sequence(params)
+        spectrum, products = spectrum_products(s, orbit=False)
+        assert spectrum == analysis.closed_form_spectrum(params)
+        assert products == one_product(s)
+        assert spectrum_products(s) == (spectrum, [])
 
 
 def sequence_of_weight(n, weight, seed):
@@ -616,72 +571,53 @@ def sequence_of_weight(n, weight, seed):
     return BinarySequence(n, sum(1 << t for t in ones))
 
 
-@pytest.mark.parametrize("n,weight,spread,k", (
-    (155, 78, 39, 1),           # the last one-digit centered width
-    (157, 80, 40, 2),           # two digits, those of W: full width only
-    (19595, 9798, 4899, 2),     # the last two-digit centered width
-    (19599, 9800, 4900, 3),     # three
-))
-def test_certified_fields_at_the_digit_thresholds(monkeypatch, n, weight, spread, k):
-    mean = (weight * weight - weight) // (n - 1)
-    assert max(mean, weight - mean) == spread
+@pytest.mark.parametrize("n,weight", ((155, 78), (157, 80), (19595, 9798), (19599, 9800)))
+def test_full_width_fields_at_the_old_centered_thresholds(n, weight):
+    # the weights at which fields centered on the mean count took 1, 2, 2
+    # and 3 digits; the product takes the 2 or 4 digits of W
     for seed in range(2 if n < 1000 else 1):
-        s = sequence_of_weight(n, weight, seed)
-        tried = spy_field_tries(monkeypatch)
-        check_certified(s)
-        assert tried[0][2:] == centered_try(n, weight)
-        assert tried[0][2] == k
-        # a fallback, if any, is the full width with no offset
-        assert tried[1:] in ([], [(n, weight, len(str(weight)), 0)])
+        check_full_width(sequence_of_weight(n, weight, seed))
 
 
 @pytest.mark.parametrize("block", ("0011", "000111", "011", "0111", "01101", "0101101"))
-def test_certified_fields_periodic_blocks_fall_back(monkeypatch, block):
+def test_full_width_fields_on_periodic_blocks(block):
     # a periodic block puts the count at its period's multiples at W, far
-    # above the mean: the centered fields carry and the product is redone
+    # above the mean
     n = 12 * len(block) * 11  # a multiple of every block's length, W >= 10
     s = BinarySequence.from_bits([int(c) for c in block] * (n // len(block)))
-    tried = spy_field_tries(monkeypatch)
-    check_certified(s)
-    n, weight, k, offset = tried[0]
-    assert offset != 0 and k < len(str(weight))
-    assert tried[1:] == [(n, weight, len(str(weight)), 0)]
+    assert check_full_width(s).values[len(block)] == n
 
 
 @pytest.mark.parametrize("n", ((1 << 15) - 1, 1 << 15, (1 << 15) + 1))
-def test_certified_fields_at_the_field_width_switch(monkeypatch, n):
-    # random sequences here take three centered digits in place of five,
-    # read into 2-byte fields below N = 2^15 and 4-byte ones from it
+def test_certified_fields_at_the_field_width_switch(n):
+    # random sequences here take one product of the five digits of W, read
+    # into 2-byte fields below N = 2^15 and 4-byte ones from it
     s = BinarySequence(n, random.Random(n).getrandbits(n) & ~3)
-    tried = spy_field_tries(monkeypatch)
-    check_certified(s)
-    assert tried[0][2] == 3 and tried[0][2:] == centered_try(n, s.weight)
-    assert len(analysis.autocorrelation(s)._fields) == n * (2 if n < 1 << 15 else 4)
+    assert len(str(s.weight)) == 5
+    assert len(check_full_width(s)._fields) == n * (2 if n < 1 << 15 else 4)
 
 
 @settings(max_examples=150, deadline=None)
 @given(sequences_up_to_300)
 def test_certified_fields_random_sequences(s):
-    check_certified(s)
+    check_full_width(s)
 
 
 def test_certified_fields_small_random_periods():
-    # below N = 160 the centered fields have a digit or two, and a biased
-    # draw pushes some counts past both ends: carries up and down that
-    # cancel in the field sum, which the mirror must find
+    # below N = 160 a biased draw puts some counts far from the mean, near 0
+    # or W
     rng = random.Random(160)
     for _ in range(1500):
         n = rng.randrange(20, 160)
         density = rng.choice((0.3, 0.5, 0.7))
-        check_certified(BinarySequence(n, sum(1 << t for t in range(n) if rng.random() < density)))
-    # at even N, different densities on even and odd t put the carries on
-    # one parity; the mirror makes them 2-periodic and the tau = 0 field,
-    # pinned at half a field, clears both parities
+        check_full_width(BinarySequence(n, sum(1 << t for t in range(n) if rng.random() < density)))
+    # at even N, different densities on even and odd t split the counts by
+    # the parity of tau
     for _ in range(1000):
         n = 2 * rng.randrange(10, 80)
         densities = rng.sample((0.1, 0.3, 0.5, 0.7, 0.9), 2)
-        check_certified(BinarySequence(n, sum(1 << t for t in range(n)
-                                              if rng.random() < densities[t % 2])))
+        check_full_width(BinarySequence(n, sum(1 << t for t in range(n)
+                                                if rng.random() < densities[t % 2])))
 
 
 # ------------------------------------------------------------- orbit route
@@ -757,7 +693,7 @@ def test_orbit_route_refuses_single_bit_flips(p):
         assert ref_orbit_fixed(flipped) == (t % p == 0)
         if t % p:
             assert analysis._orbit_spectrum(flipped) is None
-            assert products in ([(4 * p, flipped.value)], [(4 * p, flipped.value)] * 2)
+            assert products == one_product(flipped)
         else:
             assert products == []
 
@@ -780,7 +716,7 @@ def test_orbit_route_refuses_a_corrupted_table(monkeypatch):
                                 lambda p, codes=codes: dataclasses.replace(real, codes=codes))
             assert analysis._orbit_table(p) is None
             spectrum, products = spectrum_products(s)
-            assert products == [(4 * p, s.value)]
+            assert products == one_product(s)
             check_packed(spectrum, ref_autocorrelation(s))
     finally:
         monkeypatch.undo()
@@ -815,7 +751,7 @@ def test_orbit_table_refuses_a_relabelled_cyclotomy(monkeypatch):
         with pytest.raises(ValueError, match="orbit table"):
             analysis.closed_form_spectrum(params)
         spectrum, products = spectrum_products(s)
-        assert products == [(4 * p, s.value)]
+        assert products == one_product(s)
         check_packed(spectrum, ref_autocorrelation(s))
         reports, summary = verify.run_all(30)
         spectra = [r for r in reports if r.check == verify.SPECTRUM_CHECK]
@@ -950,53 +886,30 @@ def test_spectrum_mismatch_witnesses(p, bit, monkeypatch):
     assert digits == [False] * 3
 
 
-def ref_parsed_lift_digits(n, value, k, offset):
-    """The folded product's digit text with the lift ones parsed from text,
-    in Python ints: (A B - (W - B/2 - offset) B^(N-1) + lift ones) folded at
-    B^N as hi + lo, and once more if that reaches B^N."""
-    base = 10 ** k
+def ref_plain_fold_digits(n, value, k):
+    """The folded product's digit text in plain ints: A B split at B^N,
+    B = 10^k, and the two halves added."""
     bits = format(value, f"0{n}b")
     a = int("".join(b.rjust(k, "0") for b in bits))
     b = int("".join(b.rjust(k, "0") for b in bits[::-1]))
-    prod = a * b - (value.bit_count() - base // 2 - offset) * base ** (n - 1)
-    prod += int(str(-offset % (base - 1)).zfill(k) * n)
-    hi, lo = divmod(prod, base ** n)
-    folded = hi + lo
-    if folded >= base ** n:
-        folded -= base ** n - 1
-    return str(folded).zfill(n * k).encode()
+    hi, lo = divmod(a * b, 10 ** (n * k))
+    return str(hi + lo).zfill(n * k).encode()
 
 
-def test_folded_digits_lift_equals_the_parsed_lift():
-    # the lift ones built by libmpdec arithmetic against the lift parsed from
-    # its text, at random (N, k, offset), at lift 0 and at N = 1 and 2
-    rng = random.Random(30)
-    zero_lift = [(1, 1, 0), (2, 1, 9), (12, 2, -99), (40, 3, 999)]
-    assert all(-offset % (10 ** k - 1) == 0 for _, k, offset in zero_lift)
-    short = [(1, 1, 3), (1, 2, -3), (2, 1, 1), (2, 3, -499)]
-    drawn = []
+def test_folded_digits_equals_a_plain_int_fold():
+    # at random (N, k), k from the digits of N up, and at N = 1 and 2; the
+    # all-one sequence at N = 10^k - 1 fills every field, hi + lo = B^N - 1
+    rng = random.Random(35)
+    cases = [(1, 1), (1, 3), (2, 1), (2, 4), (9, 1), (99, 2), (999, 3)]
     for _ in range(60):
-        k = rng.randrange(1, 5)
-        drawn.append((rng.randrange(1, 900), k, rng.randrange(-10 ** k, 10 ** k)))
-    for n, k, offset in zero_lift + short + drawn:
+        n = rng.randrange(1, 900)
+        cases.append((n, rng.randrange(len(str(n)), 5)))
+    for n, k in cases:
         for value in (rng.getrandbits(n), 0, (1 << n) - 1):
-            got = analysis._folded_digits(n, value, k, offset)
-            assert got == ref_parsed_lift_digits(n, value, k, offset), (n, k, offset)
-
-
-def test_fold_counts_refuses_an_unpinned_or_unmirrored_text(monkeypatch):
-    # the certificate on crafted texts: the Su product decodes; the same text
-    # with the tau = 0 field off 10^k / 2, or one field off the mirror, does not
-    value = su_sequence(construction_params(293, None, (0, 0, 0, 0))).value
-    n, weight = 4 * 293, value.bit_count()
-    k, offset = analysis._first_try(n, weight)
-    text = analysis._folded_digits(n, value, k, offset)
-    assert analysis._fold_counts(n, value, k, offset) is not None
-    unpinned = b"%0*d" % (k, 10 ** k // 2 - 1) + text[k:]
-    unmirrored = text[:k] + b"%0*d" % (k, (int(text[k:2 * k]) + 1) % 10 ** k) + text[2 * k:]
-    for crafted in (unpinned, unmirrored):
-        monkeypatch.setattr(analysis, "_folded_digits", lambda *args, crafted=crafted: crafted)
-        assert analysis._fold_counts(n, value, k, offset) is None
+            assert analysis._folded_digits(n, value, k) == ref_plain_fold_digits(n, value, k), (n, k)
+    for k in (1, 2, 3):
+        n = 10 ** k - 1
+        assert analysis._folded_digits(n, (1 << n) - 1, k) == b"9" * (n * k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1062,14 +975,15 @@ def test_construction_ladder(params):
 
 
 def test_autocorrelation_on_transform_sized_construction():
-    # p = 9413 gives operands of 4p * 3 digits (W has 5, but the centered
-    # fields need 3 for counts near p), far past the size from which
-    # libmpdec multiplies through its number-theoretic transform.
+    # p = 9413 forced past the orbit route gives operands of 4p * 5 digits,
+    # those of W, far past the size from which libmpdec multiplies through
+    # its number-theoretic transform; the route gives the same fields.
     params = construction_params(9413, 3, (0, 1, 0, 1))
     s = su_sequence(params)
-    spectrum = analysis.autocorrelation(s)
+    spectrum, products = spectrum_products(s, orbit=False)
+    assert products == one_product(s) and products[0][2] == 5
     assert spectrum.values == ref_kronecker_autocorrelation(s)
-    assert spectrum == analysis.closed_form_spectrum(params)
+    assert spectrum == analysis.closed_form_spectrum(params) == analysis.autocorrelation(s)
 
 
 # ------------------------------------------------------------ complement pairs
