@@ -20,11 +20,17 @@ proved table and the same 20 shifts prove the brute spectrum equal to the
 closed form (_matches_closed_form); a spectrum is computed only for
 sequences without that symmetry or with a mismatch to report.
 The product identity folds its right side from the packed fields' bit planes.
+By the same identity, Hu's, S(2) T(2^-1) of a sequence the orbit route
+serves is the 20 orbit values on per-prime masks of the table, halved, in
+O(N) with no multiply (_orbit_product); any other sequence is multiplied.
+hu_identity_check always multiplies, so it still tests the orbit values
+against an independent product.
 As both S(2) and T(2^-1) change sign mod 2^N - 1 when the bits are
 complemented, a sequence and its complement share the gcd with 2^N - 1, phi
-and S(2) T(2^-1). Each is kept in a two-entry cache keyed on (N, the bits
-complemented so that s(0) = 0), so the complement pairs among the four
-admissible w are evaluated once each.
+and S(2) T(2^-1), and AC, so the orbit values too. Each is kept in a
+two-entry cache keyed on (N, the bits complemented so that s(0) = 0), so the
+complement pairs among the four admissible w are evaluated once each, and
+the spectrum and product checks of one point read one set of orbit values.
 Linear complexity is N - deg gcd(x^N + 1, S(x)) over GF(2) on packed ints.
 With N = 2^v m, m odd, x^N + 1 = (x^m + 1)^(2^v) (Games and Chan 1983, Chen
 2005): S is folded mod x^m + 1, the quadratic Euclid runs on degree m, S is
@@ -229,14 +235,21 @@ def autocorrelation(s: BinarySequence) -> AutocorrSpectrum:
 
 
 def _orbit_spectrum(s: BinarySequence) -> AutocorrSpectrum | None:
-    """s's spectrum with no product, or None unless N = 4p, p a prime = 1
-    mod 4, s is fixed by r (_orbit_values) and the orbit table of p is
-    proved (_orbit_table); refused cheapest first, the bits before the table.
+    """s's spectrum with no product, or None where _orbit_route refuses s.
 
     AC is constant on each orbit of r, and the table gives every shift the
     code of its orbit, which is also the index of its value among the 20
     _orbit_values: one translation per byte plane spreads them.
     """
+    route = _orbit_route(s)
+    return None if route is None else _packed_spectrum(s.period, *route)
+
+
+def _orbit_route(s: BinarySequence) -> tuple[bytes, tuple[int, ...]] | None:
+    """(the orbit table, the 20 orbit values) of s, or None unless N = 4p,
+    p a prime = 1 mod 4, s is fixed by r (_orbit_values) and the orbit
+    table of p is proved (_orbit_table); refused cheapest first, the bits
+    before the table."""
     n = s.period
     p = n // 4
     if n % 4 or p % 4 != 1 or not is_prime(p):
@@ -244,7 +257,7 @@ def _orbit_spectrum(s: BinarySequence) -> AutocorrSpectrum | None:
     values = _orbit_values(s, p)
     if values is None or (codes := _orbit_table(p)) is None:
         return None
-    return _packed_spectrum(n, codes, values)
+    return codes, values
 
 
 # _ORBIT_CODE[j] maps a code of numtheory._cyclotomy, ind_g0(x) mod 4 plus a
@@ -438,9 +451,18 @@ def _orbit_values(s: BinarySequence, p: int) -> tuple[int, ...] | None:
     on the LSB-first bit text (_permuted), and AC(tau) = N - 2 popcount(s
     XOR s rotated by tau): O(N), no product.
     """
-    n, value = s.period, s.value
-    if n != 4 * p:
+    if s.period != 4 * p:
         return None
+    return _pair_orbit_values(_complement_key(s))
+
+
+@functools.lru_cache(maxsize=2)
+def _pair_orbit_values(key: tuple[int, int]) -> tuple[int, ...] | None:
+    """_orbit_values of the complement pair with this key, p = N / 4: the
+    complement has the same AC and is fixed by the same r, so the spectrum
+    and product checks of a w and of its complement read one evaluation."""
+    n, value = key
+    p = n // 4
     text = format(value, f"0{n}b").encode()[::-1]  # text[t] = s(t)
     if _permuted(text, _orbit_multiplier(p)) != text:
         return None
@@ -508,9 +530,52 @@ def _two_adic(key: tuple[int, int]) -> tuple[int, int, int]:
 
 @functools.lru_cache(maxsize=2)
 def _st_product(key: tuple[int, int]) -> MersenneResidue:
-    """S(2) T(2^-1) of the complement pair with this key: both factors change sign."""
+    """S(2) T(2^-1) of the complement pair with this key: both factors change
+    sign. From the 20 orbit values where the orbit route serves the bits
+    (_orbit_product), else one multiply."""
     s = BinarySequence(*key)
-    return bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
+    product = _orbit_product(s)
+    return product if product is not None else bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
+
+
+def _orbit_product(s: BinarySequence) -> MersenneResidue | None:
+    """S(2) T(2^-1) with no multiply of two big numbers, or None where
+    _orbit_route refuses s.
+
+    By Hu's identity (hu_identity_check), -2 S(2) T(2^-1) = sum_tau AC(tau)
+    2^tau mod 2^N - 1, and AC(tau) = values[codes[tau]] for the proved
+    table and the 20 orbit values, so the sum is sum_c values[c] M_c over
+    the masks of _orbit_masks. Halving mod 2^N - 1 is a one-bit right
+    rotation. O(N).
+    """
+    route = _orbit_route(s)
+    if route is None:
+        return None
+    n = s.period
+    total = sum(v * mask for v, mask in zip(route[1], _orbit_masks(n // 4)) if v)
+    twice = bigmod.add_signed(bigmod.reduce(0, n), -total).value  # 2 S(2) T(2^-1)
+    return MersenneResidue(n, twice >> 1 | (twice & 1) << (n - 1))
+
+
+@functools.lru_cache(maxsize=1)
+def _orbit_masks(p: int) -> tuple[int, ...]:
+    """M_c for each code c < 20 of the proved _orbit_table(p): bit tau < 4p
+    set where the table holds c; kept per prime.
+
+    The proved table holds 5 j + i exactly at the tau = j mod 4 whose
+    tau mod p has index i mod 4 (i = 4: p | tau), so M_c is the stride-4
+    mask of j AND the mask of class i repeated at every p; the class masks
+    are read from the table's first p bytes, one translation and one
+    int(text, 2) each.
+    """
+    n, head = 4 * p, _orbit_table(p)[p - 1::-1]  # tau = p - 1 leads
+    stride = int.from_bytes(b"\x11" * (p // 2 + 1), "little") & ((1 << n) - 1)
+    masks = []
+    for i in range(5):
+        bits = bytes(0x31 if c % 5 == i else 0x30 for c in range(20)).ljust(256, b"0")
+        mask = int(head.translate(bits), 2)
+        masks.append(mask | mask << p | mask << 2 * p | mask << 3 * p)
+    return tuple(stride << j & masks[i] for j in range(4) for i in range(5))
 
 
 def hu_identity_check(s: BinarySequence) -> IdentityCheck:
@@ -518,7 +583,9 @@ def hu_identity_check(s: BinarySequence) -> IdentityCheck:
 
     This holds for every periodic binary sequence; the remaining term of the
     underlying polynomial identity carries a factor sum_i 2^i = 2^N - 1 and
-    vanishes here. Returns both sides for diagnostics.
+    vanishes here. Returns both sides for diagnostics. The left side is one
+    multiply, never the orbit product, which is this identity read the
+    other way.
 
     The right side is folded from the packed spectrum, whose tau = 0 field
     AC(0) = N is already the constant term N. Each field holds
@@ -529,7 +596,7 @@ def hu_identity_check(s: BinarySequence) -> IdentityCheck:
     n = s.period
     if n < 2:
         raise ValueError("identity needs period >= 2")
-    st = _st_product(_complement_key(s))
+    st = bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
     lhs = bigmod.add_signed(bigmod.reduce(0, n), -2 * st.value)
     fields = autocorrelation(s)._fields
     width = len(fields) // n

@@ -101,6 +101,16 @@ def gcd_with_modulus(x: MersenneResidue) -> int:
 # N = 1600-2000, 10% faster at N = 2400 (CPython 3.11, 2-vCPU x86-64 host).
 _GCD_SPLIT_BITS = 2048
 
+# Bits from which verify.check_complexity_bounds takes the gcd from S(2)
+# mod 15 where the product congruence holds, not from gcd_with_modulus.
+# After the product check (run_all) the product and its closed form are
+# cached, and the certificate took 4-11 us where the gcd took 50-510 us at
+# N = 4372-21332; a survey computes both for the certificate alone, which
+# took 1.3-1.7 times the gcd's time per prime at N = 4372-8852, 1.0-1.2 at
+# 21332 and 0.85-0.96 at 37652 (CPython 3.11, 2-vCPU x86-64 host). Below
+# this, as in all-g surveys up to limit 1100 (N <= 4372), the gcd stays.
+_CERTIFIED_GCD_BITS = 8192
+
 
 def _gcd_split(value: int, n: int) -> int:
     if n % 2 or n < _GCD_SPLIT_BITS:

@@ -33,10 +33,21 @@ gives S(2) Z = 2 (X^2 - 4p)(p^2 + 8 + 4 eps (p + 2) 2^p)
 = 2p(p - 4)(p^2 + 4p + 16) (mod R): a prime dividing S(2) and R divides
 2p(p - 4)(p^2 + 4p + 16). R = 1 + 4 + ... + 4^(p-1) = p (mod 3) is odd and
 prime to 3, so a prime q dividing R divides 4^p - 1 and is not 3:
-ord_q(2) = p or 2p, and q = 1 (mod 2p) divides neither p nor p - 4.
-Wherever R is also prime to p^2 + 4p + 16, which the tests check for
-5 < p <= 2213, gcd(S(2), R) = 1 and, as 2^(2p)-1 = 3R,
-gcd_minus = gcd(S(2), 3).
+ord_q(2) = p or 2p, and q = 1 (mod 2p) divides neither p nor p - 4. Nor
+does q divide p^2 + 4p + 16 for p > 16: if q r = p^2 + 4p + 16, then
+r = 16 (mod p), as q = 1 (mod p), and r < p, as q > 2p and p >= 6; so
+r = 16, but p^2 + 4p + 16 is odd. At p = 13, the one eligible prime in
+(5, 16], gcd(R, 237) = 1 directly. So gcd(S(2), R) = 1 and, as
+2^(2p)-1 = 3R, gcd_minus = gcd(S(2), 3).
+
+For p > 5, neither 9 nor 25 divides 2^(4p)-1 (ord_9(2) = 6 and
+ord_25(2) = 20 do not divide 4p), so 2^(4p)-1 = 3 * 5 * R * Q with the four
+factors pairwise coprime, and wherever S(2) T(2^-1) equals
+product_closed_form exactly, gcd(S(2), 2^(4p)-1) = gcd(S(2) mod 15, 15), an
+O(N) certificate for the quadratic gcd. check_complexity_bounds compares the
+product with the closed form itself and takes the gcd so from
+bigmod._CERTIFIED_GCD_BITS on; below it, at p = 5 and wherever the product
+differs, it takes the direct gcd of analysis.two_adic_complexity.
 
 Each check takes the parameters and, optionally, the sequence to check; it
 builds the parameters' own sequence when none is given and refuses one
@@ -51,9 +62,14 @@ that class one shared list of the class's results in w order. The parent
 gives each g its own record of each result: run_all builds a CheckReport
 through its constructor, and the survey copies the SurveyRow past its frozen
 __init__. Serially only the current prime's sequences are kept. A w and its
-complement share S(2) T(2^-1), its closed form and the gcd with 2^N - 1,
-through two-entry caches here and in analysis, so each complement pair is
-evaluated once.
+complement share the orbit values, S(2) T(2^-1), its closed form and the
+gcd with 2^N - 1, through two-entry caches here and in analysis, so each
+complement pair is evaluated once, and the bounds check reads the product
+and closed form that the product check computed. The spectrum and product
+checks of a Su point both read the orbit values (analysis._orbit_values),
+the product through Hu's identity (analysis._orbit_product), so a wrong
+orbit value fails both; the multiply stays the product of every sequence
+the orbit route refuses, and the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -288,7 +304,11 @@ def _product_closed_form(p: int, b: int, eps: int) -> bigmod.MersenneResidue:
 
 def check_product_congruence(params: ConstructionParams,
                              sequence: BinarySequence | None = None) -> CheckReport:
-    """Evaluate S(2) T(2^-1) from the bits and compare with the closed form."""
+    """Evaluate S(2) T(2^-1) from the bits and compare with the closed form.
+
+    The product comes from the 20 orbit values by Hu's identity where the
+    orbit route serves the bits, else from one multiply (analysis._st_product).
+    """
     s = _point_sequence(params, sequence)
     lhs = analysis._st_product(analysis._complement_key(s))
     rhs = product_closed_form(params)
@@ -336,21 +356,40 @@ def check_complexity_bounds(params: ConstructionParams,
 
     The three components are recorded separately so a failure localizes.
     The survey tabulates phi and the gcd split: gcd_minus = gcd(S(2), 2^(2p)-1)
-    is read from the one big gcd_full, as 2^(2p)-1 divides 2^(4p)-1.
+    is read from the one big gcd_full, as 2^(2p)-1 divides 2^(4p)-1. From
+    bigmod._CERTIFIED_GCD_BITS on, gcd_full comes from S(2) mod 15 where the
+    product congruence holds (_certified_gcd, module docstring), else from
+    analysis.two_adic_complexity; phi is then log2 of f + 1, f = (2^N - 1) / gcd.
     """
     s = _point_sequence(params, sequence)
-    p = params.p
-    two_adic = analysis.two_adic_complexity(s)
-    gcd_minus = math.gcd(two_adic.gcd, (1 << (2 * p)) - 1)
+    p, n = params.p, s.period
+    gcd = _certified_gcd(params, s) if n >= bigmod._CERTIFIED_GCD_BITS else None
+    if gcd is None:
+        two_adic = analysis.two_adic_complexity(s)
+        gcd, phi = two_adic.gcd, two_adic.phi
+    else:
+        phi = (bigmod.modulus(n) // gcd + 1).bit_length() - 1
+    gcd_minus = math.gcd(gcd, (1 << (2 * p)) - 1)
     lower, upper = _proven_bounds(p)
-    bounds_ok = lower <= two_adic.phi <= upper
+    bounds_ok = lower <= phi <= upper
     coprime_ok = gcd_minus == 1
-    div5_ok = two_adic.gcd % 5 == 0
+    div5_ok = gcd % 5 == 0
     return _report(BOUNDS_CHECK, params, bounds_ok and coprime_ok and div5_ok,
-                   {"phi": two_adic.phi, "lower_bound": lower,
+                   {"phi": phi, "lower_bound": lower,
                     "upper_bound": upper, "bounds_ok": bounds_ok,
-                    "gcd_full": two_adic.gcd, "gcd_minus": gcd_minus,
+                    "gcd_full": gcd, "gcd_minus": gcd_minus,
                     "coprime_ok": coprime_ok, "div5_ok": div5_ok})
+
+
+def _certified_gcd(params: ConstructionParams, s: BinarySequence) -> int | None:
+    """gcd(S(2), 2^(4p) - 1) as gcd(S(2) mod 15, 15), or None unless p > 5
+    and S(2) T(2^-1) equals product_closed_form(params) exactly, compared
+    here, as the module docstring's argument needs; 15 divides 2^(4p) - 1,
+    so S(2) mod 15 is s's bits mod 15."""
+    if params.p <= 5:
+        return None
+    product = analysis._st_product(analysis._complement_key(s))
+    return math.gcd(s.value % 15, 15) if product == product_closed_form(params) else None
 
 
 def _roots_for(p: int, g_policy) -> list[tuple[int, int]]:

@@ -554,7 +554,7 @@ def test_full_width_fields_hold_a_count_equal_to_the_weight():
     assert one_product(s) == [(33, s.value, 2)]
 
 
-def test_su_sequences_never_fall_back():
+def test_su_sequences_take_one_product_or_the_orbit_route():
     # each sequence of the ladder, forced past the orbit route, takes one
     # product at the digits of W; through the route it takes none
     for params in LADDER:
@@ -589,7 +589,7 @@ def test_full_width_fields_on_periodic_blocks(block):
 
 
 @pytest.mark.parametrize("n", ((1 << 15) - 1, 1 << 15, (1 << 15) + 1))
-def test_certified_fields_at_the_field_width_switch(n):
+def test_full_width_fields_at_the_field_width_switch(n):
     # random sequences here take one product of the five digits of W, read
     # into 2-byte fields below N = 2^15 and 4-byte ones from it
     s = BinarySequence(n, random.Random(n).getrandbits(n) & ~3)
@@ -599,11 +599,11 @@ def test_certified_fields_at_the_field_width_switch(n):
 
 @settings(max_examples=150, deadline=None)
 @given(sequences_up_to_300)
-def test_certified_fields_random_sequences(s):
+def test_full_width_fields_random_sequences(s):
     check_full_width(s)
 
 
-def test_certified_fields_small_random_periods():
+def test_full_width_fields_small_random_periods():
     # below N = 160 a biased draw puts some counts far from the mean, near 0
     # or W
     rng = random.Random(160)
@@ -625,16 +625,20 @@ def test_certified_fields_small_random_periods():
 # A period-4p sequence, p a prime = 1 mod 4, that is fixed by t -> r t takes
 # no product: AC at one shift per orbit of r, spread over every shift by the
 # proved orbit table. Each case is checked against the forced decode, byte
-# for byte, and against the per-shift reference.
+# for byte, and against the per-shift reference; the product S(2) T(2^-1)
+# that Hu's identity reads from the same orbit values is checked against
+# the multiply.
 
 def check_orbit_route(s):
     """The route's spectrum, from no product, against the forced decode's
-    fields and the per-shift reference."""
+    fields and the per-shift reference, and its S(2) T(2^-1) from the same
+    orbit values against the multiply."""
     spectrum, products = spectrum_products(s)
     forced, forced_products = spectrum_products(s, orbit=False)
     assert products == [] and forced_products
     assert spectrum._fields == forced._fields
     check_packed(spectrum, ref_autocorrelation(s))
+    assert analysis._orbit_product(s) == bigmod.mul(bigmod.eval_S(s), bigmod.eval_T_inv(s))
 
 
 @pytest.mark.parametrize("p", eligible_primes(2213))
@@ -990,7 +994,7 @@ def test_autocorrelation_on_transform_sized_construction():
 
 # Every cache that shares a result between the w of one (p, g).
 PAIR_CACHES = (analysis._two_adic, analysis._st_product, verify._product_closed_form,
-               sequences._su_base)
+               analysis._pair_orbit_values, sequences._su_base)
 COMPLEMENT_PAIRS = (((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 1, 0, 1), (1, 0, 1, 0)))
 
 

@@ -102,7 +102,7 @@ def test_digit_comparison_equals_the_decode_on_the_ladder(p, g, monkeypatch):
     assert len({g for q, g in LADDER_CLASSES if q == p}) == 2
 
 
-def test_digit_comparison_equals_the_decode_on_random_sequences(monkeypatch):
+def test_certificate_equals_the_decode_on_random_sequences(monkeypatch):
     # the certificate against the forced decode: random sequences of period
     # 4p, which lack the symmetry, and Su sequences of other parameters
     rng = random.Random(2213)
@@ -641,7 +641,7 @@ def spectrum_calls(monkeypatch, run, certify=True, orbit=True):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_grid_runs_the_spectrum_transform_once_per_prime(monkeypatch, jobs):
+def test_grid_multiplies_for_spectra_only_with_both_routes_refused(monkeypatch, jobs):
     # none with the certificate, nor with it refused (the orbit route); with
     # both refused, one per (p, g, w) point
     use_in_process_pool(monkeypatch)
@@ -654,7 +654,8 @@ def test_grid_runs_the_spectrum_transform_once_per_prime(monkeypatch, jobs):
             == len(ADMISSIBLE_W) * len(primes))
 
 
-def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class(monkeypatch):
+def test_all_g_grid_multiplies_for_spectra_once_per_class_only_with_both_routes_refused(
+        monkeypatch):
     # none with the certificate, nor with it refused (the orbit route); with
     # both refused, one per construction (p, e, w), e = ind(g) mod 4, which
     # every root of class e shares
@@ -669,10 +670,13 @@ def test_all_g_grid_runs_the_spectrum_transform_once_per_construction_class(monk
 
 def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
     # run_all(6000, all w): 17 primes, 68 spectrum checks, all certified; the
-    # product, the decode stage and autocorrelation are never called
+    # product, the decode stage and autocorrelation are never called, and
+    # S(2) T(2^-1) comes from the orbit values, with no bigmod.mul
     called = Counter()
     for name in ("_fold_counts", "autocorrelation", "closed_form_spectrum"):
         monkeypatch.setattr(analysis, name, lambda *args, name=name: called.update([name]))
+    monkeypatch.setattr(bigmod, "mul", lambda *args: called.update(["mul"]))
+    analysis._st_product.cache_clear()
     grid = functools.partial(verify.run_all, 6000, "smallest", "all")
     assert spectrum_calls(monkeypatch, grid) == 0
     assert called == Counter() and len(eligible_primes(6000)) == 17
@@ -680,12 +684,15 @@ def test_su_grid_multiplies_nothing_and_decodes_nothing(monkeypatch):
 
 def test_grid_proves_each_code_table_symmetric_once_per_prime():
     # the orbit table is the one code table of a prime, shared by both root
-    # classes and all four w, so it is built and proved once per prime
+    # classes, all four w and the spectrum and product checks, so it is built
+    # and proved once per prime; it is read by 8 spectrum checks, 4 products
+    # (one per complement pair and class) and the prime's product masks
     primes = eligible_primes(1100)
     analysis._orbit_table.cache_clear()
+    analysis._st_product.cache_clear()
     verify.run_all(1100, "all", "all")
     info = analysis._orbit_table.cache_info()
-    assert (info.misses, info.hits) == (len(primes), 7 * len(primes))
+    assert (info.misses, info.hits) == (len(primes), 12 * len(primes))
 
 
 def test_su_grid_leaves_decimal_unimported():
@@ -697,7 +704,8 @@ def test_su_grid_leaves_decimal_unimported():
 
 # The caches shared by a complement pair (w = 0000/1111 and 0101/1010), and the
 # construction's w = 0000 interleave, shared by all four w of one (p, g).
-PAIR_CACHES = (analysis._two_adic, analysis._st_product, verify._product_closed_form)
+PAIR_CACHES = (analysis._two_adic, analysis._st_product, verify._product_closed_form,
+               analysis._pair_orbit_values)
 
 
 def pair_cache_misses(monkeypatch, run):
@@ -1185,6 +1193,79 @@ def test_gcd_minus_is_gcd_with_3_follows_from_the_product_congruence():
         s2 = bigmod.eval_S(su_sequence(construction_params(report.p, report.g, report.w))).value
         assert report.witnesses["gcd_minus"] == math.gcd(s2, 3)
     assert len(bounds) == 4 * len(eligible_primes(6000)) == 68
+
+
+def test_premises_of_the_certified_gcd():
+    # 2^(4p) - 1 = 3 * 5 * R * Q, pairwise coprime, needs 9 and 25 not to
+    # divide it: true for every eligible p > 5
+    for p in eligible_primes(100000)[1:]:
+        assert pow(2, 4 * p, 9) != 1 and pow(2, 4 * p, 25) != 1
+    assert pow(2, 4 * 5, 25) == 1
+    # a prime q | R has q >= 2p + 1, so its cofactor r in p^2 + 4p + 16 is
+    # below p from p = 6 on (not at p = 5)
+    for p in range(6, 100000):
+        assert (p * p + 4 * p + 16) // (2 * p + 1) < p
+    assert (5 * 5 + 4 * 5 + 16) // (2 * 5 + 1) == 5
+    # p = 13, below 16, is checked directly: 237 = 3 * 79 and 79 = 1 (mod 26)
+    assert math.gcd(((1 << 26) - 1) // 3, 13 * 13 + 4 * 13 + 16) == 1
+
+
+def test_certified_gcd_equals_the_direct_gcd_below_20000():
+    # at every eligible 5 < p < 20000, the first root of each class and all
+    # four w, on both sides of bigmod._CERTIFIED_GCD_BITS
+    primes = eligible_primes(20000)[1:]
+    for p in primes:
+        for params in class_points(p):
+            s = su_sequence(params)
+            assert verify._certified_gcd(params, s) == bigmod.gcd_with_modulus(bigmod.eval_S(s))
+    params = construction_params(5, 2)
+    assert verify._certified_gcd(params, su_sequence(params)) is None
+    assert 4 * primes[0] < bigmod._CERTIFIED_GCD_BITS < 4 * primes[-1]
+
+
+def test_bounds_check_takes_the_certified_gcd_from_the_gate_on(monkeypatch):
+    # the reports equal those of the direct gcd at every point, and only the
+    # points below the gate compute it
+    calls = counting_two_adic_complexity(monkeypatch)
+    reports, _ = verify.run_all(6000, w_policy="all")
+    below = [4 * p for p in eligible_primes(6000) if 4 * p < bigmod._CERTIFIED_GCD_BITS]
+    assert sorted({n for n, _ in calls}) == below and len(below) == 12
+    monkeypatch.setattr(bigmod, "_CERTIFIED_GCD_BITS", 1 << 62)
+    assert verify.run_all(6000, w_policy="all")[0] == reports
+    assert len({n for n, _ in calls}) == 17
+
+
+@pytest.mark.parametrize("mutant", ["flipped bit", "negated b", "wrong eps"])
+def test_bounds_check_falls_back_to_the_direct_gcd_on_mutants(monkeypatch, mutant):
+    # past the gate: a flipped bit loses the symmetry, so the product is one
+    # multiply; a negated b or the other eps changes the closed form; either
+    # way the congruence fails and the gcd is the direct one
+    p = 2213
+    assert 4 * p >= bigmod._CERTIFIED_GCD_BITS
+    real_mul, multiplies = bigmod.mul, []
+    monkeypatch.setattr(bigmod, "mul", lambda *args: multiplies.append(1) or real_mul(*args))
+    calls = counting_two_adic_complexity(monkeypatch)
+    for params in class_points(p):
+        s = su_sequence(params)
+        if mutant == "flipped bit":
+            s = flip_bit(s, 1)
+            assert analysis._orbit_product(s) is None
+        elif mutant == "negated b":
+            params = negate_b(params)
+        else:
+            other = (0, 1, 0, 1) if params.w[0] == params.w[1] else (0, 0, 0, 0)
+            params = construction_params(p, params.g, other)
+        analysis._st_product.cache_clear()
+        del multiplies[:]
+        calls.clear()
+        assert verify._certified_gcd(params, s) is None
+        assert len(multiplies) == (mutant == "flipped bit")
+        report = verify.check_complexity_bounds(params, s)
+        assert calls == {(s.period, s.value): 1}
+        two_adic = analysis.two_adic_complexity(s)
+        assert (report.witnesses["gcd_full"] == two_adic.gcd
+                == bigmod.gcd_with_modulus(bigmod.eval_S(s)))
+        assert report.witnesses["phi"] == two_adic.phi
 
 
 def test_survey_row_derives_gcd_plus_and_bounds():
